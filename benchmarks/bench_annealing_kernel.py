@@ -181,7 +181,7 @@ def test_delta_and_batch_throughput_floor():
     proposed move (a full re-score, dispatch included).  The new
     evaluation contract must beat that by at least 3x on the Table 1
     128-GPU shapes — enforced on ``evaluate_batch`` (64 permutations
-    per dispatch, the annealer's batched-proposal shape), which
+    per dispatch, the shape warm re-ranks score in), which
     amortizes the NumPy dispatch that dominates at these sizes.
 
     The per-proposal delta path (a bound ``IncrementalEvaluator``) is

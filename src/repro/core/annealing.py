@@ -29,32 +29,20 @@ stream and the floating-point trajectory are identical to
 :func:`anneal_mapping_reference`, the pre-kernel implementation kept
 as an executable specification.
 
-Two refinements ride on top of that contract:
+**Delta evaluation** rides on top of that contract.  An objective
+exposing ``incremental()`` (the kernel's
+:meth:`~repro.core.latency_kernel.LatencyKernel.incremental`) lets the
+loop re-score each move by recomputing only the permutation components
+it touched.  The incremental values are bit-identical to full re-scores
+by construction, so the trajectory — and therefore every cached plan —
+is unchanged; only the cost per proposal changes.  Because range moves
+(migrate/reverse) touch wide permutation spans, the delta path only
+outruns the fully vectorized re-score on large permutations, so the
+loop engages it at or above ``SAOptions.delta_min_slots`` (a pure
+performance switch — see the knob's docstring for the measured
+crossover).
 
-* **Delta evaluation.** An objective exposing ``incremental()`` (the
-  kernel's :meth:`~repro.core.latency_kernel.LatencyKernel.incremental`)
-  lets the sequential loop re-score each move by recomputing only the
-  permutation components it touched.  The incremental values are
-  bit-identical to full re-scores by construction, so the trajectory —
-  and therefore every cached plan — is unchanged; only the cost per
-  proposal changes.  Because range moves (migrate/reverse) touch wide
-  permutation spans, the delta path only outruns the fully vectorized
-  re-score on large permutations, so the loop engages it at or above
-  ``SAOptions.delta_min_slots`` (a pure performance switch — see the
-  knob's docstring for the measured crossover).
-* **Batched proposals** (``SAOptions.batch_size > 1``). With one
-  shared RNG stream, speculating past the first evaluated move is
-  never sound — an accept changes the state later proposals were drawn
-  from, and a reject consumes an acceptance draw — so a bit-identical
-  batched loop is impossible.  Batch mode is therefore an *opt-in
-  deterministic variant* with its own documented schedule: K moves are
-  proposed from the current state, scored in one
-  ``evaluate_batch`` call, and scanned in proposal order; the first
-  Metropolis accept wins and the rest of the batch (drawn from the
-  now-stale state) is discarded.  Same seed, same result, every run —
-  just a different (coarser) proposal schedule than ``batch_size=1``.
-
-Either loop can additionally collect a **portfolio** — the
+The loop can additionally collect a **portfolio** — the
 ``portfolio_k`` best *distinct* states visited — as pure bookkeeping on
 accepted moves: no extra objective calls, no RNG draws.  Elastic
 re-planning warm-starts from these survivors
@@ -101,16 +89,11 @@ class SAOptions:
         moves: subset of ``{"migrate", "swap", "reverse"}`` (ablations
             disable individual moves).
         seed: RNG seed for the move stream.
-        batch_size: proposals scored per objective call.  ``1`` (the
-            default) is the paper's sequential loop, bit-identical to
-            :func:`anneal_mapping_reference`; ``> 1`` selects the
-            deterministic batched-proposal variant (see the module
-            docstring for why the two schedules necessarily differ).
         portfolio_k: distinct best-visited states carried on
             :attr:`SAResult.portfolio` (``1`` keeps only the best; the
             collection itself never perturbs the search).
         delta_min_slots: permutation length at or above which the
-            sequential loop scores proposals through the objective's
+            loop scores proposals through the objective's
             incremental (delta) path instead of full re-scores.  Both
             paths produce bit-identical values, so this is purely a
             performance switch: range moves touch ~n/3 of the
@@ -128,7 +111,6 @@ class SAOptions:
     initial_temperature: float | None = None
     moves: tuple[str, ...] = DEFAULT_MOVES
     seed: int = 0
-    batch_size: int = 1
     portfolio_k: int = 1
     delta_min_slots: int = 128
 
@@ -146,9 +128,6 @@ class SAOptions:
             raise ValueError(f"unknown moves: {sorted(unknown)}")
         if not self.moves:
             raise ValueError("at least one move kind is required")
-        if self.batch_size < 1:
-            raise ValueError(
-                f"batch_size must be >= 1, got {self.batch_size}")
         if self.portfolio_k < 1:
             raise ValueError(
                 f"portfolio_k must be >= 1, got {self.portfolio_k}")
@@ -183,9 +162,7 @@ class SAResult:
         history: best-so-far objective at each improvement.
         evaluations: objective calls made — the starting evaluation,
             the temperature probes (when the temperature was derived),
-            and one per iteration.  In batch mode an early accept
-            discards the rest of its evaluated batch, so evaluations
-            can exceed iterations.
+            and one per iteration.
         exit_reason: which budget ended the run — ``"iteration_budget"``
             or ``"time_limit"`` — or ``"degenerate"`` when the grid
             has fewer than two blocks and the loop exited after its
@@ -376,7 +353,7 @@ def _degenerate_result(initial: Mapping, value: float, start: float,
 
     A grid with fewer than two blocks admits exactly one block
     permutation, so there is nothing to anneal: every proposal would
-    re-score the starting state.  All three loops exit through here
+    re-score the starting state.  Both loops exit through here
     *before* the temperature probe, so a wall-clock-budgeted polish
     (the one-node-survivor replan, where pp == tp == dp == 1) answers
     after its single evaluation instead of spinning the whole budget
@@ -425,10 +402,6 @@ def anneal_mapping(initial: Mapping,
     :data:`TIME_CHECK_INTERVAL` moves, so it may overshoot the limit
     by up to that many iterations.
 
-    ``options.batch_size > 1`` routes to the deterministic
-    batched-proposal variant (see the module docstring); everything
-    below describes the sequential loop.
-
     ``recorder`` is an optional :class:`repro.obs.recorder.
     FlightRecorder` observing the run.  It draws nothing from the RNG
     and never touches the mapping, so the trajectory with a recorder
@@ -436,8 +409,6 @@ def anneal_mapping(initial: Mapping,
     pays a single ``is not None`` test per iteration.
     """
     options = options or SAOptions()
-    if options.batch_size > 1:
-        return _anneal_mapping_batched(initial, objective, options, recorder)
     rng = resolve_rng(options.seed)
     start = time.perf_counter()
 
@@ -555,138 +526,6 @@ def anneal_mapping(initial: Mapping,
     )
 
 
-def _anneal_mapping_batched(initial: Mapping,
-                            objective: Callable[[Mapping], float],
-                            options: SAOptions,
-                            recorder=None) -> SAResult:
-    """The deterministic batched-proposal loop (``batch_size > 1``).
-
-    Each round draws up to ``batch_size`` moves from the current state,
-    scores them in one ``evaluate_batch`` call when the objective
-    offers it (falling back to per-row evaluation otherwise), and scans
-    the scores in proposal order: rejects consume their acceptance draw
-    and cool the temperature exactly as the sequential loop would; the
-    first accept wins and discards the rest of the batch, whose
-    proposals were drawn from a now-stale state.  ``iterations`` counts
-    scanned proposals (so budgets mean the same thing as in the
-    sequential loop) while ``evaluations`` counts scored rows, which is
-    why the latter can run ahead.  The wall clock is polled once per
-    round.
-    """
-    rng = resolve_rng(options.seed)
-    start = time.perf_counter()
-
-    evaluate_perm = getattr(objective, "evaluate_perm", None)
-    evaluate_batch = getattr(objective, "evaluate_batch", None)
-    if evaluate_perm is not None:
-        kernel_grid = getattr(objective, "grid", None)
-        if kernel_grid is not None and kernel_grid != initial.grid:
-            raise ValueError(
-                f"objective kernel compiled for grid {kernel_grid} cannot "
-                f"score mappings of grid {initial.grid}"
-            )
-        evaluate = lambda perm: float(evaluate_perm(perm))  # noqa: E731
-    else:
-        def evaluate(perm: np.ndarray) -> float:
-            return float(objective(initial.with_block_permutation(perm.copy())))
-
-    current = np.array(initial.block_to_slot, dtype=np.int64)
-    scratch = np.empty_like(current)
-    current_value = evaluate(current)
-    initial_value = current_value
-    best = current.copy()
-    best_value = current_value
-    history = [best_value]
-    setup_evaluations = 1
-
-    if len(current) < 2:
-        return _degenerate_result(initial, current_value, start, recorder,
-                                  options.portfolio_k)
-
-    temperature = options.initial_temperature
-    if temperature is None:
-        deltas = []
-        for _ in range(TEMPERATURE_PROBES):
-            move = options.moves[int(rng.integers(len(options.moves)))]
-            _propose_into(scratch, current, move, rng)
-            deltas.append(abs(evaluate(scratch) - current_value))
-        temperature = _temperature_from_spread(deltas, current_value)
-        setup_evaluations += TEMPERATURE_PROBES
-
-    if recorder is not None:
-        recorder.start(initial_value, evaluations=setup_evaluations)
-
-    pool = {current.tobytes(): current_value} \
-        if options.portfolio_k > 1 else None
-
-    batch = np.empty((options.batch_size, len(current)), dtype=np.int64)
-    batch_moves: "list[str]" = [""] * options.batch_size
-    iterations = accepted = 0
-    evaluations = setup_evaluations
-    exit_reason = "iteration_budget"
-    while True:
-        if options.max_iterations is not None \
-                and iterations >= options.max_iterations:
-            break
-        if options.time_limit_s is not None \
-                and time.perf_counter() - start >= options.time_limit_s:
-            exit_reason = "time_limit"
-            break
-        k = options.batch_size
-        if options.max_iterations is not None:
-            k = min(k, options.max_iterations - iterations)
-        for b in range(k):
-            move = options.moves[int(rng.integers(len(options.moves)))]
-            batch_moves[b] = move
-            _propose_into(batch[b], current, move, rng)
-        if evaluate_batch is not None:
-            values = np.asarray(evaluate_batch(batch[:k]), dtype=np.float64)
-        else:
-            values = np.array([evaluate(batch[b]) for b in range(k)])
-        evaluations += k
-        for b in range(k):
-            value = float(values[b])
-            delta = value - current_value
-            accepted_move = delta <= 0.0 or (
-                temperature > 0.0
-                and rng.random() < math.exp(-delta / temperature))
-            if accepted_move:
-                current[:] = batch[b]
-                current_value = value
-                accepted += 1
-                if value < best_value:
-                    best[:] = current
-                    best_value = value
-                    history.append(best_value)
-                _note_visit(pool, current, value)
-            if recorder is not None:
-                recorder.sample(iterations, temperature, best_value,
-                                accepted_move, move=batch_moves[b])
-            temperature *= options.alpha
-            iterations += 1
-            if accepted_move:
-                # The rest of the batch was proposed from a state that
-                # no longer exists; discard it and re-propose.
-                break
-
-    if recorder is not None:
-        recorder.finish(exit_reason, best_value)
-    best_mapping = Mapping(initial.grid, initial.cluster, best.copy())
-    return SAResult(
-        mapping=best_mapping,
-        value=best_value,
-        initial_value=initial_value,
-        iterations=iterations,
-        accepted=accepted,
-        elapsed_s=time.perf_counter() - start,
-        history=history,
-        evaluations=evaluations,
-        exit_reason=exit_reason,
-        portfolio=_build_portfolio(initial, best_mapping, best_value, pool,
-                                   options.portfolio_k),
-    )
-
-
 def anneal_mapping_reference(initial: Mapping,
                              objective: Callable[[Mapping], float],
                              options: SAOptions | None = None,
@@ -712,7 +551,7 @@ def anneal_mapping_reference(initial: Mapping,
     setup_evaluations = 1
 
     if initial.grid.n_blocks < 2:
-        # Mirrors the fast loops exactly (same guard, same result
+        # Mirrors the fast loop exactly (same guard, same result
         # fields) so the seed-identity contract holds on degenerate
         # grids too — except the portfolio, which the reference
         # implementation never collects.

@@ -367,8 +367,8 @@ class Tracer:
         """Install ``span`` as the context-local parent; returns a token.
 
         For call sites that cannot use the :meth:`span` context
-        manager (e.g. re-activating a ticket's span inside a drain
-        thread).  Pass the token to :meth:`deactivate`.
+        manager (e.g. re-activating a request's root span around its
+        handler).  Pass the token to :meth:`deactivate`.
         """
         return _current_span.set(span)
 

@@ -10,23 +10,23 @@ a programmable service and PipeTune amortizes tuning across jobs:
   per-candidate work units over ``concurrent.futures`` pools;
 * :mod:`repro.service.replan` — elastic re-planning after node
   failures and bandwidth drift, warm-starting SA from the prior plan;
-* :mod:`repro.service.planner` — the front door: request batching,
-  in-flight dedup, cache, and event handling;
+* :mod:`repro.service.planner` — one cluster's planner: the one
+  answering routine (cache, then search) and event handling;
 * :mod:`repro.service.store` — durable JSON-lines plan persistence,
   rehydrating the cache (epochs intact) across service restarts;
 * :mod:`repro.service.registry` — many named services behind one
-  router: pinned/spec-matched/cheapest-feasible planning, registry
-  level queueing/draining, per-cluster elastic events;
-* :mod:`repro.service.gateway` — the asyncio front door: concurrent
-  clients, in-flight coalescing, bounded per-cluster backpressure,
-  weighted-fair per-client lanes, drains off the event loop, elastic
-  events fenced between batches;
+  router: pinned/spec-matched planning, per-cluster elastic events;
+* :mod:`repro.service.gateway` — the asyncio front door and the only
+  queue: concurrent clients, in-flight coalescing, bounded
+  per-cluster backpressure, weighted-fair per-client lanes, batches
+  answered off the event loop, elastic events fenced between batches;
 * :mod:`repro.service.metrics` — stdlib Prometheus-text-format
   counters/gauges/histograms, pull-bound to the live stats objects so
   ``/metrics`` and in-process stats can never disagree;
-* :mod:`repro.service.http` — a hand-rolled asyncio HTTP/1.1 front
-  end over the gateway (``POST /v1/plan``, elastic-event routes,
-  ``GET /healthz``, Prometheus ``GET /metrics``);
+* :mod:`repro.service.http` — a hand-rolled asyncio HTTP/1.1 server
+  loop shared by the worker front end over the gateway (``POST
+  /v1/plan``, elastic-event routes, ``GET /healthz``, Prometheus
+  ``GET /metrics``) and the fleet router;
 * :mod:`repro.service.shard` — consistent-hash placement for the
   fleet: a sha256 ring with virtual nodes, the plan-content routing
   key, and per-shard durable segment naming;
@@ -36,7 +36,7 @@ a programmable service and PipeTune amortizes tuning across jobs:
   front-end router (shard routing, event fan-out, aggregated
   ``/healthz`` + ``/metrics``, per-client admission quotas);
 * ``python -m repro.service`` — a small CLI over all of the above
-  (including the ``serve`` front ends: JSON lines over stdin or TCP,
+  (including the ``serve`` front ends: JSON lines over stdin/stdout,
   HTTP with ``--http PORT``, and the multi-process ``fleet``
   subcommand).
 
@@ -98,7 +98,6 @@ from repro.service.replan import (
 from repro.service.planner import (
     PlanningService,
     PlanResponse,
-    PlanTicket,
 )
 from repro.service.registry import (
     ClusterRegistry,
@@ -161,7 +160,6 @@ __all__ = [
     "surviving_gpus",
     "PlanningService",
     "PlanResponse",
-    "PlanTicket",
     "ClusterRegistry",
     "RoutedResponse",
     "SCHEMA_VERSION",

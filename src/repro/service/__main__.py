@@ -5,24 +5,24 @@ cluster (swap the simulated fabric for a real profiling campaign to
 use them against physical machines):
 
 * ``plan``     — answer one planning request and print the ranking;
-* ``demo``     — serve a queued workload with duplicates, showing
-  caching, in-flight dedup, and (optionally) parallel search;
+* ``demo``     — answer a repeated workload, showing caching and
+  (optionally) parallel search;
 * ``replan``   — fail a node and compare warm-started re-planning with
   the cold search;
-* ``registry`` — serve several named clusters at once: pinned and
-  cheapest-feasible routing, per-cluster failure isolation;
-* ``serve``    — run the async gateway as a long-lived server: a
-  JSON-lines transport (stdin/stdout by default, TCP with ``--port``)
-  and/or an HTTP/1.1 front end (``--http PORT``) with ``POST
-  /v1/plan``, elastic-event routes, ``GET /healthz``, and a
-  Prometheus ``GET /metrics`` page — with in-flight coalescing,
-  per-cluster backpressure, and weighted-fair per-client lanes
-  across all transports (see ``docs/SERVING.md``).  ``--log-level``
-  selects the stderr JSON log threshold; ``--trace``/``--trace-dir``
-  turn on end-to-end plan tracing (``GET /v1/debug/traces``, span
-  dump files — see ``docs/OBSERVABILITY.md``).  With a socket
-  transport, SIGTERM/SIGINT drain gracefully: stop accepting, finish
-  in-flight plans, compact the durable stores, exit 0.
+* ``registry`` — serve several named clusters at once: per-cluster
+  answers, the cheapest feasible one, per-cluster failure isolation;
+* ``serve``    — run the async gateway as a long-lived server: JSON
+  lines on stdin/stdout by default, or an HTTP/1.1 front end
+  (``--http PORT``) with ``POST /v1/plan``, elastic-event routes,
+  ``GET /healthz``, and a Prometheus ``GET /metrics`` page — with
+  in-flight coalescing, per-cluster backpressure, and weighted-fair
+  per-client lanes either way (see ``docs/SERVING.md``).
+  ``--log-level`` selects the stderr JSON log threshold;
+  ``--trace``/``--trace-dir`` turn on end-to-end plan tracing (``GET
+  /v1/debug/traces``, span dump files — see
+  ``docs/OBSERVABILITY.md``).  Over HTTP, SIGTERM/SIGINT drain
+  gracefully: stop accepting, finish in-flight plans, compact the
+  durable stores, exit 0.
   ``--shard-index`` names this process's durable shard segments
   (``<cluster>.shard-<k>.jsonl``) — normally set by ``fleet``, not by
   hand;
@@ -82,7 +82,7 @@ from repro.service.http import (
 from repro.service.metrics import MetricsRegistry
 from repro.service.planner import PlanningService
 from repro.sim.schedule import registered_schedules
-from repro.service.registry import ClusterRegistry
+from repro.service.registry import ClusterRegistry, cheapest_rank_key
 from repro.service.replan import ClusterEvent
 from repro.service.shard import shard_segment_path
 from repro.service.store import DurablePlanCache, PlanStoreError, \
@@ -160,25 +160,21 @@ def cmd_plan(args) -> int:
 
 
 def cmd_demo(args) -> int:
-    """Serve a queued workload with duplicates (cache/dedup showcase)."""
+    """Answer a repeated workload (cache showcase)."""
     service = _build_service(args)
     options = _options(args)
     models = [get_model(name) for name in args.models]
     print(f"workload: {args.repeats} rounds over "
           f"{[m.name for m in models]}, batch {args.global_batch}\n")
 
-    # Queue the whole workload: each round re-asks every model, so
-    # round one pays the searches and the rest ride the cache; queuing
-    # a round twice shows in-flight dedup.
+    # Each round re-asks every model, so round one pays the searches
+    # and the rest ride the cache.
     for _ in range(args.repeats):
         for model in models:
-            service.submit(service.request(model, args.global_batch,
-                                           options=options))
-            service.submit(service.request(model, args.global_batch,
-                                           options=options))
-        for response in service.drain():
+            response = service.plan(service.request(
+                model, args.global_batch, options=options))
             best = response.best
-            print(f"  [{response.status:<7}] {best.config.describe():<24} "
+            print(f"  [{response.status:<4}] {best.config.describe():<24} "
                   f"{best.estimated_latency_s:7.3f} s/iter  "
                   f"({response.elapsed_s * 1e3:8.2f} ms)")
     print("\nservice stats:")
@@ -248,6 +244,28 @@ def _build_registry(args) -> ClusterRegistry:
     return registry
 
 
+def _plan_every_cluster(registry: ClusterRegistry, model, global_batch: int,
+                        options: PipetteOptions):
+    """Ask every cluster, print each answer, return the cheapest.
+
+    The pick ranks the printed answers by
+    :func:`~repro.service.registry.cheapest_rank_key`, the same order
+    the servers' unpinned requests use.
+    """
+    answers = []
+    for name in registry.names:
+        routed = registry.plan_on(name, model, global_batch,
+                                  options=options)
+        best = routed.best
+        print(f"  [{routed.status:<4}] {name:<14} "
+              f"{best.config.describe():<24} "
+              f"{best.estimated_latency_s:7.3f} s/iter")
+        answers.append(routed)
+    return min(answers,
+               key=lambda routed: cheapest_rank_key(routed.best,
+                                                    routed.cluster_name))
+
+
 def cmd_registry(args) -> int:
     """Serve several named clusters: routing and failure isolation."""
     registry = _build_registry(args)
@@ -255,20 +273,11 @@ def cmd_registry(args) -> int:
     model = get_model(args.model)
     print(f"\nmodel: {model.name}, global batch {args.global_batch}\n")
 
-    for name in registry.names:
-        routed = registry.plan_on(name, model, args.global_batch,
-                                  options=options)
-        best = routed.best
-        print(f"  [{routed.status:<7}] {name:<14} "
-              f"{best.config.describe():<24} "
-              f"{best.estimated_latency_s:7.3f} s/iter")
-
-    cheapest = registry.plan_cheapest(model, args.global_batch,
-                                      options=options)
+    cheapest = _plan_every_cluster(registry, model, args.global_batch,
+                                   options)
     print(f"\ncheapest feasible: {cheapest.cluster_name} "
           f"({cheapest.best.config.describe()}, "
-          f"{cheapest.best.estimated_latency_s:.3f} s/iter, "
-          f"[{cheapest.status}])")
+          f"{cheapest.best.estimated_latency_s:.3f} s/iter)")
 
     if args.fail_node is not None:
         # Destructive by design: the victim's cache (and durable
@@ -277,13 +286,12 @@ def cmd_registry(args) -> int:
         victim = registry.names[0]
         retired = registry.fail_nodes(victim, args.fail_node)
         print(f"\nnode {args.fail_node} failed on {victim}: "
-              f"{retired} cached plans retired; siblings untouched")
-        after = registry.plan_cheapest(model, args.global_batch,
-                                       options=options)
-        print(f"cheapest now: {after.cluster_name} "
+              f"{retired} cached plans retired; siblings untouched\n")
+        after = _plan_every_cluster(registry, model, args.global_batch,
+                                    options)
+        print(f"\ncheapest now: {after.cluster_name} "
               f"({after.best.config.describe()}, "
-              f"{after.best.estimated_latency_s:.3f} s/iter, "
-              f"[{after.status}])")
+              f"{after.best.estimated_latency_s:.3f} s/iter)")
 
     print("\nregistry stats:")
     for name, stats in registry.stats.items():
@@ -325,13 +333,13 @@ async def _serve_stream(gateway: PlanGateway, options: PipetteOptions,
                         read_line, write_line) -> None:
     """Pump request lines until EOF; answers land as they finish.
 
-    A reader failure (an over-long line, a reset connection) must not
-    abandon in-flight handlers: the started tasks are always gathered
+    A reader failure (an unreadable line) must not abandon in-flight
+    handlers: the started tasks are always gathered
     so every accepted request gets its answer attempt before the
     stream winds down.
     """
     counter = itertools.count(1)
-    # Completed handlers remove themselves: a long-lived connection
+    # Completed handlers remove themselves: a long-lived stream
     # serves unboundedly many requests, so finished tasks must not
     # accumulate for the stream's whole lifetime.
     tasks: "set[asyncio.Task]" = set()
@@ -357,24 +365,6 @@ async def _serve_stream(gateway: PlanGateway, options: PipetteOptions,
     finally:
         if tasks:
             await asyncio.gather(*tasks, return_exceptions=True)
-
-
-async def _serve_connection(gateway, options, reader, writer) -> None:
-    async def write_line(text: str) -> None:
-        writer.write((text + "\n").encode("utf-8"))
-        # Per-answer flow control: a slow reader parks the handler
-        # here instead of growing the transport buffer without bound.
-        await writer.drain()
-
-    async def read_line():
-        return (await reader.readline()).decode("utf-8")
-
-    try:
-        await _serve_stream(gateway, options, read_line, write_line)
-    except ConnectionResetError:
-        pass  # client went away; nothing left to answer
-    finally:
-        writer.close()
 
 
 def _parse_client_weights(entries) -> dict:
@@ -429,22 +419,31 @@ def _build_warmers(args, registry: ClusterRegistry
     return warmers
 
 
-async def _drain_servers(servers, front, line_tasks) -> None:
-    """Graceful shutdown of the socket transports, in order.
+async def _serve_until_signalled(server, front, banner: str) -> None:
+    """Serve until SIGTERM/SIGINT, then shut down gracefully.
 
-    Listeners are already closed (no new connections).  The HTTP
-    front finishes every in-flight request and closes idle
-    keep-alives; JSON-lines connection tasks are then cancelled —
-    ``_serve_stream``'s ``finally`` gathers their started handlers,
-    so every accepted request line still gets its answer before the
-    connection dies.
+    On the signal: close the listener (no new connections), then let
+    ``front`` (an :class:`~repro.service.http.HttpServerBase`) finish
+    every in-flight request and close idle keep-alives.  Shared by
+    ``serve --http`` and the ``fleet`` router.
     """
-    if front is not None:
-        await front.drain()
-    for task in list(line_tasks):
-        task.cancel()
-    if line_tasks:
-        await asyncio.gather(*line_tasks, return_exceptions=True)
+    stop = asyncio.Event()
+    loop = asyncio.get_running_loop()
+    handled = []
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        with contextlib.suppress(NotImplementedError, RuntimeError):
+            loop.add_signal_handler(signum, stop.set)
+            handled.append(signum)
+    try:
+        async with server:
+            await stop.wait()
+            print(banner, file=sys.stderr, flush=True)
+            server.close()
+            await front.drain()
+    finally:
+        for signum in handled:
+            with contextlib.suppress(NotImplementedError, RuntimeError):
+                loop.remove_signal_handler(signum)
 
 
 async def _serve_async(args, registry: ClusterRegistry,
@@ -462,20 +461,6 @@ async def _serve_async(args, registry: ClusterRegistry,
                            client_weights=_parse_client_weights(
                                args.client_weight),
                            metrics=metrics) as gateway:
-        servers = []
-        front = None
-        line_tasks: "set[asyncio.Task]" = set()
-
-        async def serve_lines(reader, writer) -> None:
-            task = asyncio.current_task()
-            if task is not None:
-                line_tasks.add(task)
-            try:
-                await _serve_connection(gateway, options, reader, writer)
-            finally:
-                if task is not None:
-                    line_tasks.discard(task)
-
         if args.http is not None:
             front = HttpPlanServer(gateway, options, metrics=metrics,
                                    warmers=warmers)
@@ -485,57 +470,14 @@ async def _serve_async(args, registry: ClusterRegistry,
             names = ", ".join(str(sock.getsockname())
                               for sock in server.sockets)
             print(f"http on {names}", file=sys.stderr, flush=True)
-            servers.append(server)
-        if args.port is not None:
-            server = await asyncio.start_server(
-                serve_lines, host=args.host, port=args.port,
-                limit=1 << 20)  # 1 MiB request lines
-            names = ", ".join(str(sock.getsockname())
-                              for sock in server.sockets)
-            print(f"serving on {names}", file=sys.stderr, flush=True)
-            servers.append(server)
-        if servers:
-            # SIGTERM/SIGINT drain instead of dying mid-request: stop
-            # accepting, answer everything in flight, then fall out of
-            # the gateway context (which awaits its own in-flight
-            # futures) and compact the durable stores below.  Stdin
-            # mode keeps the default signal behavior — there is no
-            # clean way to abandon a blocked stdin read at shutdown.
-            stop = asyncio.Event()
-            loop = asyncio.get_running_loop()
-            handled = []
-            for signum in (signal.SIGTERM, signal.SIGINT):
-                with contextlib.suppress(NotImplementedError,
-                                         RuntimeError):
-                    loop.add_signal_handler(signum, stop.set)
-                    handled.append(signum)
-            try:
-                async with contextlib.AsyncExitStack() as stack:
-                    for server in servers:
-                        await stack.enter_async_context(server)
-                    serve_tasks = [asyncio.ensure_future(
-                        server.serve_forever()) for server in servers]
-                    stop_task = asyncio.ensure_future(stop.wait())
-                    await asyncio.wait([*serve_tasks, stop_task],
-                                       return_when=asyncio.FIRST_COMPLETED)
-                    for server in servers:
-                        server.close()
-                    for task in serve_tasks:
-                        task.cancel()
-                    await asyncio.gather(*serve_tasks,
-                                         return_exceptions=True)
-                    stop_task.cancel()
-                    await asyncio.gather(stop_task, return_exceptions=True)
-                    if stop.is_set():
-                        print("draining: listeners closed, finishing "
-                              "in-flight requests",
-                              file=sys.stderr, flush=True)
-                    await _drain_servers(servers, front, line_tasks)
-            finally:
-                for signum in handled:
-                    with contextlib.suppress(NotImplementedError,
-                                             RuntimeError):
-                        loop.remove_signal_handler(signum)
+            # SIGTERM/SIGINT drain instead of dying mid-request; the
+            # gateway context then awaits its own in-flight futures
+            # and the durable stores are compacted below.  Stdin mode
+            # keeps the default signal behavior — there is no clean
+            # way to abandon a blocked stdin read at shutdown.
+            await _serve_until_signalled(
+                server, front, "draining: listener closed, finishing "
+                               "in-flight requests")
         else:
             loop = asyncio.get_running_loop()
 
@@ -633,25 +575,11 @@ async def _fleet_async(args) -> int:
     names = ", ".join(str(sock.getsockname()) for sock in server.sockets)
     print(f"fleet router on {names}", file=sys.stderr, flush=True)
     watch_task = asyncio.ensure_future(supervisor.watch())
-    stop = asyncio.Event()
-    loop = asyncio.get_running_loop()
-    handled = []
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        with contextlib.suppress(NotImplementedError, RuntimeError):
-            loop.add_signal_handler(signum, stop.set)
-            handled.append(signum)
-    codes = None
     try:
-        async with server:
-            await stop.wait()
-            print("fleet draining: router closed, finishing in-flight "
-                  "requests", file=sys.stderr, flush=True)
-            server.close()
-            await router.drain()
+        await _serve_until_signalled(
+            server, router, "fleet draining: router closed, finishing "
+                            "in-flight requests")
     finally:
-        for signum in handled:
-            with contextlib.suppress(NotImplementedError, RuntimeError):
-                loop.remove_signal_handler(signum)
         watch_task.cancel()
         await asyncio.gather(watch_task, return_exceptions=True)
         # Workers drain themselves on SIGTERM (finish in-flight plans,
@@ -876,8 +804,8 @@ def build_parser() -> argparse.ArgumentParser:
                            f"1f1b. Registered: {', '.join(registered_schedules())}")
     plan.set_defaults(fn=cmd_plan)
 
-    demo = sub.add_parser("demo", help="serve a queued workload "
-                                       "(cache + dedup showcase)")
+    demo = sub.add_parser("demo", help="answer a repeated workload "
+                                       "(cache showcase)")
     common(demo)
     demo.add_argument("--models", nargs="+", default=["gpt-1.1b", "gpt-2.2b"],
                       help="architectures in the workload mix")
@@ -914,8 +842,11 @@ def build_parser() -> argparse.ArgumentParser:
                           "(one <name>.jsonl each)")
     reg.set_defaults(fn=cmd_registry)
 
-    srv = sub.add_parser("serve", help="run the async gateway as a "
-                                       "JSON-lines server")
+    # No prefix matching: the removed TCP flag ``--port`` would
+    # otherwise parse silently as ``--portfolio-k``.
+    srv = sub.add_parser("serve", allow_abbrev=False,
+                         help="run the async gateway as a server: JSON "
+                              "lines on stdin, or HTTP with --http")
     search_opts(srv)
     srv.add_argument("--clusters", nargs="+",
                      default=["mid-range:2", "high-end:2"],
@@ -931,15 +862,13 @@ def build_parser() -> argparse.ArgumentParser:
                           "and shards > 0 share template libraries "
                           "read-only (normally set by the fleet "
                           "supervisor, not by hand)")
-    srv.add_argument("--port", type=int, default=None, metavar="PORT",
-                     help="listen for JSON lines on TCP PORT instead "
-                          "of stdin/stdout")
     srv.add_argument("--http", type=int, default=None, metavar="PORT",
-                     help="also (or only) serve HTTP/1.1 on PORT: "
-                          "POST /v1/plan, POST /v1/events/*, "
-                          "GET /healthz, GET /metrics (Prometheus)")
+                     help="serve HTTP/1.1 on PORT instead of JSON lines "
+                          "on stdin/stdout: POST /v1/plan, POST "
+                          "/v1/events/*, GET /healthz, GET /metrics "
+                          "(Prometheus)")
     srv.add_argument("--host", default="127.0.0.1",
-                     help="TCP bind address (with --port/--http; "
+                     help="HTTP bind address (with --http; "
                           "default 127.0.0.1)")
     srv.add_argument("--max-queue-depth", type=int, default=64,
                      help="distinct in-flight requests per cluster "

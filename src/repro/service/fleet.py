@@ -51,20 +51,17 @@ from pathlib import Path
 
 from repro.obs.logs import get_logger
 from repro.service.http import (
+    _JSON,
     MAX_BODY_BYTES,
     HttpError,
+    HttpServerBase,
     _json_body,
-    _keep_alive,
-    _read_request,
-    _write_response,
 )
 from repro.service.metrics import MetricsRegistry, merge_expositions
 from repro.service.shard import DEFAULT_REPLICAS, HashRing, routing_key
 
 __all__ = ["AdmissionController", "FleetRouter", "FleetSupervisor",
            "TokenBucket", "WorkerClient"]
-
-_JSON = "application/json; charset=utf-8"
 
 _log = get_logger("service.fleet")
 
@@ -464,7 +461,7 @@ class FleetSupervisor:
 # ---------------------------------------------------------------- router
 
 
-class FleetRouter:
+class FleetRouter(HttpServerBase):
     """The fleet's front door: shard routing, fan-out, aggregation.
 
     Args:
@@ -485,7 +482,9 @@ class FleetRouter:
     never caches, never coalesces — those stay in the workers, where
     the consistent hash concentrates each key.  It owns exactly the
     concerns that must be fleet-global: placement, admission, fan-out,
-    and the aggregated observability pages.
+    and the aggregated observability pages.  The connection loop,
+    dispatch, and error mapping are :class:`HttpServerBase`'s, shared
+    with every worker's front end.
     """
 
     def __init__(self, workers: "list[WorkerClient]", *,
@@ -496,20 +495,24 @@ class FleetRouter:
                  replicas: int = DEFAULT_REPLICAS) -> None:
         if not workers:
             raise ValueError("a fleet needs at least one worker")
+        super().__init__(
+            {("POST", "/v1/plan"): self._plan,
+             ("POST", "/v1/events/bandwidth"):
+                 lambda body: self._fan("/v1/events/bandwidth", body),
+             ("POST", "/v1/events/failure"):
+                 lambda body: self._fan("/v1/events/failure", body),
+             ("POST", "/v1/templates/warm"):
+                 lambda body: self._fan("/v1/templates/warm", body),
+             ("GET", "/healthz"): self._healthz,
+             ("GET", "/metrics"): self._metrics_page},
+            ("pipette_fleet_requests_total",
+             "Requests served by the fleet router, by method, route, "
+             "and status code."),
+            metrics=metrics, max_body_bytes=max_body_bytes)
         self.workers = list(workers)
         self.supervisor = supervisor
         self.quota = quota
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.max_body_bytes = int(max_body_bytes)
         self.ring = HashRing(range(len(self.workers)), replicas=replicas)
-        self._connections: "dict[asyncio.Task, asyncio.StreamWriter]" = {}
-        self._busy: "set[asyncio.Task]" = set()
-        self._draining = False
-        self._requests = self.metrics.counter(
-            "pipette_fleet_requests_total",
-            "Requests served by the fleet router, by method, route, "
-            "and status code.",
-            ("method", "route", "code"))
         self._admission_rejects = self.metrics.counter(
             "pipette_admission_rejects_total",
             "Plan requests refused at the fleet front door because the "
@@ -527,133 +530,6 @@ class FleetRouter:
             for index in range(len(self.workers)):
                 restarts.labels(worker=str(index)).bind(
                     lambda k=index: supervisor.restarts[k])
-        self._routes = {
-            ("POST", "/v1/plan"): self._plan,
-            ("POST", "/v1/events/bandwidth"):
-                lambda body: self._fan("/v1/events/bandwidth", body),
-            ("POST", "/v1/events/failure"):
-                lambda body: self._fan("/v1/events/failure", body),
-            ("POST", "/v1/templates/warm"):
-                lambda body: self._fan("/v1/templates/warm", body),
-            ("GET", "/healthz"): self._healthz,
-            ("GET", "/metrics"): self._metrics_page,
-        }
-
-    # ------------------------------------------------------- connection
-
-    async def handle(self, reader: asyncio.StreamReader,
-                     writer: asyncio.StreamWriter) -> None:
-        """Serve one client connection (the start_server callback)."""
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections[task] = writer
-        try:
-            while True:
-                try:
-                    parsed = await _read_request(reader, self.max_body_bytes)
-                except HttpError as exc:
-                    self._count("-", "unmatched", exc.status)
-                    _write_response(
-                        writer, exc.status,
-                        _json_body({"status": "error",
-                                    "error": exc.message}),
-                        _JSON, keep_alive=False)
-                    await writer.drain()
-                    break
-                except asyncio.IncompleteReadError:
-                    break
-                if parsed is None:
-                    break
-                if task is not None:
-                    self._busy.add(task)
-                method, path, version, headers, body = parsed
-                keep_alive = _keep_alive(version, headers)
-                status, content_type, out, route = \
-                    await self._dispatch(method, path, body)
-                self._count(method, route, status)
-                keep_alive = keep_alive and not self._draining
-                _write_response(writer, status, out, content_type,
-                                keep_alive)
-                await writer.drain()
-                if task is not None:
-                    self._busy.discard(task)
-                if not keep_alive:
-                    break
-        except (ConnectionResetError, BrokenPipeError, TimeoutError):
-            pass  # client went away; nothing left to answer
-        finally:
-            if task is not None:
-                self._busy.discard(task)
-                self._connections.pop(task, None)
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
-
-    async def drain(self, poll_s: float = 0.05) -> None:
-        """Finish in-flight requests, then close every connection.
-
-        Same contract as
-        :meth:`~repro.service.http.HttpPlanServer.drain`: the caller
-        closes the listener, busy connections complete their current
-        request, idle keep-alives are closed outright.
-        """
-        self._draining = True
-        while self._connections:
-            for conn_task, conn_writer in list(self._connections.items()):
-                if conn_task not in self._busy:
-                    conn_writer.close()
-            await asyncio.wait(set(self._connections), timeout=poll_s)
-
-    def _count(self, method: str, route: str, status: int) -> None:
-        self._requests.labels(method=method, route=route,
-                              code=str(status)).inc()
-
-    # --------------------------------------------------------- dispatch
-
-    async def _dispatch(self, method: str, path: str, body: bytes):
-        handler = self._routes.get((method, path))
-        if handler is None:
-            allowed = sorted(m for m, p in self._routes if p == path)
-            if allowed:
-                return (405, _JSON,
-                        _json_body({"status": "error",
-                                    "error": f"{method} is not allowed "
-                                             f"on {path}"}),
-                        path)
-            return (404, _JSON,
-                    _json_body({"status": "error",
-                                "error": f"unknown route {path}; the fleet "
-                                         "router serves /v1/plan, "
-                                         "/v1/events/bandwidth, "
-                                         "/v1/events/failure, "
-                                         "/v1/templates/warm, /healthz, "
-                                         "/metrics"}),
-                    "unmatched")
-        try:
-            status, content_type, out = await handler(body)
-        except HttpError as exc:
-            status, content_type, out = exc.status, _JSON, _json_body(
-                {"status": "error", "error": exc.message})
-        except (ValueError, TypeError, KeyError,
-                json.JSONDecodeError) as exc:
-            status, content_type, out = 400, _JSON, _json_body(
-                {"status": "error", "error": str(exc)})
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:  # noqa: BLE001 — the 500 boundary
-            status, content_type, out = 500, _JSON, _json_body(
-                {"status": "error", "error": f"internal error: {exc}"})
-        return status, content_type, out, path
-
-    def _json_payload(self, body: bytes) -> dict:
-        try:
-            payload = json.loads(body)
-        except json.JSONDecodeError as exc:
-            raise HttpError(400, f"request body is not JSON: {exc}") \
-                from None
-        if not isinstance(payload, dict):
-            raise HttpError(400, "request body must be a JSON object")
-        return payload
 
     # ------------------------------------------------------------ routes
 

@@ -17,17 +17,18 @@ serializing the fleet:
   search that started against the pre-event fabric;
 * **per-cluster lanes** — each cluster has its own queue and drain
   loop, so a slow search on one cluster never delays answers from its
-  siblings, and one cluster's backlog drains as batches through the
-  service's existing in-flight dedup;
+  siblings.  The lane queue is the only queue in the serving stack and
+  coalescing the only in-flight dedup: the service below answers one
+  request at a time;
 * **bounded backpressure** — each lane admits at most
   ``max_queue_depth`` distinct in-flight requests; beyond that the
   gateway either makes callers *wait* for a slot (default) or
   *rejects* them immediately with :class:`GatewayOverloadedError`;
-* **non-blocking drains** — the synchronous
-  :meth:`~repro.service.planner.PlanningService.drain` runs in a
-  thread pool via ``run_in_executor``, so the event loop keeps
-  accepting clients (and coalescing their requests) while searches
-  run.  Inside each drain the shared
+* **non-blocking drains** — a drain batch calls the synchronous
+  :meth:`~repro.service.planner.PlanningService.plan` once per item,
+  in one ``run_in_executor`` hop onto a thread pool, so the event loop
+  keeps accepting clients (and coalescing their requests) while
+  searches run.  Inside each search the shared
   :class:`~repro.service.executor.CandidateExecutor` still fans
   candidate work over its own pool;
 * **fenced elastic events** — :meth:`PlanGateway.update_bandwidth` and
@@ -72,7 +73,11 @@ from repro.obs.logs import get_logger
 from repro.obs.trace import TRACER
 from repro.service.cache import PlanRequest
 from repro.service.metrics import MetricsRegistry
-from repro.service.planner import PlanningService, PlanResponse
+from repro.service.planner import (
+    ClusterMismatchError,
+    PlanningService,
+    PlanResponse,
+)
 from repro.service.registry import ClusterRegistry
 from repro.service.replan import DEFAULT_DRIFT_THRESHOLD
 
@@ -94,7 +99,7 @@ class GatewayStats:
             request instead of enqueueing their own.
         rejected: requests refused by the ``reject`` overflow policy.
         batches: drain batches run on the executor threads.
-        answered: tickets answered by those batches.
+        answered: requests answered by those batches.
         max_batch: largest single drain batch.
 
     Mutations go through :meth:`bump`/:meth:`record_batch` and reads
@@ -123,7 +128,7 @@ class GatewayStats:
             setattr(self, name, getattr(self, name) + n)
 
     def record_batch(self, size: int) -> None:
-        """Count one drain batch of ``size`` tickets."""
+        """Count one drain batch of ``size`` requests."""
         with self._lock:
             self.batches += 1
             self.max_batch = max(self.max_batch, size)
@@ -317,8 +322,7 @@ class _GatewayInstruments:
         self.requests = metrics.counter(
             "pipette_requests_total",
             "Plan requests answered through the gateway, by cluster "
-            "and outcome (hit/miss/deduped/coalesced/error/rejected/"
-            "failed).",
+            "and outcome (hit/miss/coalesced/error/rejected/failed).",
             ("cluster", "outcome"))
         self.latency = metrics.histogram(
             "pipette_plan_latency_seconds",
@@ -437,11 +441,11 @@ class PlanGateway:
         this caller awaits the in-flight search and shares its result.
         Otherwise the request is enqueued on its cluster's lane,
         subject to the overflow policy, and answered by the lane's
-        next drain batch.  Submit-time failures (e.g. a request built
-        for a cluster that has since shrunk) raise here, like
-        :meth:`PlanningService.plan`; search failures inside a drain
-        come back as ``"error"`` responses, like
-        :meth:`PlanningService.drain`.
+        next drain batch.  A request built for a cluster that has since
+        shrunk raises :class:`~repro.service.planner.ClusterMismatchError`
+        here, like :meth:`PlanningService.plan`; a search that fails
+        with ``ValueError``/``RuntimeError`` comes back as an
+        ``"error"`` response instead.
 
         ``client_id`` is *transport* identity, not plan identity: it
         selects the caller's fair-queue sub-queue (and round-robin
@@ -583,10 +587,10 @@ class PlanGateway:
     async def fail_nodes(self, name: str, *failed_nodes: int) -> int:
         """Apply a node failure to one cluster, fenced like above.
 
-        Tickets already queued for the pre-failure cluster drain as
-        ``"error"`` responses; post-event requests (built against the
-        survivor cluster) plan fresh.  Returns the number of retired
-        plans.
+        Requests already queued for the pre-failure cluster raise
+        :class:`~repro.service.planner.ClusterMismatchError` to their
+        callers; post-event requests (built against the survivor
+        cluster) plan fresh.  Returns the number of retired plans.
         """
         with TRACER.span("event.failure", cluster=name,
                          failed_nodes=list(failed_nodes)) as span:
@@ -714,46 +718,29 @@ class PlanGateway:
                 qspan.end()
                 self._resolve(lane, key, future, exc=exc)
             return
-        tickets = []
-        for request, key, future, qspan, parent in items:
+        for *_, qspan, _parent in items:
             # Queue wait ends here: the drain has picked the item up
             # and the rest of its life is the service's spans, which
-            # parent to the caller's gateway span via the ticket.
+            # parent to the caller's gateway span explicitly.
             qspan.end()
-            try:
-                ticket = service.submit(request, trace=parent
-                                        if parent.recording else None)
-            except (ValueError, RuntimeError) as exc:
-                self._resolve(lane, key, future, exc=exc)
-                continue
-            tickets.append((ticket, key, future))
-        if not tickets:
-            return
-        self.stats.record_batch(len(tickets))
+        self.stats.record_batch(len(items))
         try:
-            responses = await self._run(service.drain)
+            answers = await self._run(partial(_answer_batch, service, items))
         except asyncio.CancelledError:
             raise  # gateway shutdown: aclose already waited for futures
         except BaseException as exc:
             # An unexpected failure (e.g. a durable cache whose disk
-            # filled mid-drain) answers this batch with the error; the
+            # filled mid-batch) answers this batch with the error; the
             # lane itself must survive to serve the next batch.
-            for _, key, future in tickets:
+            for _, key, future, _qspan, _parent in items:
                 self._resolve(lane, key, future, exc=exc)
             return
-        by_index = {r.ticket.index: r for r in responses}
-        for ticket, key, future in tickets:
-            response = by_index.get(ticket.index)
-            if response is None:
-                # A racing direct drain() on the service stole the
-                # ticket; the contract is that a service behind a
-                # gateway is drained only by the gateway.
-                self._resolve(lane, key, future, exc=RuntimeError(
-                    f"ticket {ticket.index} was drained outside the "
-                    f"gateway on cluster {lane.name!r}"))
-            else:
-                self._resolve(lane, key, future, response=response)
+        for (_, key, future, _qspan, _parent), answer in zip(items, answers):
+            if isinstance(answer, PlanResponse):
+                self._resolve(lane, key, future, response=answer)
                 self.stats.bump("answered")
+            else:
+                self._resolve(lane, key, future, exc=answer)
 
     def _resolve(self, lane: _Lane, key, future,
                  response: PlanResponse | None = None,
@@ -774,3 +761,27 @@ class PlanGateway:
             future.set_exception(exc)
         else:
             future.set_result(response)
+
+
+def _answer_batch(service: PlanningService, items: list) -> list:
+    """One drain batch, run on a pool thread: one answer per item.
+
+    Items are answered by :meth:`PlanningService.plan` in queue order.
+    A stale request (:class:`ClusterMismatchError`) becomes that
+    caller's exception; a failed search becomes an ``"error"``
+    response.  Anything else propagates and fails the whole batch.
+    """
+    answers: list = []
+    for request, (_, fingerprint, _epoch), _future, _qspan, parent in items:
+        t0 = time.perf_counter()
+        try:
+            answers.append(service.plan(
+                request, trace=parent if parent.recording else None))
+        except ClusterMismatchError as exc:
+            answers.append(exc)
+        except (ValueError, RuntimeError) as exc:
+            answers.append(PlanResponse(
+                request=request, fingerprint=fingerprint, result=None,
+                status="error", elapsed_s=time.perf_counter() - t0,
+                error=str(exc)))
+    return answers

@@ -1,11 +1,11 @@
 """HTTP/1.1 front end over the planning gateway, stdlib only.
 
-The JSON-lines ``serve`` transport is fine for piping requests from a
+The stdin JSON-lines ``serve`` mode is fine for piping requests from a
 script, but production callers — schedulers, dashboards, a Prometheus
-scraper — speak HTTP.  :class:`HttpPlanServer` exposes the
+scraper — speak HTTP, the only socket transport.
+:class:`HttpPlanServer` exposes the
 :class:`~repro.service.gateway.PlanGateway` over a small, hand-rolled
-HTTP/1.1 server (asyncio streams, no web framework, mirroring the
-hand-rolled JSON-lines protocol next door in ``__main__``):
+HTTP/1.1 server (asyncio streams, no web framework):
 
 ====================  =====================================================
 Route                 Meaning
@@ -28,10 +28,17 @@ Request/response schemas, curl examples, and the full metrics catalog
 live in ``docs/SERVING.md``; the layer diagram in
 ``docs/ARCHITECTURE.md``.
 
+:class:`HttpServerBase` is the one server loop: connection handling
+and graceful drain, route dispatch (404, and 405 with ``Allow``), the
+exception-to-status map, JSON body parsing, and the per-request
+counter.  :class:`HttpPlanServer` and the fleet router
+(:class:`repro.service.fleet.FleetRouter`) subclass it and supply only
+their route tables and counter names.
+
 Design constraints, in order:
 
 * **same answers as the gateway** — ``POST /v1/plan`` goes through
-  :func:`answer_payload`, the exact routine the JSON-lines server
+  :func:`answer_payload`, the exact routine the stdin JSON-lines mode
   uses, so a plan fetched over HTTP is byte-identical (net of
   stopwatch fields) to a direct :meth:`PlanGateway.plan` call
   (``benchmarks/bench_http.py`` holds the proof);
@@ -79,8 +86,8 @@ from repro.service.registry import cheapest_rank_key
 from repro.service.warmer import TemplateWarmer
 from repro.units import GIB
 
-__all__ = ["HttpError", "HttpPlanServer", "answer_payload",
-           "plan_response_payload", "MAX_BODY_BYTES"]
+__all__ = ["HttpError", "HttpPlanServer", "HttpServerBase",
+           "answer_payload", "plan_response_payload", "MAX_BODY_BYTES"]
 
 #: Default request-body cap; a plan request is a few hundred bytes,
 #: and even a full bandwidth matrix for a large fleet fits well under
@@ -125,13 +132,13 @@ async def answer_payload(gateway: PlanGateway, options: PipetteOptions,
     """One decoded request object -> one GatewayResponse (may raise).
 
     The single request-answering routine shared by every transport
-    (JSON lines over stdin/TCP, HTTP): a request pinned to a
-    ``"cluster"`` goes to that lane; an unpinned request is fanned
-    concurrently over every cluster and answered with the cheapest
-    feasible plan (the async twin of
-    :meth:`~repro.service.registry.ClusterRegistry.plan_cheapest`,
-    same name tie-break).  ``"client_id"`` selects the caller's
-    fair-queue lane on every path.
+    (JSON lines over stdin, HTTP): a request pinned to a ``"cluster"``
+    goes to that lane; an unpinned request is fanned concurrently over
+    every cluster and answered with the cheapest feasible plan — the
+    one cheapest-feasible path, ranked by
+    :func:`~repro.service.registry.cheapest_rank_key` (fitting plans
+    first, then latency, then cluster name).  ``"client_id"`` selects
+    the caller's fair-queue lane on every path.
     """
     if "model" not in payload:
         raise ValueError("request needs a 'model' (e.g. \"gpt-1.1b\")")
@@ -337,46 +344,53 @@ def _json_body(out: dict) -> bytes:
     return json.dumps(out, sort_keys=True).encode("utf-8")
 
 
-# ------------------------------------------------------------- the server
+# ------------------------------------------------------------ the servers
 
 
-class HttpPlanServer:
-    """The HTTP front end: routes, dispatch, and HTTP metrics.
+def _error_body(message: str) -> bytes:
+    return _json_body({"status": "error", "error": message})
+
+
+class HttpServerBase:
+    """The one HTTP/1.1 server loop, shared by every server process.
 
     Args:
-        gateway: the (already entered) gateway to answer through.
-        options: search options applied to every request, like the
-            JSON-lines server.
-        metrics: registry rendered by ``GET /metrics``; created fresh
-            (and then reachable via :attr:`metrics`) when ``None``.
-            Pass the registry the gateway and cluster registry are
-            attached to, or the page will only show HTTP series.
+        routes: ``(method, path) -> handler``.  A handler is a
+            coroutine function taking the request body and returning
+            ``(status, content type, body bytes)``.  A path ending in
+            ``{id}`` matches every path with that prefix, and the rest
+            of the path is passed to the handler as a second argument.
+        counter: ``(name, help)`` of the per-request counter, labelled
+            by method, route template, and status code.
+        metrics: registry the counter lives on; created fresh (and
+            reachable via :attr:`metrics`) when ``None``.
         max_body_bytes: request-body cap (``413`` beyond it).
-        warmers: per-cluster
-            :class:`~repro.service.warmer.TemplateWarmer`\\ s backing
-            ``POST /v1/templates/warm`` — pass store-backed warmers to
-            persist warmed libraries; clusters without one get an
-            ephemeral in-memory warmer on first use.
 
     Instances are handed to :func:`asyncio.start_server` via
-    :meth:`handle`; see ``cmd_serve`` in ``repro.service.__main__``
-    for the wiring, or ``tests/test_service_http.py`` for a minimal
-    in-process setup.
+    :meth:`handle`; :meth:`drain` is the graceful-shutdown half.
     """
 
-    def __init__(self, gateway: PlanGateway, options: PipetteOptions,
+    #: Paths whose requests are never traced: scrapes and debug reads
+    #: would bury the plan traces they exist to observe.
+    _UNTRACED = ("/metrics", "/healthz", "/v1/debug")
+
+    def __init__(self, routes: dict, counter: "tuple[str, str]",
                  metrics: MetricsRegistry | None = None,
-                 max_body_bytes: int = MAX_BODY_BYTES,
-                 warmers: "dict[str, TemplateWarmer] | None" = None) -> None:
+                 max_body_bytes: int = MAX_BODY_BYTES) -> None:
         if max_body_bytes < 1:
             raise ValueError(
                 f"max_body_bytes must be >= 1, got {max_body_bytes}")
-        self.gateway = gateway
-        self.options = options
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.max_body_bytes = int(max_body_bytes)
-        self._warmers: "dict[str, TemplateWarmer]" = dict(warmers or {})
-        self._started_monotonic = time.monotonic()
+        # path template -> {method: handler}, in route-table order.
+        self._routes: "dict[str, dict]" = {}
+        for (method, path), handler in routes.items():
+            self._routes.setdefault(path, {})[method] = handler
+        self._prefixes = [(path, path[:-len("{id}")])
+                          for path in self._routes if path.endswith("{id}")]
+        name, help_text = counter
+        self._requests = self.metrics.counter(
+            name, help_text, ("method", "route", "code"))
         # Live connections (handler task -> writer) and the subset
         # currently serving a request, for graceful drain: idle
         # keep-alive connections can be closed outright, busy ones get
@@ -384,24 +398,6 @@ class HttpPlanServer:
         self._connections: "dict[asyncio.Task, asyncio.StreamWriter]" = {}
         self._busy: "set[asyncio.Task]" = set()
         self._draining = False
-        self._http_requests = self.metrics.counter(
-            "pipette_http_requests_total",
-            "HTTP requests served, by method, route, and status code.",
-            ("method", "route", "code"))
-        self._plans_by_schedule = self.metrics.counter(
-            "pipette_plans_by_schedule_total",
-            "Plans answered over HTTP, by cluster and the chosen "
-            "pipeline schedule.",
-            ("cluster", "schedule"))
-        self._routes = {
-            ("POST", "/v1/plan"): self._plan,
-            ("POST", "/v1/events/bandwidth"): self._event_bandwidth,
-            ("POST", "/v1/events/failure"): self._event_failure,
-            ("POST", "/v1/templates/warm"): self._templates_warm,
-            ("GET", "/healthz"): self._healthz,
-            ("GET", "/metrics"): self._metrics_page,
-            ("GET", "/v1/debug/traces"): self._traces_index,
-        }
 
     # ------------------------------------------------------- connection
 
@@ -420,11 +416,9 @@ class HttpPlanServer:
                     # cannot be trusted as a frame boundary: answer
                     # and close instead of resynchronizing.
                     self._count("-", "unmatched", exc.status)
-                    _write_response(
-                        writer, exc.status,
-                        _json_body({"status": "error",
-                                    "error": exc.message}),
-                        _JSON, keep_alive=False)
+                    _write_response(writer, exc.status,
+                                    _error_body(exc.message), _JSON,
+                                    keep_alive=False)
                     await writer.drain()
                     break
                 except asyncio.IncompleteReadError:
@@ -498,12 +492,8 @@ class HttpPlanServer:
             await asyncio.wait(set(self._connections), timeout=poll_s)
 
     def _count(self, method: str, route: str, status: int) -> None:
-        self._http_requests.labels(method=method, route=route,
-                                   code=str(status)).inc()
-
-    #: Paths whose requests are never traced: scrapes and debug reads
-    #: would bury the plan traces they exist to observe.
-    _UNTRACED = ("/metrics", "/healthz", "/v1/debug")
+        self._requests.labels(method=method, route=route,
+                              code=str(status)).inc()
 
     def _request_span(self, method: str, path: str,
                       headers: "dict[str, str]"):
@@ -523,66 +513,60 @@ class HttpPlanServer:
         return TRACER.start_span("http.request", remote=remote,
                                  method=method, path=path)
 
-    async def _dispatch(self, method: str, path: str, body: bytes):
-        """Route one request -> (status, content type, body, route, allow).
+    # --------------------------------------------------------- dispatch
 
-        The ``route`` element is the matched route template (or
-        ``"unmatched"``) so the HTTP counter's label cardinality stays
-        bounded no matter what paths clients probe — the per-trace
-        debug route counts under one ``/v1/debug/traces/{id}``
-        template, never per trace id.
+    def _match(self, path: str):
+        """``(route template, {method: handler}, path args)`` for ``path``.
+
+        The template (or ``"unmatched"``) is what the request counter
+        is labelled with, so its cardinality stays bounded no matter
+        what paths clients probe: a ``{id}`` route counts under its
+        template, never per id.
         """
-        if path.startswith("/v1/debug/traces/"):
-            trace_id = path[len("/v1/debug/traces/"):]
-            route = "/v1/debug/traces/{id}"
-            if method != "GET":
-                return (405, _JSON,
-                        _json_body({"status": "error",
-                                    "error": f"{method} is not allowed on "
-                                             f"{path}"}),
-                        route, "GET")
-            status, content_type, out = self._trace_detail(trace_id)
-            return status, content_type, out, route, None
-        handler = self._routes.get((method, path))
-        if handler is None:
-            allowed = sorted(m for m, p in self._routes if p == path)
-            if allowed:
-                return (405, _JSON,
-                        _json_body({"status": "error",
-                                    "error": f"{method} is not allowed on "
-                                             f"{path}"}),
-                        path, ", ".join(allowed))
+        handlers = self._routes.get(path)
+        if handlers is not None:
+            return path, handlers, ()
+        for template, prefix in self._prefixes:
+            if path.startswith(prefix):
+                return template, self._routes[template], \
+                    (path[len(prefix):],)
+        return "unmatched", None, ()
+
+    async def _dispatch(self, method: str, path: str, body: bytes):
+        """Route one request -> (status, content type, body, route, allow)."""
+        route, handlers, args = self._match(path)
+        if handlers is None:
             return (404, _JSON,
-                    _json_body({"status": "error",
-                                "error": f"unknown route {path}; serving "
-                                         "/v1/plan, /v1/events/bandwidth, "
-                                         "/v1/events/failure, "
-                                         "/v1/templates/warm, /healthz, "
-                                         "/metrics, /v1/debug/traces"}),
-                    "unmatched", None)
+                    _error_body(f"unknown route {path}; serving "
+                                f"{', '.join(self._routes)}"),
+                    route, None)
+        handler = handlers.get(method)
+        if handler is None:
+            allowed = ", ".join(sorted(handlers))
+            return (405, _JSON,
+                    _error_body(f"{method} is not allowed on {path}"),
+                    route, allowed)
         try:
-            status, content_type, out = await handler(body)
+            status, content_type, out = await handler(body, *args)
         except HttpError as exc:
-            status, content_type, out = exc.status, _JSON, _json_body(
-                {"status": "error", "error": exc.message})
+            status, content_type, out = exc.status, _JSON, \
+                _error_body(exc.message)
         except GatewayOverloadedError as exc:
-            status, content_type, out = 503, _JSON, _json_body(
-                {"status": "error", "error": str(exc)})
+            status, content_type, out = 503, _JSON, _error_body(str(exc))
         except (ValueError, TypeError, KeyError, RuntimeError,
                 json.JSONDecodeError) as exc:
             # Bad operands (unknown model/cluster, wrongly-typed
             # fields, no feasible cluster) are the caller's problem.
-            status, content_type, out = 400, _JSON, _json_body(
-                {"status": "error", "error": str(exc)})
+            status, content_type, out = 400, _JSON, _error_body(str(exc))
         except asyncio.CancelledError:
             raise
         except Exception as exc:  # noqa: BLE001 — the 500 boundary
-            status, content_type, out = 500, _JSON, _json_body(
-                {"status": "error",
-                 "error": f"internal error: {exc}"})
-        return status, content_type, out, path, None
+            status, content_type, out = 500, _JSON, \
+                _error_body(f"internal error: {exc}")
+        return status, content_type, out, route, None
 
-    def _json_payload(self, body: bytes) -> dict:
+    @staticmethod
+    def _json_payload(body: bytes) -> dict:
         try:
             payload = json.loads(body)
         except json.JSONDecodeError as exc:
@@ -591,6 +575,55 @@ class HttpPlanServer:
         if not isinstance(payload, dict):
             raise HttpError(400, "request body must be a JSON object")
         return payload
+
+
+class HttpPlanServer(HttpServerBase):
+    """The worker's HTTP front end: plan, event, and debug routes.
+
+    Args:
+        gateway: the (already entered) gateway to answer through.
+        options: search options applied to every request, like the
+            stdin JSON-lines mode.
+        metrics: registry rendered by ``GET /metrics``; created fresh
+            (and then reachable via :attr:`metrics`) when ``None``.
+            Pass the registry the gateway and cluster registry are
+            attached to, or the page will only show HTTP series.
+        max_body_bytes: request-body cap (``413`` beyond it).
+        warmers: per-cluster
+            :class:`~repro.service.warmer.TemplateWarmer`\\ s backing
+            ``POST /v1/templates/warm`` — pass store-backed warmers to
+            persist warmed libraries; clusters without one get an
+            ephemeral in-memory warmer on first use.
+
+    See ``cmd_serve`` in ``repro.service.__main__`` for the wiring, or
+    ``tests/test_service_http.py`` for a minimal in-process setup.
+    """
+
+    def __init__(self, gateway: PlanGateway, options: PipetteOptions,
+                 metrics: MetricsRegistry | None = None,
+                 max_body_bytes: int = MAX_BODY_BYTES,
+                 warmers: "dict[str, TemplateWarmer] | None" = None) -> None:
+        super().__init__(
+            {("POST", "/v1/plan"): self._plan,
+             ("POST", "/v1/events/bandwidth"): self._event_bandwidth,
+             ("POST", "/v1/events/failure"): self._event_failure,
+             ("POST", "/v1/templates/warm"): self._templates_warm,
+             ("GET", "/healthz"): self._healthz,
+             ("GET", "/metrics"): self._metrics_page,
+             ("GET", "/v1/debug/traces"): self._traces_index,
+             ("GET", "/v1/debug/traces/{id}"): self._trace_detail},
+            ("pipette_http_requests_total",
+             "HTTP requests served, by method, route, and status code."),
+            metrics=metrics, max_body_bytes=max_body_bytes)
+        self.gateway = gateway
+        self.options = options
+        self._warmers: "dict[str, TemplateWarmer]" = dict(warmers or {})
+        self._started_monotonic = time.monotonic()
+        self._plans_by_schedule = self.metrics.counter(
+            "pipette_plans_by_schedule_total",
+            "Plans answered over HTTP, by cluster and the chosen "
+            "pipeline schedule.",
+            ("cluster", "schedule"))
 
     # ----------------------------------------------------------- routes
 
@@ -646,11 +679,12 @@ class HttpPlanServer:
         payload = self._json_payload(body)
         name = self._cluster_name(payload)
         nodes = payload.get("nodes")
-        if nodes is None:
-            raise HttpError(400, "failure event needs 'nodes' "
-                                 "(a node index or list of them)")
         if isinstance(nodes, (int, float)):
             nodes = [nodes]
+        if not nodes:
+            # Refused before it takes the lane fence: no node failed.
+            raise HttpError(400, "failure event needs 'nodes' "
+                                 "(a node index or a non-empty list)")
         failed = [int(n) for n in nodes]
         retired = await self.gateway.fail_nodes(name, *failed)
         service = self.gateway.registry.service(name)
@@ -761,12 +795,11 @@ class HttpPlanServer:
         return 200, _JSON, _json_body(
             {"enabled": TRACER.enabled, "traces": TRACER.traces()})
 
-    def _trace_detail(self, trace_id: str):
+    async def _trace_detail(self, body: bytes, trace_id: str):
         tree = TRACER.trace(trace_id)
         if tree is None:
             return (404, _JSON,
-                    _json_body({"status": "error",
-                                "error": f"no trace {trace_id!r}; see "
-                                         "GET /v1/debug/traces for the "
-                                         "retained ids"}))
+                    _error_body(f"no trace {trace_id!r}; see "
+                                "GET /v1/debug/traces for the retained "
+                                "ids"))
         return 200, _JSON, _json_body(tree)

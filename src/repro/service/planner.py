@@ -6,23 +6,26 @@ matrix, the per-model compute profiles, the fitted memory estimator,
 a worker pool — and answers :class:`~repro.service.cache.PlanRequest`\\ s
 against that state:
 
-* identical requests are answered from the LRU plan cache
-  (:mod:`repro.service.cache`);
-* requests queued together are *deduplicated in flight* — one search
-  serves every ticket with the same fingerprint;
-* cache misses run Algorithm 1, optionally fanned over the service's
+* :meth:`PlanningService.plan` is the one answering routine: identical
+  requests are answered from the LRU plan cache
+  (:mod:`repro.service.cache`), and cache misses run Algorithm 1,
+  optionally fanned over the service's
   :class:`~repro.service.executor.CandidateExecutor`;
 * a re-profiled matrix that drifted beyond the threshold, or a node
   failure, rolls the bandwidth epoch and retires stale plans
   (:meth:`PlanningService.update_bandwidth`,
   :meth:`PlanningService.replan`).
+
+Queueing and in-flight dedup of concurrent callers are the
+:class:`~repro.service.gateway.PlanGateway`'s job; the service answers
+one request at a time.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,39 +66,33 @@ from repro.service.replan import (
 _log = get_logger("service.planner")
 
 
-@dataclass(frozen=True)
-class PlanTicket:
-    """Receipt for one queued request.
+class ClusterMismatchError(ValueError):
+    """A request built for a cluster spec its service does not plan for.
 
-    ``trace`` optionally carries the caller's span across the queue:
-    the gateway submits from the event loop but the drain answers in a
-    worker thread, where context-local parenting cannot follow — the
-    ticket itself is the hand-off.  Excluded from comparison and repr;
-    a traced ticket equals its untraced twin.
+    Typically a request that outlived a node failure: the service has
+    shrunk since the caller built it.  A ``ValueError``, so it maps to
+    HTTP 400; the gateway tells it apart from a failed search, which
+    comes back as an ``"error"`` response instead.
     """
-
-    index: int
-    fingerprint: str
-    request: PlanRequest
-    trace: "Span | None" = field(default=None, compare=False, repr=False)
 
 
 @dataclass
 class PlanResponse:
-    """Answer to one ticket.
+    """Answer to one request.
 
     Attributes:
-        ticket: the receipt being answered.
+        request: the request being answered.
+        fingerprint: its :meth:`PlanRequest.fingerprint` (the cache key).
         result: the finished plan (``None`` when ``status == "error"``).
         status: how it was obtained — ``"hit"`` (served from cache),
-            ``"miss"`` (searched now), ``"deduped"`` (shared the
-            search of an identical in-flight request), or ``"error"``
-            (this ticket failed; the batch around it was answered).
-        elapsed_s: time this ticket's answer took within its drain.
+            ``"miss"`` (searched now), or ``"error"`` (the search
+            failed; only the gateway builds these).
+        elapsed_s: time this answer took.
         error: what went wrong, for ``"error"`` responses.
     """
 
-    ticket: PlanTicket
+    request: PlanRequest
+    fingerprint: str
     result: PipetteResult | None
     status: str
     elapsed_s: float
@@ -121,16 +118,15 @@ class PlanningService:
         cache: plan store; defaults to a fresh 128-entry LRU.
         profile_seed: seed of lazily collected compute profiles.
 
-    The service was single-caller by construction through PR 2; it is
-    now safe for concurrent use.  One reentrant lock serializes every
-    entry point that reads or mutates service state — queue, cache,
-    profiles, cluster/bandwidth epoch — so a drain running in one
-    thread can never interleave with an elastic event (or a second
-    drain) in another.  Searches run *under* the lock on purpose: a
-    cluster answers one drain at a time (cross-cluster concurrency is
-    the registry's and gateway's job), and an epoch roll midway
-    through a search could otherwise hand out a plan computed against
-    a matrix the service no longer trusts.
+    The service is safe for concurrent use.  One reentrant lock
+    serializes every entry point that reads or mutates service state —
+    cache, profiles, cluster/bandwidth epoch — so a plan answered in
+    one thread can never interleave with an elastic event (or a second
+    plan) in another.  Searches run *under* the lock on purpose: a
+    cluster answers one request at a time (cross-cluster concurrency
+    is the gateway's job), and an epoch roll midway through a search
+    could otherwise hand out a plan computed against a matrix the
+    service no longer trusts.
     """
 
     def __init__(self, cluster: ClusterSpec, bandwidth: BandwidthMatrix,
@@ -154,7 +150,6 @@ class PlanningService:
         self.cache = cache if cache is not None else PlanCache()
         self.profile_seed = profile_seed
         self._profiles: "dict[TransformerConfig, ComputeProfile]" = {}
-        self._queue: "list[PlanTicket]" = []
         self._submitted = 0
         # Where re-plan warm starts came from (ReplanReport.warm_source).
         self._warm_sources = {"template": 0, "best": 0, "portfolio": 0,
@@ -185,11 +180,19 @@ class PlanningService:
         return PlanRequest(cluster=self.cluster, model=model,
                            global_batch=global_batch, **kwargs)
 
-    def _make_ticket(self, request: PlanRequest,
-                     trace: "Span | None" = None) -> PlanTicket:
+    def plan(self, request: PlanRequest,
+             trace: "Span | None" = None) -> PlanResponse:
+        """Answer one request from cache or by searching.
+
+        Errors raise: a request built for another cluster spec raises
+        :class:`ClusterMismatchError`, and a failed search its own
+        ``ValueError``/``RuntimeError``.  ``trace`` optionally parents
+        the answer's spans to a caller's span — the gateway answers on
+        a pool thread, where context-local parenting cannot follow.
+        """
         with self._lock:
             if request.cluster != self.cluster:
-                raise ValueError(
+                raise ClusterMismatchError(
                     f"request is for cluster {request.cluster.name!r} "
                     f"({request.cluster.n_nodes} nodes) but this service "
                     f"plans for {self.cluster.name!r} "
@@ -197,123 +200,34 @@ class PlanningService:
                     "this service's profiled matrix, so the specs must "
                     "match exactly"
                 )
-            ticket = PlanTicket(index=self._submitted,
-                                fingerprint=request.fingerprint(),
-                                request=request, trace=trace)
             self._submitted += 1
-            return ticket
-
-    def submit(self, request: PlanRequest,
-               trace: "Span | None" = None) -> PlanTicket:
-        """Queue a request; :meth:`drain` answers all queued tickets.
-
-        ``trace`` rides along on the ticket so the spans of the
-        eventual answer parent to the submitting caller's trace even
-        though the drain runs in a different thread.
-        """
-        with self._lock:
-            ticket = self._make_ticket(request, trace=trace)
-            self._queue.append(ticket)
-            return ticket
-
-    def _answer(self, ticket: PlanTicket) -> PlanResponse:
-        """Answer one ticket from cache or by searching (may raise)."""
-        t0 = time.perf_counter()
-        lookup = TRACER.start_span("plan.cache_lookup", parent=ticket.trace,
-                                   fingerprint=ticket.fingerprint)
-        result = self.cache.get(ticket.fingerprint, self.bandwidth_fp)
-        lookup.set_attribute("outcome",
-                             "miss" if result is None else "hit").end()
-        status = "hit"
-        if result is None:
-            with TRACER.span("plan.search", parent=ticket.trace,
-                             fingerprint=ticket.fingerprint,
-                             cluster=self.cluster.name):
-                result = self._search(ticket.request)
-            self.cache.put(ticket.fingerprint, self.bandwidth_fp, result)
-            status = "miss"
-        # The drain thread has no context-local span, so the join key
-        # is spelled out from the ticket's own trace.
-        extra = {"cluster": self.cluster.name, "status": status,
-                 "elapsed_ms": round((time.perf_counter() - t0) * 1000, 3)}
-        if ticket.trace is not None and ticket.trace.recording:
-            extra["trace_id"] = ticket.trace.trace_id
-        _log.debug("ticket answered", extra=extra)
-        return PlanResponse(ticket=ticket, result=result, status=status,
-                            elapsed_s=time.perf_counter() - t0)
-
-    def drain(self) -> list[PlanResponse]:
-        """Answer every queued ticket, in submission order.
-
-        Tickets are grouped by fingerprint first: each group costs at
-        most one search regardless of its size (in-flight dedup), and
-        nothing at all when the plan cache already holds the answer
-        for the current bandwidth epoch.  ``"deduped"`` responses
-        report their *own* (near-zero) answer time, not the elapsed
-        time of the search they shared — per-ticket accounting must
-        not bill one search N times.  A ticket that fails (e.g. it was
-        queued for a cluster the service no longer plans for) yields
-        an ``"error"`` response and the rest of the batch is still
-        answered; identical failing tickets share the first failure
-        instead of re-raising the same search N times.
-
-        The whole drain runs under the service lock: a concurrent
-        drain (two threads racing the same service) answers an empty
-        batch rather than splitting tickets, and an elastic event
-        waits for the batch to finish rather than rolling the epoch
-        under a search.
-        """
-        with self._lock:
-            tickets, self._queue = self._queue, []
-            answered: "dict[str, PlanResponse]" = {}
-            failed: "dict[str, str]" = {}
-            responses = []
-            for ticket in tickets:
-                t0 = time.perf_counter()
-                known = answered.get(ticket.fingerprint)
-                if known is not None:
-                    responses.append(PlanResponse(
-                        ticket=ticket, result=known.result, status="deduped",
-                        elapsed_s=time.perf_counter() - t0))
-                    continue
-                failure = failed.get(ticket.fingerprint)
-                if failure is not None:
-                    responses.append(PlanResponse(
-                        ticket=ticket, result=None, status="error",
-                        elapsed_s=time.perf_counter() - t0, error=failure))
-                    continue
-                try:
-                    response = self._answer(ticket)
-                except (ValueError, RuntimeError) as exc:
-                    failed[ticket.fingerprint] = str(exc)
-                    responses.append(PlanResponse(
-                        ticket=ticket, result=None, status="error",
-                        elapsed_s=time.perf_counter() - t0, error=str(exc)))
-                    continue
-                answered[ticket.fingerprint] = response
-                responses.append(response)
-            return responses
-
-    def plan(self, request: PlanRequest) -> PlanResponse:
-        """Answer one request immediately.
-
-        Bypasses the queue: tickets other callers have submitted stay
-        queued for their own :meth:`drain`.  Errors raise rather than
-        coming back as ``"error"`` responses.
-        """
-        with self._lock:
-            return self._answer(self._make_ticket(request))
+            t0 = time.perf_counter()
+            fingerprint = request.fingerprint()
+            lookup = TRACER.start_span("plan.cache_lookup", parent=trace,
+                                       fingerprint=fingerprint)
+            result = self.cache.get(fingerprint, self.bandwidth_fp)
+            lookup.set_attribute("outcome",
+                                 "miss" if result is None else "hit").end()
+            status = "hit"
+            if result is None:
+                with TRACER.span("plan.search", parent=trace,
+                                 fingerprint=fingerprint,
+                                 cluster=self.cluster.name):
+                    result = self._search(request)
+                self.cache.put(fingerprint, self.bandwidth_fp, result)
+                status = "miss"
+            # A pool thread has no context-local span, so the join key
+            # is spelled out from the caller's own trace.
+            extra = {"cluster": self.cluster.name, "status": status,
+                     "elapsed_ms": round((time.perf_counter() - t0) * 1000, 3)}
+            if trace is not None and trace.recording:
+                extra["trace_id"] = trace.trace_id
+            _log.debug("request answered", extra=extra)
+            return PlanResponse(request=request, fingerprint=fingerprint,
+                                result=result, status=status,
+                                elapsed_s=time.perf_counter() - t0)
 
     def _search(self, request: PlanRequest) -> PipetteResult:
-        if request.cluster != self.cluster:
-            # Tickets can outlive a node failure that shrank the
-            # service's cluster between submit and drain.
-            raise ValueError(
-                f"request targets cluster {request.cluster.name!r} "
-                f"({request.cluster.n_nodes} nodes) but the service now "
-                f"plans for {self.cluster.n_nodes} nodes; re-submit "
-                "against the current cluster"
-            )
         if request.options.use_worker_dedication:
             # A warmed template library answers covered requests
             # without running Algorithm 1: instantiate the
@@ -345,7 +259,7 @@ class PlanningService:
     def template_library(self) -> TemplateLibrary | None:
         """The installed elastic template library (``None`` until warmed).
 
-        Deliberately lock-free: ``drain()`` holds the service lock for
+        Deliberately lock-free: :meth:`plan` holds the service lock for
         the whole of every search, and ``/healthz`` reads this property
         per cluster — taking the lock here would queue liveness probes
         behind cache-miss searches.  A single attribute read is atomic
@@ -383,8 +297,8 @@ class PlanningService:
         """Generate and install the template library for ``model``.
 
         Generation runs *outside* the service lock against a snapshot
-        of the cluster state, so plan requests keep draining while the
-        library fills (the :class:`~repro.service.warmer.TemplateWarmer`
+        of the cluster state, so plan requests keep being answered while
+        the library fills (the :class:`~repro.service.warmer.TemplateWarmer`
         calls this from a background thread).  Only the final install
         retakes the lock.
         """
@@ -494,11 +408,14 @@ class PlanningService:
         longer all exist).  Unlike :meth:`replan`, no request is
         needed — a registry can propagate a failure event to the right
         cluster and let later requests re-plan on demand.  Returns the
-        number of retired plans.
+        number of retired plans.  An empty node set raises
+        ``ValueError`` and changes nothing: no node failed, so no plan
+        is stale.
         """
         with self._lock:
+            cluster = shrink_cluster(self.cluster, failed_nodes)
             keep = surviving_gpus(self.cluster, failed_nodes)
-            self.cluster = shrink_cluster(self.cluster, failed_nodes)
+            self.cluster = cluster
             self.bandwidth = self.bandwidth.restrict(keep)
             self.bandwidth_fp = self.bandwidth.fingerprint()
             retired = len(self.cache)
@@ -549,8 +466,8 @@ class PlanningService:
         unconditionally (the caller declared it real — the
         :meth:`update_bandwidth` threshold is for routine re-profiles,
         not declared events) and seeds the fresh epoch with the cold
-        result when one was computed.  Tickets still queued for the
-        pre-failure cluster get ``"error"`` responses at drain rather
+        result when one was computed.  Requests still built for the
+        pre-failure cluster raise :class:`ClusterMismatchError` rather
         than being answered with a stale plan.
         """
         with self._lock:
@@ -618,8 +535,8 @@ class PlanningService:
         self.cache.attach_metrics(metrics, cluster)
         metrics.counter(
             "pipette_service_submitted_total",
-            "Plan tickets issued by the planning service "
-            "(inline plans included).",
+            "Plan requests answered by the planning service (failed "
+            "searches included).",
             ("cluster",)).labels(cluster=cluster).bind(
                 lambda: self._submitted)
         metrics.gauge(
@@ -664,14 +581,14 @@ class PlanningService:
 
     @property
     def stats(self) -> dict:
-        """Operational counters of cache, queue, and executor."""
+        """Operational counters of cache, profiles, and executor."""
         with self._lock:
             return self._stats_locked()
 
     def _stats_locked(self) -> dict:
         # Both stats objects are copied atomically under their own
         # locks — field-by-field reads of live stats can tear against
-        # a drain bumping them in another thread.
+        # a plan bumping them in another thread.
         cache_stats = self.cache.stats_snapshot()
         out = {
             "requests_submitted": self._submitted,

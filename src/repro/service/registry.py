@@ -9,17 +9,6 @@ routes work to them:
 * a request *pinned* to a cluster name goes straight to that service;
 * an unpinned request is routed by spec match — the registered
   cluster equal to the request's ``cluster`` answers it;
-* a caller with no cluster preference at all asks
-  :meth:`ClusterRegistry.plan_cheapest`, which fans the same planning
-  question over every registered cluster (each search reusing the
-  shared :class:`~repro.service.executor.CandidateExecutor`) and
-  returns the feasible plan with the lowest estimated latency;
-* work can be *queued* instead of answered inline —
-  :meth:`ClusterRegistry.submit` routes a ticket onto its cluster's
-  queue and :meth:`ClusterRegistry.drain_all` answers every cluster's
-  backlog — so elastic events land between batches, fenced against
-  in-flight searches, and the async gateway
-  (:mod:`repro.service.gateway`) can drain clusters concurrently;
 * elastic events — a re-profiled matrix, a node failure — are
   propagated to exactly one named cluster, leaving every sibling's
   cache and epoch untouched.
@@ -27,6 +16,11 @@ routes work to them:
 Services keep their identity inside the registry: per-cluster durable
 caches (:mod:`repro.service.store`) rehydrate independently, so a
 restarted registry remembers every cluster's plans.
+
+Queueing, in-flight coalescing, and the cheapest-feasible fan-out of a
+request with no cluster preference live one layer up, in the async
+gateway (:mod:`repro.service.gateway`) and its transports
+(:func:`repro.service.http.answer_payload`).
 """
 
 from __future__ import annotations
@@ -43,7 +37,7 @@ from repro.model.transformer import TransformerConfig
 from repro.obs.trace import TRACER
 from repro.service.cache import PlanCache, PlanRequest
 from repro.service.executor import CandidateExecutor
-from repro.service.planner import PlanningService, PlanResponse, PlanTicket
+from repro.service.planner import PlanningService, PlanResponse
 from repro.service.replan import DEFAULT_DRIFT_THRESHOLD
 
 
@@ -74,9 +68,11 @@ def cheapest_rank_key(best: RankedConfig, name: str) -> tuple:
     """Fleet-wide ranking key for cheapest-feasible routing.
 
     Memory-fitting plans first, then estimated latency, then the
-    *cluster name* — one definition shared by every cheapest-feasible
-    path (:meth:`ClusterRegistry.plan_cheapest`, the ``serve``
-    front end's broadcast), so they can never rank ties differently.
+    *cluster name*, not registration order, so the winner is a
+    property of the fleet rather than of the order an operator happened
+    to register it in.  Shared by every cheapest-feasible pick (the
+    transports' unpinned fan-out, the ``registry`` CLI demo), so they
+    can never rank ties differently.
     """
     return (not best.memory_ok, best.estimated_latency_s, name)
 
@@ -95,9 +91,9 @@ class ClusterRegistry:
         self.executor = executor
         self._services: "OrderedDict[str, PlanningService]" = OrderedDict()
         self._metrics = None
-        # Guards membership only.  Routing and draining take a snapshot
+        # Guards membership only.  Routing and planning take a snapshot
         # of the table and then rely on each service's own lock, so a
-        # long drain on one cluster never blocks registering another.
+        # long search on one cluster never blocks registering another.
         self._lock = threading.RLock()
 
     # ---------------------------------------------------------- membership
@@ -200,38 +196,6 @@ class ClusterRegistry:
         return RoutedResponse(cluster_name=name,
                               response=self.service(name).plan(request))
 
-    # ------------------------------------------------------------- queueing
-
-    def submit(self, request: PlanRequest,
-               cluster: str | None = None) -> "tuple[str, PlanTicket]":
-        """Queue one request on its cluster's service; drain later.
-
-        Routing matches :meth:`plan` — pinned by name or matched by
-        spec — but the ticket waits for :meth:`drain` /
-        :meth:`drain_all` instead of being answered now.  Queueing at
-        the registry level is what lets an elastic event *fence*
-        pending work: :meth:`fail_nodes` between submit and drain
-        makes the stale tickets drain as ``"error"`` responses instead
-        of answering them with plans that map onto dead GPUs.
-        """
-        name = cluster if cluster is not None else self.route(request)
-        return name, self.service(name).submit(request)
-
-    def drain(self, name: str) -> "list[PlanResponse]":
-        """Answer every ticket queued on the named cluster."""
-        return self.service(name).drain()
-
-    def drain_all(self) -> "dict[str, list[PlanResponse]]":
-        """Drain every registered cluster, in registration order.
-
-        Each cluster's drain runs under its own service lock; the
-        registry stays open for membership changes and sibling drains
-        while one cluster searches.  Returns per-cluster responses
-        keyed by cluster name (clusters with empty queues included,
-        with empty lists, so callers can account for every cluster).
-        """
-        return {name: service.drain() for name, service in self._snapshot()}
-
     def plan_on(self, name: str, model: TransformerConfig,
                 global_batch: int, **kwargs) -> RoutedResponse:
         """Build a request bound to the named cluster and answer it."""
@@ -240,46 +204,6 @@ class ClusterRegistry:
             cluster_name=name,
             response=service.plan(service.request(model, global_batch,
                                                   **kwargs)))
-
-    def plan_cheapest(self, model: TransformerConfig, global_batch: int,
-                      **kwargs) -> RoutedResponse:
-        """The lowest-latency feasible plan across every cluster.
-
-        Each registered cluster answers its own cluster-bound copy of
-        the question — independent searches over the shared executor,
-        each hitting its own cache on repeats.  Plans that fit memory
-        outrank best-effort (``memory_ok=False``) ones; latency ties
-        break by *cluster name*, not registration order, so the winner
-        is a property of the fleet rather than of the order an
-        operator happened to register it in (a restarted registry that
-        rebuilds its table in a different order keeps routing the same
-        requests to the same cluster).  Clusters with no feasible
-        configuration are skipped; if none can serve, the collected
-        errors raise.
-        """
-        services = self._snapshot()
-        if not services:
-            raise ValueError("no clusters registered")
-        candidates: "list[tuple[tuple, RoutedResponse]]" = []
-        errors: "list[str]" = []
-        for name, service in services:
-            try:
-                response = service.plan(service.request(model, global_batch,
-                                                        **kwargs))
-            except (ValueError, RuntimeError) as exc:
-                errors.append(f"{name}: {exc}")
-                continue
-            best = response.best
-            if best is None:
-                errors.append(f"{name}: no feasible configuration")
-                continue
-            candidates.append((
-                cheapest_rank_key(best, name),
-                RoutedResponse(cluster_name=name, response=response)))
-        if not candidates:
-            raise RuntimeError(
-                "no cluster can serve the request: " + "; ".join(errors))
-        return min(candidates, key=lambda pair: pair[0])[1]
 
     # ----------------------------------------------------------- templates
 

@@ -156,9 +156,12 @@ def shrink_cluster(cluster: ClusterSpec, failed_nodes) -> ClusterSpec:
 
     Nodes are homogeneous on paper, so the shrunken spec is the same
     hardware with fewer nodes; GPU ids are compacted to match
-    :meth:`repro.cluster.fabric.BandwidthMatrix.restrict`.
+    :meth:`repro.cluster.fabric.BandwidthMatrix.restrict`.  An empty
+    ``failed_nodes`` raises ``ValueError``: nothing failed.
     """
     failed = {int(n) for n in failed_nodes}
+    if not failed:
+        raise ValueError("a node failure needs at least one failed node")
     for node in failed:
         if not 0 <= node < cluster.n_nodes:
             raise ValueError(f"failed node {node} outside the cluster")

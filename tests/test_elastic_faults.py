@@ -10,8 +10,8 @@ asserting three invariants end to end:
   epoch that was current when its search ran: post-event requests are
   never answered by pre-event searches (the coalescing key carries the
   bandwidth fingerprint), and requests built for the pre-event cluster
-  either answered before the event or drain as errors, never as stale
-  plans;
+  either answered before the event or are rejected, never answered
+  with stale plans;
 * **attribution** — ``warm_source`` names the recovery path actually
   taken (``"template"`` on a library hit, mapping surgery otherwise),
   consistently across the report, the ``replan`` trace span, and the
@@ -196,8 +196,8 @@ class TestFailureDuringReplan:
         """A failure landing mid-traffic never tears an answer.
 
         The in-flight request either answered before the event (a
-        pre-event plan from the pre-event epoch) or drained after it
-        (an error — its cluster no longer exists); it is never
+        pre-event plan from the pre-event epoch) or was rejected after
+        it (its cluster no longer exists); it is never
         answered with a post-event search presented as pre-event, and
         never with a stale plan after the event.
         """
@@ -224,13 +224,9 @@ class TestFailureDuringReplan:
 
         answer, retired, post = run(scenario())
         if isinstance(answer, Exception):
-            # Submit-time rejection: the cluster shrank before the
-            # request was admitted.
+            # Answered behind the fence: a pre-event request in the
+            # post-event world is rejected, never given a stale plan.
             assert "node" in str(answer) or "GPU" in str(answer).lower()
-        elif answer.status == "error":
-            # Drained behind the fence: pre-event ticket, post-event
-            # world — an error, never a stale plan.
-            assert answer.best is None
         else:
             # Answered ahead of the fence: a pre-event plan for the
             # pre-event (16-GPU) cluster.

@@ -345,10 +345,6 @@ class TestSeedIdentity:
 
 
 class TestOptionsKnobs:
-    def test_batch_size_validated(self):
-        with pytest.raises(ValueError, match="batch_size"):
-            SAOptions(max_iterations=10, batch_size=0)
-
     def test_portfolio_k_validated(self):
         with pytest.raises(ValueError, match="portfolio_k"):
             SAOptions(max_iterations=10, portfolio_k=0)
@@ -359,11 +355,10 @@ class TestOptionsKnobs:
 
     def test_with_seed_preserves_new_knobs(self):
         options = SAOptions(max_iterations=123, alpha=0.99, seed=1,
-                            batch_size=16, portfolio_k=5,
-                            delta_min_slots=7, moves=("swap", "reverse"))
+                            portfolio_k=5, delta_min_slots=7,
+                            moves=("swap", "reverse"))
         reseeded = options.with_seed(42)
         assert reseeded.seed == 42
-        assert reseeded.batch_size == 16
         assert reseeded.portfolio_k == 5
         assert reseeded.delta_min_slots == 7
         assert reseeded.moves == ("swap", "reverse")
@@ -452,72 +447,6 @@ class TestPortfolio:
         assert result.portfolio[0][1] == result.value
 
 
-# ----------------------------------------------------------- batched loop
-
-
-class TestBatchedLoop:
-    def test_deterministic_per_seed(self, world):
-        cluster, model, bandwidth, profile = world
-        kernel = pipette_kernel(model, _config(4, 2, 2), cluster, bandwidth,
-                                profile)
-        initial = sequential_mapping(WorkerGrid(pp=4, tp=2, dp=2), cluster)
-        options = SAOptions(max_iterations=400, seed=6, batch_size=8,
-                            portfolio_k=3)
-        a = anneal_mapping(initial, kernel, options)
-        b = anneal_mapping(initial, kernel, options)
-        assert a.value == b.value
-        assert a.history == b.history
-        assert a.evaluations == b.evaluations
-        assert a.accepted == b.accepted
-        assert np.array_equal(a.mapping.block_to_slot,
-                              b.mapping.block_to_slot)
-
-    def test_respects_iteration_budget_exactly(self, world):
-        cluster, model, bandwidth, profile = world
-        kernel = pipette_kernel(model, _config(4, 2, 2), cluster, bandwidth,
-                                profile)
-        initial = sequential_mapping(WorkerGrid(pp=4, tp=2, dp=2), cluster)
-        result = anneal_mapping(initial, kernel,
-                                SAOptions(max_iterations=333, seed=6,
-                                          batch_size=7))
-        assert result.iterations == 333
-        assert result.evaluations >= result.iterations
-
-    def test_batch_path_matches_per_row_fallback(self, world):
-        # An objective exposing evaluate_perm but not evaluate_batch is
-        # scored row by row; the kernel's batched call must not change
-        # the trajectory (rows are bit-identical by contract).
-        cluster, model, bandwidth, profile = world
-        kernel = pipette_kernel(model, _config(2, 2, 4), cluster, bandwidth,
-                                profile)
-
-        class PerRowOnly:
-            grid = kernel.grid
-
-            def evaluate_perm(self, perm):
-                return kernel.evaluate_perm(perm)
-
-        initial = sequential_mapping(WorkerGrid(pp=2, tp=2, dp=4), cluster)
-        options = SAOptions(max_iterations=300, seed=8, batch_size=6)
-        batched = anneal_mapping(initial, kernel, options)
-        rowwise = anneal_mapping(initial, PerRowOnly(), options)
-        assert batched.value == rowwise.value
-        assert batched.history == rowwise.history
-        assert batched.evaluations == rowwise.evaluations
-        assert np.array_equal(batched.mapping.block_to_slot,
-                              rowwise.mapping.block_to_slot)
-
-    def test_never_worse_than_start(self, world):
-        cluster, model, bandwidth, profile = world
-        kernel = pipette_kernel(model, _config(4, 2, 2), cluster, bandwidth,
-                                profile)
-        initial = sequential_mapping(WorkerGrid(pp=4, tp=2, dp=2), cluster)
-        result = anneal_mapping(initial, kernel,
-                                SAOptions(max_iterations=500, seed=0,
-                                          batch_size=16))
-        assert result.value <= result.initial_value
-
-
 # -------------------------------------------------- flight-recorder stats
 
 
@@ -563,13 +492,6 @@ class TestRecorderMoveStats:
         assert forced.history == result.history
         assert np.array_equal(forced.mapping.block_to_slot,
                               result.mapping.block_to_slot)
-
-    def test_delta_vs_full_split_batched(self, world):
-        # Batch mode scores whole proposals via evaluate_batch — full
-        # evaluations only.
-        result, recorder = self._run(world, max_iterations=300, batch_size=8)
-        assert recorder.delta_evaluations == 0
-        assert recorder.full_evaluations == recorder.evaluations
 
     def test_payload_carries_move_and_delta_stats(self, world):
         result, recorder = self._run(world, max_iterations=120)

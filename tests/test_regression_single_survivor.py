@@ -134,14 +134,6 @@ class TestDegenerateAnneal:
         assert np.array_equal(held.block_to_slot, [0])
         assert value == result.value
 
-    def test_batched_loop_takes_the_same_exit(self, single_block_world):
-        mapping, kernel, *_ = single_block_world
-        result = anneal_mapping(
-            mapping, kernel,
-            SAOptions(max_iterations=50, batch_size=8).with_seed(5))
-        assert result.exit_reason == "degenerate"
-        assert result.evaluations == 1
-
 
 class TestSingleSurvivorReplan:
     """Surgery + polish end to end through the service."""

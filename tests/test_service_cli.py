@@ -145,4 +145,8 @@ class TestServeProtocol:
              "--max-queue-depth", "3"])
         assert args.overflow == "reject"
         assert args.max_queue_depth == 3
-        assert args.port is None
+        assert args.http is None
+        # HTTP is the only socket transport; --port must not parse
+        # (not even as a prefix of --portfolio-k).
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--port", "7070"])

@@ -505,6 +505,23 @@ class TestFleetRouter:
         assert again["status"] == "miss"  # the epoch fence held
         assert misses == 2
 
+    def test_empty_failure_event_is_400_on_every_worker(self):
+        async def main():
+            async with _Fleet(2) as fleet:
+                epochs = [r.service("alpha").bandwidth_fp
+                          for r in fleet.registries]
+                status, _, body = await _request(
+                    fleet.port, "POST", "/v1/events/failure",
+                    {"cluster": "alpha", "nodes": []})
+                after = [r.service("alpha").bandwidth_fp
+                         for r in fleet.registries]
+                return status, _json(body), epochs, after
+
+        status, out, epochs, after = asyncio.run(main())
+        assert status == 400
+        assert "'nodes'" in out["error"]
+        assert after == epochs
+
     def test_healthz_aggregates_and_degrades(self, toy_model):
         async def main():
             async with _Fleet(2) as fleet:
@@ -555,10 +572,11 @@ class TestFleetRouter:
                 wrong = await _request(fleet.port, "GET", "/v1/plan")
                 return missing, wrong
 
-        (s404, _, b404), (s405, _, _) = asyncio.run(main())
+        (s404, _, b404), (s405, h405, _) = asyncio.run(main())
         assert s404 == 404
         assert "unknown route" in _json(b404)["error"]
         assert s405 == 405
+        assert h405["allow"] == "POST"  # RFC 9110 §15.5.6
 
     def test_unreachable_worker_without_supervisor_is_502(self, toy_model):
         async def main():

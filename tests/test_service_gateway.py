@@ -166,16 +166,15 @@ class TestConcurrencyIdentity:
 
         answers = run(main())
         # Serial reference: a fresh single-caller service per cluster,
-        # draining the same tickets in submission order.
+        # answering the same requests in submission order.
         references = {}
         for name in ("alpha", "beta"):
             serial = _fresh_service(registry, name)
             for req_name, request in requests:
                 if req_name == name:
-                    serial.submit(request)
-            for response in serial.drain():
-                references[(name, response.ticket.fingerprint)] = \
-                    _payload_bytes(response.result)
+                    response = serial.plan(request)
+                    references[(name, response.fingerprint)] = \
+                        _payload_bytes(response.result)
         assert len(answers) == len(requests)
         for (name, request), answer in zip(requests, answers):
             assert answer.best is not None
@@ -196,8 +195,8 @@ class TestConcurrencyIdentity:
 
         answers, stats = run(main())
         unique = {request.fingerprint() for request in requests}
-        # Exactly one miss per unique fingerprint, whether the sharing
-        # happened by coalescing (gateway) or in-drain dedup (service).
+        # Exactly one miss per unique fingerprint: the gateway's
+        # coalescing is the one in-flight dedup.
         assert service.stats["cache_misses"] == len(unique)
         misses = [a for a in answers if a.status == "miss"]
         assert len(misses) == len(unique)
@@ -471,22 +470,22 @@ class TestErrorPaths:
 class TestResilience:
     def test_lane_survives_unexpected_drain_failure(self, monkeypatch,
                                                     toy_model):
-        # Regression: an exception escaping service.drain (e.g. a
+        # Regression: an exception escaping a drain batch (e.g. a
         # durable store whose disk filled) used to kill the lane's
         # drain task — every later request on that cluster then hung
         # forever.  The failing batch gets the error; the lane lives.
         registry = _registry()
         service = registry.service("alpha")
-        real_drain = service.drain
+        real_plan = service.plan
         calls = {"n": 0}
 
-        def flaky_drain():
+        def flaky_plan(request, trace=None):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise OSError("disk full")
-            return real_drain()
+            return real_plan(request, trace=trace)
 
-        monkeypatch.setattr(service, "drain", flaky_drain)
+        monkeypatch.setattr(service, "plan", flaky_plan)
         first = service.request(toy_model, 16, options=FAST)
         second = service.request(toy_model, 32, options=FAST)
 

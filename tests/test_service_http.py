@@ -2,8 +2,8 @@
 
 The identity contract extends the gateway's: a plan fetched through
 ``POST /v1/plan`` (with ``"detail": true``) must be byte-identical —
-via ``to_payload``, net of stopwatch fields — to a serial drain of a
-fresh single-caller service.  HTTP is a transport; it must never
+via ``to_payload``, net of stopwatch fields — to serial ``plan()``
+calls on a fresh single-caller service.  HTTP is a transport; it must never
 change answers.
 """
 
@@ -191,6 +191,34 @@ class TestRoutes:
         after = _json(after_body)
         assert after["status"] == "miss"  # pre-failure plan was retired
         assert after["result"]["cluster"]["n_nodes"] == 1  # survivor world
+
+    def test_empty_failure_event_is_400_and_changes_nothing(self):
+        # Regression: ``"nodes": []`` failed no node yet answered 200
+        # and retired every cached plan and profile.
+        async def main():
+            async with _Server(_registry()) as server:
+                await _request(server.port, "POST", "/v1/plan",
+                               {"model": "gpt-toy", "global_batch": 32,
+                                "cluster": "alpha"})
+                service = server.registry.service("alpha")
+                before = (len(service.cache), service.bandwidth_fp,
+                          service.cluster.n_nodes)
+                status, _, body = await _request(
+                    server.port, "POST", "/v1/events/failure",
+                    {"cluster": "alpha", "nodes": []})
+                after = (len(service.cache), service.bandwidth_fp,
+                         service.cluster.n_nodes)
+                _, _, page = await _request(server.port, "GET", "/metrics")
+                return status, _json(body), before, after, page
+
+        status, out, before, after, page = asyncio.run(main())
+        assert status == 400
+        assert "'nodes'" in out["error"]
+        assert before == after
+        assert before[0] == 1
+        samples = parse_prometheus(page.decode("utf-8"))
+        assert metric_value(samples, "pipette_events_total",
+                            cluster="alpha", kind="failure") == 0
 
     def test_bandwidth_event_scale_retires_plans(self, toy_model):
         async def main():
@@ -406,18 +434,17 @@ class TestIdentity:
 
         answers = asyncio.run(main())
         # Serial reference: a fresh single-caller service per cluster,
-        # draining the same tickets in submission order.
+        # answering the same requests in submission order.
         references = {}
         for name in ("alpha", "beta"):
             source = registry.service(name)
             serial = PlanningService(source.cluster, source.bandwidth)
             for job_name, batch in jobs:
                 if job_name == name:
-                    serial.submit(serial.request(toy_model, batch,
-                                                 options=FAST))
-            for response in serial.drain():
-                references[(name, response.ticket.fingerprint)] = \
-                    _payload_bytes(response.result.to_payload())
+                    response = serial.plan(serial.request(toy_model, batch,
+                                                          options=FAST))
+                    references[(name, response.fingerprint)] = \
+                        _payload_bytes(response.result.to_payload())
         assert len(answers) == len(jobs)
         for (name, batch), (status, _, body) in zip(jobs, answers):
             assert status == 200

@@ -1,4 +1,11 @@
-"""The planning service front door: batching, dedup, cache, events."""
+"""The planning service: the one answering routine, cache, events.
+
+Queueing and in-flight dedup live in the gateway; the tests of those
+behaviours here drive one service through
+:meth:`PlanGateway.for_service`.
+"""
+
+import asyncio
 
 import numpy as np
 import pytest
@@ -9,6 +16,7 @@ from repro.model import get_model
 from repro.service import (
     CandidateExecutor,
     ClusterEvent,
+    PlanGateway,
     PlanningService,
     PlanRequest,
 )
@@ -23,6 +31,16 @@ def service(tiny_cluster, tiny_network) -> PlanningService:
     return PlanningService(tiny_cluster, tiny_network.bandwidth)
 
 
+def _concurrently(service, requests):
+    """Answer ``requests`` through a gateway, all enqueued at once."""
+    async def main():
+        async with PlanGateway.for_service(service) as gateway:
+            return await asyncio.gather(
+                *(gateway.plan(request) for request in requests))
+
+    return asyncio.run(main())
+
+
 class TestRequestLifecycle:
     def test_miss_then_hit(self, service, toy_model):
         request = service.request(toy_model, 32, options=FAST)
@@ -35,28 +53,17 @@ class TestRequestLifecycle:
 
     def test_inflight_dedup(self, service, toy_model):
         request = service.request(toy_model, 32, options=FAST)
-        service.submit(request)
-        service.submit(request)
-        service.submit(service.request(toy_model, 16, options=FAST))
-        responses = service.drain()
-        assert [r.status for r in responses] == ["miss", "deduped", "miss"]
+        responses = _concurrently(service, [
+            request, request, service.request(toy_model, 16, options=FAST)])
+        assert [r.status for r in responses] == ["miss", "coalesced", "miss"]
         assert responses[0].result is responses[1].result
+        assert service.stats["cache_misses"] == 2
         assert service.stats["cache_entries"] == 2
-
-    def test_plan_leaves_queue_untouched(self, service, toy_model):
-        queued = service.submit(service.request(toy_model, 16, options=FAST))
-        response = service.plan(service.request(toy_model, 32, options=FAST))
-        assert response.status == "miss"
-        drained = service.drain()
-        assert [r.ticket.index for r in drained] == [queued.index]
-        assert drained[0].status == "miss"
 
     def test_drain_isolates_failing_ticket(self, service, toy_model,
                                            monkeypatch):
         bad = service.request(toy_model, 16, options=FAST)
         good = service.request(toy_model, 32, options=FAST)
-        service.submit(bad)
-        service.submit(good)
         real_search = service._search
 
         def failing_search(request):
@@ -65,19 +72,31 @@ class TestRequestLifecycle:
             return real_search(request)
 
         monkeypatch.setattr(service, "_search", failing_search)
-        responses = service.drain()
+        responses = _concurrently(service, [bad, good])
         assert [r.status for r in responses] == ["error", "miss"]
         assert responses[0].result is None and responses[0].best is None
-        assert "estimator exploded" in responses[0].error
+        assert "estimator exploded" in responses[0].response.error
         assert responses[1].best is not None
 
-    def test_responses_in_submission_order(self, service, toy_model):
-        tickets = [service.submit(service.request(toy_model, batch,
-                                                  options=FAST))
-                   for batch in (16, 32, 16)]
-        responses = service.drain()
-        assert [r.ticket.index for r in responses] == [t.index
-                                                       for t in tickets]
+    def test_responses_in_submission_order(self, service, toy_model,
+                                           monkeypatch):
+        # One drain batch answers its requests in queue order, and each
+        # caller gets the response to its own request.
+        searched = []
+        real_search = service._search
+
+        def recording_search(request):
+            searched.append(request.global_batch)
+            return real_search(request)
+
+        monkeypatch.setattr(service, "_search", recording_search)
+        requests = [service.request(toy_model, batch, options=FAST)
+                    for batch in (16, 32, 64)]
+        responses = _concurrently(service, requests)
+        assert searched == [16, 32, 64]
+        assert [r.response.request for r in responses] == requests
+        assert [r.response.fingerprint for r in responses] \
+            == [request.fingerprint() for request in requests]
 
     def test_search_parameters_respected(self, service, toy_model):
         response = service.plan(service.request(
@@ -88,8 +107,8 @@ class TestRequestLifecycle:
                                       tiny_cluster):
         foreign = tiny_cluster.scaled_to(2)
         with pytest.raises(ValueError):
-            service.submit(PlanRequest(cluster=foreign, model=toy_model,
-                                       global_batch=16))
+            service.plan(PlanRequest(cluster=foreign, model=toy_model,
+                                     global_batch=16))
 
     def test_same_size_different_cluster_rejected(self, service, toy_model,
                                                   tiny_cluster):
@@ -99,8 +118,8 @@ class TestRequestLifecycle:
         lookalike = replace(tiny_cluster, name="impostor")
         assert lookalike.n_gpus == service.cluster.n_gpus
         with pytest.raises(ValueError):
-            service.submit(PlanRequest(cluster=lookalike, model=toy_model,
-                                       global_batch=16))
+            service.plan(PlanRequest(cluster=lookalike, model=toy_model,
+                                     global_batch=16))
 
     def test_mismatched_matrix_rejected(self, tiny_cluster, tiny_network):
         with pytest.raises(ValueError):
@@ -114,29 +133,9 @@ class TestRequestLifecycle:
 
 
 class TestDrainAccounting:
-    def test_deduped_reports_own_time(self, service, toy_model,
-                                      monkeypatch):
-        # Regression: "deduped" responses used to copy the first
-        # ticket's full search elapsed_s, billing one search N times.
-        import time as time_mod
-        real_search = service._search
-
-        def slow_search(request):
-            time_mod.sleep(0.05)
-            return real_search(request)
-
-        monkeypatch.setattr(service, "_search", slow_search)
-        request = service.request(toy_model, 32, options=FAST)
-        service.submit(request)
-        service.submit(request)
-        miss, deduped = service.drain()
-        assert (miss.status, deduped.status) == ("miss", "deduped")
-        assert miss.elapsed_s >= 0.05
-        assert deduped.elapsed_s < miss.elapsed_s / 10
-
     def test_failing_fingerprint_searched_once(self, service, toy_model,
                                                monkeypatch):
-        # Regression: N identical bad tickets re-raised the same
+        # Regression: N identical bad requests re-raised the same
         # search N times instead of sharing the first failure.
         calls = {"n": 0}
 
@@ -146,12 +145,13 @@ class TestDrainAccounting:
 
         monkeypatch.setattr(service, "_search", failing_search)
         request = service.request(toy_model, 32, options=FAST)
-        for _ in range(3):
-            service.submit(request)
-        responses = service.drain()
-        assert [r.status for r in responses] == ["error"] * 3
+        responses = _concurrently(service, [request] * 3)
+        assert [r.status for r in responses] \
+            == ["error", "coalesced", "coalesced"]
         assert calls["n"] == 1
-        assert all("estimator exploded" in r.error for r in responses)
+        assert all(r.best is None for r in responses)
+        assert all("estimator exploded" in r.response.error
+                   for r in responses)
 
     def test_failure_dedup_does_not_mask_other_tickets(self, service,
                                                        toy_model,
@@ -166,11 +166,11 @@ class TestDrainAccounting:
         monkeypatch.setattr(service, "_search", failing_search)
         bad = service.request(toy_model, 16, options=FAST)
         good = service.request(toy_model, 32, options=FAST)
-        for request in (bad, good, bad, good):
-            service.submit(request)
-        responses = service.drain()
+        responses = _concurrently(service, [bad, good, bad, good])
         assert [r.status for r in responses] \
-            == ["error", "miss", "error", "deduped"]
+            == ["error", "miss", "coalesced", "coalesced"]
+        assert [r.best is not None for r in responses] \
+            == [False, True, False, True]
 
 
 class TestBandwidthEpochs:
@@ -245,6 +245,16 @@ class TestServiceReplan:
         assert follow_up.status == "miss"
         assert follow_up.best.config.n_gpus == service.cluster.n_gpus
 
+    def test_empty_failure_raises_and_changes_nothing(self, service,
+                                                      toy_model):
+        service.plan(service.request(toy_model, 32, options=FAST))
+        before = (len(service.cache), service.bandwidth_fp, service.cluster)
+        with pytest.raises(ValueError, match="at least one failed node"):
+            service.apply_failure()
+        assert (len(service.cache), service.bandwidth_fp,
+                service.cluster) == before
+        assert service.stats["profiled_models"] == 1
+
     def test_stale_request_rejected_after_failure(self, service, toy_model):
         # A request built against the pre-failure cluster must not be
         # answered with a plan that maps workers onto dead GPUs.
@@ -252,7 +262,7 @@ class TestServiceReplan:
         service.replan(service.request(toy_model, 32, options=SA_FAST),
                        ClusterEvent.node_failure(0), run_cold=False)
         with pytest.raises(ValueError):
-            service.submit(stale)
+            service.plan(stale)
 
     def test_drift_replan_adopts_matrix_and_seeds_cache(self, service,
                                                         toy_model,

@@ -1,4 +1,11 @@
-"""Multi-cluster registry: routing, cheapest-feasible planning, isolation."""
+"""Multi-cluster registry: routing, cheapest-feasible planning, isolation.
+
+Cheapest-feasible planning is the transports' unpinned fan-out
+(:func:`repro.service.http.answer_payload`) over a registry; those
+tests drive it through a gateway.
+"""
+
+import asyncio
 
 import pytest
 
@@ -8,8 +15,10 @@ from repro.core import PipetteOptions
 from repro.service import (
     ClusterRegistry,
     DurablePlanCache,
+    PlanGateway,
     PlanningService,
     PlanRequest,
+    answer_payload,
 )
 from repro.units import GIB
 
@@ -29,6 +38,17 @@ def _cluster(name: str, n_nodes: int, inter_gb_s: float = 10.0,
 def _bandwidth(cluster: ClusterSpec, seed: int):
     fabric = Fabric(cluster, heterogeneity=HeterogeneityModel(), seed=seed)
     return NetworkProfiler(n_rounds=2).profile(fabric, seed=seed).bandwidth
+
+
+def _cheapest(registry: ClusterRegistry, **payload):
+    """Answer an unpinned gpt-toy request: the cheapest-feasible path."""
+    async def main():
+        async with PlanGateway(registry) as gateway:
+            return await answer_payload(
+                gateway, FAST,
+                {"model": "gpt-toy", "global_batch": 16, **payload})
+
+    return asyncio.run(main())
 
 
 @pytest.fixture
@@ -105,7 +125,7 @@ class TestRouting:
     def test_plan_on_builds_bound_request(self, registry, toy_model):
         routed = registry.plan_on("slow", toy_model, 16, options=FAST)
         assert routed.cluster_name == "slow"
-        assert routed.response.ticket.request.cluster \
+        assert routed.response.request.cluster \
             == registry.service("slow").cluster
 
     def test_repeats_hit_per_cluster_cache(self, registry, toy_model):
@@ -116,32 +136,32 @@ class TestRouting:
 
 class TestCheapestFeasible:
     def test_picks_lower_latency_cluster(self, registry, toy_model):
-        routed = registry.plan_cheapest(toy_model, 16, options=FAST)
+        routed = _cheapest(registry)
         assert routed.cluster_name == "fast"  # 8x the FLOPs
         slow_best = registry.plan_on("slow", toy_model, 16,
                                      options=FAST).best
         assert routed.best.estimated_latency_s \
             <= slow_best.estimated_latency_s
 
-    def test_searches_every_cluster_once(self, registry, toy_model):
-        registry.plan_cheapest(toy_model, 16, options=FAST)
+    def test_searches_every_cluster_once(self, registry):
+        _cheapest(registry)
         stats = registry.stats
         assert stats["slow"]["cache_entries"] == 1
         assert stats["fast"]["cache_entries"] == 1
         # A repeat is answered from both caches, no new searches.
-        routed = registry.plan_cheapest(toy_model, 16, options=FAST)
+        routed = _cheapest(registry)
         assert routed.status == "hit"
+        assert registry.stats["slow"]["cache_misses"] == 1
 
-    def test_empty_registry_rejected(self, toy_model):
+    def test_empty_registry_rejected(self):
         with pytest.raises(ValueError, match="no clusters"):
-            ClusterRegistry().plan_cheapest(toy_model, 16)
+            _cheapest(ClusterRegistry())
 
-    def test_infeasible_everywhere_raises(self, registry, toy_model):
+    def test_infeasible_everywhere_raises(self, registry):
         # A microbatch of 5 divides no minibatch of 16, so every
         # cluster enumerates zero configurations.
         with pytest.raises(RuntimeError, match="no cluster can serve"):
-            registry.plan_cheapest(toy_model, 16, micro_batches=(5,),
-                                   options=FAST)
+            _cheapest(registry, micro_batches=[5])
 
 
 class TestElasticIsolation:
@@ -226,57 +246,38 @@ class TestCheapestTieBreak:
         winners = set()
         for order in (("zeta", "alpha"), ("alpha", "zeta")):
             reg = self._twin_registry(order)
-            routed = reg.plan_cheapest(toy_model, 16, options=FAST)
+            routed = _cheapest(reg)
             assert routed.best is not None
             winners.add(routed.cluster_name)
         assert winners == {"alpha"}
 
 
 class TestRegistryQueueing:
-    def test_submit_routes_like_plan(self, registry, fast_cluster,
-                                     toy_model):
-        request = PlanRequest(cluster=fast_cluster, model=toy_model,
-                              global_batch=16, options=FAST)
-        name, ticket = registry.submit(request)
-        assert name == "fast"
-        assert ticket.fingerprint == request.fingerprint()
-        responses = registry.drain("fast")
-        assert [r.ticket.index for r in responses] == [ticket.index]
-        assert responses[0].status == "miss"
-        assert registry.drain("slow") == []
-
-    def test_submit_pinned_by_name(self, registry, toy_model):
-        service = registry.service("slow")
-        name, ticket = registry.submit(
-            service.request(toy_model, 16, options=FAST), cluster="slow")
-        assert name == "slow"
-        assert registry.drain("slow")[0].ticket.index == ticket.index
-
-    def test_drain_all_answers_every_cluster(self, registry, toy_model):
-        slow = registry.service("slow")
-        fast = registry.service("fast")
-        registry.submit(slow.request(toy_model, 16, options=FAST))
-        registry.submit(fast.request(toy_model, 16, options=FAST))
-        registry.submit(slow.request(toy_model, 16, options=FAST))
-        drained = registry.drain_all()
-        assert list(drained) == ["slow", "fast"]  # registration order
-        assert [r.status for r in drained["slow"]] == ["miss", "deduped"]
-        assert [r.status for r in drained["fast"]] == ["miss"]
-
     def test_event_between_submit_and_drain_fences_tickets(self, registry,
                                                            toy_model):
-        # The ROADMAP's "registry-level request queueing/draining":
-        # a failure landing after submit must not answer the stale
-        # ticket with a plan that maps onto dead GPUs.
+        # A failure landing while a request waits on its lane must not
+        # answer the stale request with a plan that maps onto dead
+        # GPUs.
         slow = registry.service("slow")
-        registry.submit(slow.request(toy_model, 16, options=FAST))
-        registry.fail_nodes("slow", 0)
-        responses = registry.drain("slow")
-        assert [r.status for r in responses] == ["error"]
-        assert "re-submit" in responses[0].error
-        # Post-event work plans cleanly on the survivors.
-        survivor = registry.service("slow")
-        registry.submit(survivor.request(toy_model, 16, options=FAST))
-        fresh = registry.drain("slow")
-        assert [r.status for r in fresh] == ["miss"]
-        assert fresh[0].best.config.n_gpus == survivor.cluster.n_gpus
+        stale = slow.request(toy_model, 16, options=FAST)
+
+        async def main():
+            async with PlanGateway(registry) as gateway:
+                # Holding the lane's fence parks its next drain batch,
+                # so the request is queued when the failure lands.
+                async with gateway._lane("slow").fence:
+                    pending = asyncio.ensure_future(gateway.plan(stale))
+                    while gateway.stats.read("submitted") < 1:
+                        await asyncio.sleep(0.01)
+                    registry.fail_nodes("slow", 0)
+                with pytest.raises(ValueError, match="match exactly"):
+                    await pending
+                # Post-event work plans cleanly on the survivors.
+                survivor = registry.service("slow")
+                return await gateway.plan(
+                    survivor.request(toy_model, 16, options=FAST))
+
+        fresh = asyncio.run(main())
+        assert fresh.status == "miss"
+        assert fresh.best.config.n_gpus \
+            == registry.service("slow").cluster.n_gpus
