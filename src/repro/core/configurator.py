@@ -12,7 +12,11 @@ Pipette:
    (lines 9-15),
 5. returns the best configuration, mapping, and estimated latency.
 
-The per-candidate work of steps 3-4 is factored into *pure, picklable
+Steps 2-4 are the stages :meth:`PipetteConfigurator.candidates`,
+:meth:`~PipetteConfigurator.memory_pass` and
+:meth:`~PipetteConfigurator.rank`; :meth:`~PipetteConfigurator.search`
+and the template library (:mod:`repro.core.templates`) both compose
+them.  The per-candidate work of steps 3-4 is factored into *pure, picklable
 work units* (:func:`memory_check_unit`, :func:`score_unit`,
 :func:`refine_unit`) operating on a :class:`SearchContext`.  The serial
 path simply calls them inline; :mod:`repro.service.executor` fans the
@@ -31,9 +35,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from repro.cluster.fabric import BandwidthMatrix
 from repro.cluster.topology import ClusterSpec
-from repro.core.annealing import SAOptions, anneal_mapping
+from repro.core.annealing import SAOptions, SAResult, anneal_mapping
 from repro.core.latency_kernel import LatencyKernel, pipette_kernel
 from repro.core.latency_model import pipette_latency
 from repro.core.memory_estimator import MemoryEstimator
@@ -78,8 +84,8 @@ class PipetteOptions:
             that leaves results unchanged in practice because SA gains
             a few percent and cannot rescue a configuration that
             starts far behind.  Set to 0 to anneal every candidate.
-            The delta-evaluated kernel path made refinement cheap
-            enough to widen the default from 4 to 8.
+            Table-1 leaders (16-32 blocks) anneal on the full re-score:
+            the delta path needs ``SAOptions.delta_min_slots`` blocks.
         max_micro_batch: largest microbatch swept (the paper uses 8).
         seed: seed stream for the annealer.
     """
@@ -163,6 +169,12 @@ class RankedConfig:
             portfolio=tuple(Mapping.from_payload(p, cluster)
                             for p in payload.get("portfolio", ())),
         )
+
+    def refined(self, result: SAResult) -> "RankedConfig":
+        """This entry with ``result``'s mapping, latency and portfolio."""
+        return replace(self, mapping=result.mapping,
+                       estimated_latency_s=result.value,
+                       portfolio=tuple(m for m, _ in result.portfolio[1:]))
 
 
 @dataclass
@@ -275,27 +287,14 @@ def naive_mapping(ctx: SearchContext, config: ParallelConfig) -> Mapping:
     return sequential_mapping(grid, ctx.cluster)
 
 
-def candidate_latency(ctx: SearchContext, config: ParallelConfig,
-                      mapping: Mapping) -> float:
-    """Latency-estimator value of one (configuration, mapping) pair.
-
-    For a single evaluation the reference model is the right tool;
-    callers that score *many* mappings of one configuration (the SA
-    refinement, the warm re-plan polish) should compile a
-    :func:`candidate_kernel` instead and amortize its precomputation.
-    """
-    return pipette_latency(ctx.model, config, mapping, ctx.bandwidth,
-                           ctx.profile)
-
-
 def candidate_kernel(ctx: SearchContext,
                      config: ParallelConfig) -> LatencyKernel:
     """The vectorized objective for ``config``'s mapping search.
 
-    Bit-identical to :func:`candidate_latency` on every mapping (see
-    :mod:`repro.core.latency_kernel`), but evaluations after the one-off
-    precomputation are an order of magnitude cheaper — this is what the
-    annealer's hot loop runs against.
+    Bit-identical to the reference ``pipette_latency`` on every mapping
+    (see :mod:`repro.core.latency_kernel`), but evaluations after the
+    one-off precomputation are several times cheaper — every scoring
+    pass of the search and the warm polishes runs against it.
     """
     return pipette_kernel(ctx.model, config, ctx.cluster, ctx.bandwidth,
                           ctx.profile)
@@ -312,15 +311,18 @@ def memory_check_unit(payload: "tuple[SearchContext, tuple[ParallelConfig, ...]]
 def score_unit(payload: "tuple[SearchContext, tuple]") -> list[RankedConfig]:
     """Work unit: naive-mapping latency for a chunk of survivors.
 
-    Each item is ``(config, predicted_bytes | None, memory_ok)``.
+    Each item is ``(config, predicted_bytes | None, memory_ok)``; the
+    sequential mapping is scored on the compiled kernel.
     """
     ctx, items = payload
     out = []
     for config, predicted, memory_ok in items:
         mapping = naive_mapping(ctx, config)
+        perms = np.asarray(mapping.block_to_slot, dtype=np.int64)[None, :]
         out.append(RankedConfig(
             config=config, mapping=mapping,
-            estimated_latency_s=candidate_latency(ctx, config, mapping),
+            estimated_latency_s=float(
+                candidate_kernel(ctx, config).evaluate_batch(perms)[0]),
             estimated_memory_bytes=predicted,
             memory_ok=memory_ok,
         ))
@@ -358,14 +360,8 @@ def refine_unit(payload: "tuple[SearchContext, tuple]"
             ctx.sa.with_seed(seed),
             recorder=recorder,
         )
-        out.append((RankedConfig(
-            config=entry.config, mapping=result.mapping,
-            estimated_latency_s=result.value,
-            estimated_memory_bytes=entry.estimated_memory_bytes,
-            memory_ok=entry.memory_ok,
-            portfolio=tuple(m for m, _ in result.portfolio[1:]),
-        ), result.elapsed_s,
-            None if recorder is None else recorder.to_payload()))
+        out.append((entry.refined(result), result.elapsed_s,
+                    None if recorder is None else recorder.to_payload()))
     return out
 
 
@@ -454,7 +450,7 @@ class PipetteConfigurator:
                          mapping: Mapping | None = None) -> float:
         """Latency-estimator value for one configuration/mapping."""
         if mapping is None:
-            mapping = self._sequential(config)
+            mapping = naive_mapping(self.context(), config)
         return pipette_latency(self.model, config, mapping, self.bandwidth,
                                self.profile)
 
@@ -464,6 +460,8 @@ class PipetteConfigurator:
                schedules: "tuple[str, ...] | list[str] | None" = None,
                executor=None) -> PipetteResult:
         """Run Algorithm 1 and return the ranked feasible configurations.
+
+        Composes the three stages plus a best-effort fallback.
 
         Args:
             global_batch: ``bs_global``.
@@ -483,7 +481,36 @@ class PipetteConfigurator:
         t_start = time.perf_counter()
         limit = memory_limit_bytes if memory_limit_bytes is not None \
             else self.cluster.gpu_memory_bytes
-        configs = enumerate_parallel_configs(
+        configs = self.candidates(global_batch, micro_batches, schedules)
+        t0 = time.perf_counter()
+        survivors, predicted = self.memory_pass(configs, limit, executor)
+        memory_s = 0.0 if predicted is None else time.perf_counter() - t0
+        rejected = len(configs) - len(survivors)
+        if not survivors and configs:
+            # Even the raw limit admits nothing by the estimator's
+            # account (its error can push a lone near-limit candidate
+            # over).  A practical tool still answers: recommend the
+            # least-memory candidates, flagged as best-effort.
+            by_memory = sorted(zip(configs, predicted), key=lambda cp: cp[1])
+            survivors = [(c, p, False) for c, p in by_memory[:3]]
+        ranked, annealing_s = self.rank(survivors, executor)
+        return PipetteResult(
+            best=ranked[0] if ranked else None,
+            ranked=ranked,
+            rejected_oom=rejected,
+            memory_check_s=memory_s,
+            annealing_s=annealing_s,
+            total_s=time.perf_counter() - t_start,
+        )
+
+    # --------------------------------------------------------------- stages
+
+    def candidates(self, global_batch: int,
+                   micro_batches: "list[int] | None" = None,
+                   schedules: "tuple[str, ...] | list[str] | None" = None,
+                   ) -> "list[ParallelConfig]":
+        """Stage 1: every ``(pp, tp, dp, micro-batch, schedule)`` candidate."""
+        return enumerate_parallel_configs(
             self.cluster.n_gpus, global_batch,
             gpus_per_node=self.cluster.gpus_per_node,
             n_layers=self.model.n_layers,
@@ -491,76 +518,55 @@ class PipetteConfigurator:
             max_micro_batch=self.options.max_micro_batch,
             schedules=schedules,
         )
-        ctx = self.context()
 
-        # Memory pass (line 7): predict every candidate exactly once —
-        # the margin relaxation and the best-effort fallback below
-        # reuse the same predictions instead of re-running the MLP.
-        memory_s = 0.0
-        rejected = 0
-        survivors: "list[tuple[ParallelConfig, float | None, bool]]"
+    def memory_pass(self, configs: "list[ParallelConfig]", limit: float,
+                    executor=None) -> "tuple[list[tuple], list[float] | None]":
+        """Stage 2 (line 7): ``(survivors, predictions)`` under ``limit``.
+
+        Survivors are ``(config, bytes | None, True)`` items for
+        :meth:`rank`; predictions are ``None`` without an estimator,
+        which admits every candidate.
+        """
         if self.memory_estimator is None:
-            survivors = [(config, None, True) for config in configs]
-        else:
-            t0 = time.perf_counter()
-            with TRACER.span("search.memory_check",
-                             candidates=len(configs)):
-                predicted = run_units(memory_check_unit, ctx, configs,
-                                      executor)
-            memory_s = time.perf_counter() - t0
-            margin = self.memory_estimator.soft_margin
+            return [(config, None, True) for config in configs], None
+        with TRACER.span("search.memory_check", candidates=len(configs)):
+            predicted = run_units(memory_check_unit, self.context(), configs,
+                                  executor)
+        margin = self.memory_estimator.soft_margin
+        survivors = [(c, p, True) for c, p in zip(configs, predicted)
+                     if p <= margin * limit]
+        if not survivors and margin < 1.0:
+            # The soft margin can exclude a lone configuration sitting
+            # just under the limit (e.g. very large batches on a full
+            # memory envelope): degrade gracefully to the raw limit.
             survivors = [(c, p, True) for c, p in zip(configs, predicted)
-                         if p <= margin * limit]
-            if not survivors and margin < 1.0:
-                # The soft margin left nothing on the table (it can
-                # exclude a lone configuration sitting just under the
-                # limit, e.g. very large batches on a full memory
-                # envelope).  Degrade gracefully: retry against the
-                # raw physical limit.
-                survivors = [(c, p, True) for c, p in zip(configs, predicted)
-                             if p <= limit]
-            rejected = len(configs) - len(survivors)
-            if not survivors and configs:
-                # Even the raw limit admits nothing by the estimator's
-                # account (its error can push a lone near-limit
-                # candidate over).  A practical tool still answers:
-                # recommend the least-memory candidates, flagged as
-                # best-effort (``memory_ok=False``).
-                by_memory = sorted(zip(configs, predicted),
-                                   key=lambda cp: cp[1])
-                survivors = [(c, p, False) for c, p in by_memory[:3]]
+                         if p <= limit]
+        return survivors, predicted
 
-        # First pass: naive-mapping latency for every survivor.
+    def rank(self, survivors: "list[tuple]",
+             executor=None) -> "tuple[list[RankedConfig], float]":
+        """Stage 3 (lines 9-15): naive-mapping score, then SA on the leaders.
+
+        Returns the ranking and the summed annealing seconds.
+        """
+        ctx = self.context()
         with TRACER.span("search.score", candidates=len(survivors)):
             scored = run_units(score_unit, ctx, survivors, executor)
         scored.sort(key=lambda r: r.sort_key)
-
-        # Second pass: fine-grained worker dedication on the leaders.
-        annealing_s = 0.0
-        if self.options.use_worker_dedication and scored:
-            n_refine = len(scored) if self.options.sa_top_k == 0 \
-                else min(self.options.sa_top_k, len(scored))
-            entries = [(entry, self.options.seed + rank)
-                       for rank, entry in enumerate(scored[:n_refine])]
-            with TRACER.span("search.refine",
-                             candidates=len(entries)) as refine_span:
-                refined_rows = run_units(refine_unit, ctx, entries, executor)
-                for entry, elapsed, flight in refined_rows:
-                    self._record_candidate(refine_span, entry, elapsed,
-                                           flight)
-            annealing_s = sum(elapsed for _, elapsed, _ in refined_rows)
-            refined = [entry for entry, _, _ in refined_rows]
-            scored = sorted(refined + scored[n_refine:],
-                            key=lambda r: r.sort_key)
-
-        return PipetteResult(
-            best=scored[0] if scored else None,
-            ranked=scored,
-            rejected_oom=rejected,
-            memory_check_s=memory_s,
-            annealing_s=annealing_s,
-            total_s=time.perf_counter() - t_start,
-        )
+        if not (self.options.use_worker_dedication and scored):
+            return scored, 0.0
+        n_refine = len(scored) if self.options.sa_top_k == 0 \
+            else min(self.options.sa_top_k, len(scored))
+        entries = [(entry, self.options.seed + rank)
+                   for rank, entry in enumerate(scored[:n_refine])]
+        with TRACER.span("search.refine",
+                         candidates=len(entries)) as refine_span:
+            refined_rows = run_units(refine_unit, ctx, entries, executor)
+            for entry, elapsed, flight in refined_rows:
+                self._record_candidate(refine_span, entry, elapsed, flight)
+        refined = [entry for entry, _, _ in refined_rows]
+        return (sorted(refined + scored[n_refine:], key=lambda r: r.sort_key),
+                sum(elapsed for _, elapsed, _ in refined_rows))
 
     # ------------------------------------------------------------- internal
 
@@ -589,10 +595,6 @@ class PipetteConfigurator:
             attributes["flight"] = flight
         TRACER.record_span("search.candidate", elapsed_s,
                            parent=refine_span, **attributes)
-
-    def _sequential(self, config: ParallelConfig) -> Mapping:
-        grid = WorkerGrid(pp=config.pp, tp=config.tp, dp=config.dp)
-        return sequential_mapping(grid, self.cluster)
 
 
 def pipette_l(cluster: ClusterSpec, model: TransformerConfig,

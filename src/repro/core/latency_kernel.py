@@ -59,7 +59,7 @@ ring term is recomputed whole), so the incremental value equals
 unchanged.  :meth:`LatencyKernel.delta_for_move` wraps this as the
 one-shot ``latency(move(perm)) - latency(perm)`` form, and
 :meth:`LatencyKernel.evaluate_batch` scores K permutations per NumPy
-dispatch for the annealer's batched proposal mode.
+dispatch for the naive scoring pass and the warm-start pick.
 """
 
 from __future__ import annotations
@@ -314,8 +314,8 @@ class LatencyKernel:
         ``add.accumulate`` runs along the hop axis, so each lane's sum
         order is untouched) — row ``k`` of the result is therefore
         *bit-identical* to ``evaluate_perm(perms[k])``.  The point is
-        dispatch amortization: the annealer's batched proposal mode
-        pays one NumPy call chain for K candidate moves instead of K.
+        dispatch amortization: a warm re-plan scores its K candidate
+        starts with one NumPy call chain instead of K.
         """
         pp, tp, dp = self.grid.pp, self.grid.tp, self.grid.dp
         perms = np.asarray(perms)

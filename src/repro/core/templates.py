@@ -10,18 +10,16 @@ every ``n`` can be precomputed into a library of *pipeline templates*.
 "Node died, what now" then becomes a library lookup, with the annealer
 only polishing slot assignment onto the surviving nodes.
 
-:class:`PipelineTemplateGenerator` enumerates feasible
-:class:`PipelineTemplate`\\ s across node counts — each a ``(pp, tp,
-dp, micro-batch, schedule)`` parallelization with its stage→layer
-split, memory feasibility checked via the estimator and latency scored
-through :meth:`repro.core.latency_kernel.LatencyKernel.evaluate_batch`
-— deduplicated, ranked per node count, and collected into a versioned
-:class:`TemplateLibrary`.  The per-node-count pipeline deliberately
-mirrors :meth:`repro.core.configurator.PipetteConfigurator.search`
-(same enumeration, same ranking key, same per-rank annealing seeds),
-so a template hit reproduces what the cold search would have found —
-the library trades storage for recovery-path latency, never answer
-quality.
+:class:`PipelineTemplateGenerator` runs, per node count, the cold
+search's own stages (:meth:`~repro.core.configurator.PipetteConfigurator.candidates`,
+``memory_pass`` and ``rank``: the one naive scorer, then SA on the
+leaders with the same per-rank seeds) on the scaled-down cluster, and
+collects the best distinct :class:`PipelineTemplate`\\ s — ``(pp, tp,
+dp, micro-batch, schedule)`` plus stage→layer split — into a versioned
+:class:`TemplateLibrary`.  So a template hit reproduces what the cold
+search would have found: the library trades storage for recovery-path
+latency, never answer quality.  Only the template policy lives here:
+no best-effort plans, dedup by shape, a per-count cut.
 
 Node counts with *no* feasible template record an explicit
 infeasibility reason instead of being silently absent, so "the library
@@ -38,20 +36,16 @@ import numpy as np
 from repro.cluster.fabric import BandwidthMatrix
 from repro.cluster.topology import ClusterSpec
 from repro.core.configurator import (
+    PipetteConfigurator,
     PipetteOptions,
     RankedConfig,
-    SearchContext,
-    candidate_kernel,
-    memory_check_unit,
-    refine_unit,
-    run_units,
 )
 from repro.core.memory_estimator import MemoryEstimator
 from repro.model.memory import stage_layer_count
 from repro.model.transformer import TransformerConfig
 from repro.obs.trace import TRACER
-from repro.parallel.config import ParallelConfig, enumerate_parallel_configs
-from repro.parallel.mapping import Mapping, WorkerGrid, sequential_mapping
+from repro.parallel.config import ParallelConfig
+from repro.parallel.mapping import Mapping, WorkerGrid
 from repro.profiling.profile_run import ComputeProfile
 
 #: Schema version of :meth:`TemplateLibrary.to_payload`.  Readers
@@ -327,36 +321,6 @@ class TemplateLibrary:
 # ---------------------------------------------------------------- generation
 
 
-def template_score_unit(payload: "tuple[SearchContext, tuple]"
-                        ) -> "list[RankedConfig]":
-    """Work unit: batched-kernel naive latency for a chunk of survivors.
-
-    Each item is ``(config, predicted_bytes | None, memory_ok)`` —
-    the same shape :func:`repro.core.configurator.score_unit` takes —
-    but the latency comes from the compiled kernel's
-    :meth:`~repro.core.latency_kernel.LatencyKernel.evaluate_batch`,
-    which is bit-identical to the reference ``pipette_latency`` path,
-    so template rankings and cold-search rankings stay comparable.
-    Picklable, so generation fans over a
-    :class:`~repro.service.executor.CandidateExecutor` like any other
-    search pass.
-    """
-    ctx, items = payload
-    out = []
-    for config, predicted, memory_ok in items:
-        grid = WorkerGrid(pp=config.pp, tp=config.tp, dp=config.dp)
-        mapping = sequential_mapping(grid, ctx.cluster)
-        kernel = candidate_kernel(ctx, config)
-        perms = np.asarray(mapping.block_to_slot, dtype=np.int64)[None, :]
-        out.append(RankedConfig(
-            config=config, mapping=mapping,
-            estimated_latency_s=float(kernel.evaluate_batch(perms)[0]),
-            estimated_memory_bytes=predicted,
-            memory_ok=memory_ok,
-        ))
-    return out
-
-
 def _as_template(entry: RankedConfig, n_nodes: int,
                  n_layers: int) -> PipelineTemplate:
     """Freeze one ranked search entry into a storable template."""
@@ -418,12 +382,12 @@ class PipelineTemplateGenerator:
                  executor=None) -> TemplateLibrary:
         """Build the library for node counts ``[min_nodes, max_nodes]``.
 
-        Per node count this runs the Algorithm 1 pipeline — enumerate,
-        memory-check, score, refine the leaders with SA — with the
-        same ranking key and per-rank seeds as
-        :meth:`~repro.core.configurator.PipetteConfigurator.search`,
-        then keeps the ``templates_per_count`` best.  Node counts where
-        nothing survives record an explicit infeasibility reason.
+        Per node count this composes the stages
+        :meth:`~repro.core.configurator.PipetteConfigurator.search`
+        runs — enumerate, memory pass, score and refine the leaders
+        with SA — on the scaled-down cluster, then keeps the
+        ``templates_per_count`` best distinct shapes.  Node counts
+        where nothing survives record an explicit infeasibility reason.
 
         Args:
             global_batch: ``bs_global`` every template plans for.
@@ -484,17 +448,14 @@ class PipelineTemplateGenerator:
             sub_bw = self.bandwidth
         else:
             sub_bw = self.bandwidth.restrict(range(sub_cluster.n_gpus))
+        configurator = PipetteConfigurator(
+            sub_cluster, self.model, sub_bw, self.profile,
+            self.memory_estimator, options=self.options)
         limit = memory_limit_bytes if memory_limit_bytes is not None \
             else sub_cluster.gpu_memory_bytes
         with TRACER.span("templates.node_count", n_nodes=n_nodes) as span:
-            configs = enumerate_parallel_configs(
-                sub_cluster.n_gpus, global_batch,
-                gpus_per_node=sub_cluster.gpus_per_node,
-                n_layers=self.model.n_layers,
-                micro_batches=micro_batches,
-                max_micro_batch=self.options.max_micro_batch,
-                schedules=schedules,
-            )
+            configs = configurator.candidates(global_batch, micro_batches,
+                                              schedules)
             if not configs:
                 reason = (
                     f"no (pp, tp, dp, micro-batch) factorization of "
@@ -503,56 +464,26 @@ class PipelineTemplateGenerator:
                 )
                 span.set_attribute("infeasible", reason)
                 return [], reason
-
-            ctx = SearchContext(
-                cluster=sub_cluster, model=self.model, bandwidth=sub_bw,
-                profile=self.profile,
-                memory_estimator=self.memory_estimator, sa=self.options.sa)
-
-            survivors: "list[tuple[ParallelConfig, float | None, bool]]"
-            if self.memory_estimator is None:
-                survivors = [(config, None, True) for config in configs]
-            else:
-                predicted = run_units(memory_check_unit, ctx, configs,
-                                      executor)
-                margin = self.memory_estimator.soft_margin
-                survivors = [(c, p, True) for c, p in zip(configs, predicted)
-                             if p <= margin * limit]
-                if not survivors and margin < 1.0:
-                    survivors = [(c, p, True)
-                                 for c, p in zip(configs, predicted)
-                                 if p <= limit]
-                if not survivors:
-                    # Unlike the cold search's best-effort fallback, a
-                    # template library never admits a plan the
-                    # estimator believes cannot run: failover must not
-                    # trade a dead node for an OOM.
-                    floor_gib = min(predicted) / 2**30
-                    reason = (
-                        f"all {len(configs)} enumerated configurations "
-                        f"predicted over the memory limit "
-                        f"({limit / 2**30:.1f} GiB/GPU; lightest needs "
-                        f"{floor_gib:.1f} GiB)"
-                    )
-                    span.set_attribute("infeasible", reason)
-                    return [], reason
-
-            scored = run_units(template_score_unit, ctx, survivors, executor)
-            scored.sort(key=lambda r: r.sort_key)
-
-            if self.options.use_worker_dedication and scored:
-                n_refine = len(scored) if self.options.sa_top_k == 0 \
-                    else min(self.options.sa_top_k, len(scored))
-                entries = [(entry, self.options.seed + rank)
-                           for rank, entry in enumerate(scored[:n_refine])]
-                refined_rows = run_units(refine_unit, ctx, entries, executor)
-                refined = [entry for entry, _, _ in refined_rows]
-                scored = sorted(refined + scored[n_refine:],
-                                key=lambda r: r.sort_key)
+            survivors, predicted = configurator.memory_pass(configs, limit,
+                                                            executor)
+            if not survivors:
+                # Unlike the cold search's best-effort fallback, a
+                # template library never admits a plan the estimator
+                # believes cannot run: failover must not trade a dead
+                # node for an OOM.
+                reason = (
+                    f"all {len(configs)} enumerated configurations "
+                    f"predicted over the memory limit "
+                    f"({limit / 2**30:.1f} GiB/GPU; lightest needs "
+                    f"{min(predicted) / 2**30:.1f} GiB)"
+                )
+                span.set_attribute("infeasible", reason)
+                return [], reason
+            ranked, _ = configurator.rank(survivors, executor)
 
             templates: "list[PipelineTemplate]" = []
             seen: set = set()
-            for entry in scored:
+            for entry in ranked:
                 template = _as_template(entry, n_nodes, self.model.n_layers)
                 if template.key in seen:
                     continue

@@ -63,6 +63,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import math
 import time
 from dataclasses import replace as _replace
 from functools import partial
@@ -663,7 +664,13 @@ class HttpPlanServer(HttpServerBase):
                                  "(GB/s, Inf diagonal) or a 'scale' factor")
         kwargs = {}
         if payload.get("drift_threshold") is not None:
-            kwargs["drift_threshold"] = float(payload["drift_threshold"])
+            threshold = float(payload["drift_threshold"])
+            # NaN compares false against everything, so it would turn
+            # drift detection off without a word.
+            if not (math.isfinite(threshold) and threshold >= 0):
+                raise HttpError(400, "drift_threshold must be a finite "
+                                     f"number >= 0, got {threshold}")
+            kwargs["drift_threshold"] = threshold
         epoch_before = service.bandwidth_fp
         retired = await self.gateway.update_bandwidth(name, new, **kwargs)
         # Adoption is an epoch roll, nothing else: a sub-threshold

@@ -27,8 +27,6 @@ import threading
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.cluster.fabric import BandwidthMatrix
 from repro.cluster.topology import ClusterSpec
 from repro.core.annealing import anneal_mapping
@@ -56,6 +54,7 @@ from repro.service.replan import (
     DEFAULT_DRIFT_THRESHOLD,
     ClusterEvent,
     ReplanReport,
+    best_start,
     default_warm_sa,
     drift_exceeds,
     replan,
@@ -375,21 +374,10 @@ class PlanningService:
                 memory_estimator=self.memory_estimator, sa=warm_sa)
             kernel = candidate_kernel(ctx, leader.config)
             starts = [leader.mapping, *leader.portfolio]
-            if len(starts) > 1:
-                perms = np.stack([np.asarray(m.block_to_slot, dtype=np.int64)
-                                  for m in starts])
-                start = starts[int(np.argmin(kernel.evaluate_batch(perms)))]
-            else:
-                start = starts[0]
             sa_result = anneal_mapping(
-                start, kernel, warm_sa.with_seed(request.options.seed))
-            entry = RankedConfig(
-                config=leader.config, mapping=sa_result.mapping,
-                estimated_latency_s=sa_result.value,
-                estimated_memory_bytes=leader.estimated_memory_bytes,
-                memory_ok=leader.memory_ok,
-                portfolio=tuple(m for m, _ in sa_result.portfolio[1:]),
-            )
+                starts[best_start(kernel, starts)], kernel,
+                warm_sa.with_seed(request.options.seed))
+            entry = leader.refined(sa_result)
             span.set_attribute("estimated_latency_s", entry.estimated_latency_s)
             return PipetteResult(
                 best=entry, ranked=[entry], rejected_oom=0,
@@ -415,13 +403,7 @@ class PlanningService:
         with self._lock:
             cluster = shrink_cluster(self.cluster, failed_nodes)
             keep = surviving_gpus(self.cluster, failed_nodes)
-            self.cluster = cluster
-            self.bandwidth = self.bandwidth.restrict(keep)
-            self.bandwidth_fp = self.bandwidth.fingerprint()
-            retired = len(self.cache)
-            self.cache.clear()
-            self._profiles.clear()
-            return retired
+            return self._adopt(self.bandwidth.restrict(keep), cluster)
 
     def update_bandwidth(self, new_bandwidth: BandwidthMatrix,
                          drift_threshold: float = DEFAULT_DRIFT_THRESHOLD,
@@ -447,9 +429,7 @@ class PlanningService:
             if not drift_exceeds(self.bandwidth, new_bandwidth,
                                  drift_threshold):
                 return 0
-            self.bandwidth = new_bandwidth
-            self.bandwidth_fp = new_bandwidth.fingerprint()
-            return self.cache.invalidate_epoch(self.bandwidth_fp)
+            return self._adopt(new_bandwidth)
 
     def replan(self, request: PlanRequest, event: ClusterEvent,
                new_bandwidth: BandwidthMatrix | None = None,
@@ -471,19 +451,19 @@ class PlanningService:
         than being answered with a stale plan.
         """
         with self._lock:
+            # An invalid failure raises here, before anything is
+            # searched, cached or counted.
+            shrunk = shrink_cluster(self.cluster, event.failed_nodes) \
+                if event.kind == "node_failure" else None
             previous = self.plan(request).best
             if previous is None:
                 raise RuntimeError(
                     "no feasible previous plan to warm-start from")
-            template = None
-            if event.kind == "node_failure":
-                # Consult the warmed library for the surviving node
-                # count first: a hit skips the re-rank search and
-                # reports warm_source="template".
-                survivors = self.cluster.n_nodes \
-                    - len({int(n) for n in event.failed_nodes})
-                if survivors >= 1:
-                    template = self._lookup_template(request, survivors)
+            # Consult the warmed library for the surviving node count
+            # first: a hit skips the re-rank search and reports
+            # warm_source="template".
+            template = None if shrunk is None \
+                else self._lookup_template(request, shrunk.n_nodes)
             report = replan(
                 self.cluster, request.model, self.bandwidth,
                 self.profile_for(request.model), previous, event,
@@ -501,15 +481,9 @@ class PlanningService:
             self._warm_sources[report.warm_source] = \
                 self._warm_sources.get(report.warm_source, 0) + 1
             if event.kind == "node_failure":
-                self.cluster = report.cluster
-                self.bandwidth = report.bandwidth
-                self.bandwidth_fp = report.bandwidth.fingerprint()
-                self.cache.clear()
-                self._profiles.clear()
+                self._adopt(report.bandwidth, report.cluster)
             else:
-                self.bandwidth = report.bandwidth
-                self.bandwidth_fp = report.bandwidth.fingerprint()
-                self.cache.invalidate_epoch(self.bandwidth_fp)
+                self._adopt(report.bandwidth)
                 if report.cold_result is not None:
                     # The cold search is exactly what a fresh plan() of
                     # this request would compute — don't pay for it
@@ -517,6 +491,24 @@ class PlanningService:
                     self.cache.put(request.fingerprint(),
                                    self.bandwidth_fp, report.cold_result)
             return report
+
+    def _adopt(self, bandwidth: BandwidthMatrix,
+               cluster: ClusterSpec | None = None) -> int:
+        """Install a new bandwidth epoch; returns the retired plan count.
+
+        With ``cluster`` (a node failure) every cached plan and profile
+        retires; otherwise only plans of another epoch.  Caller holds
+        the lock.
+        """
+        self.bandwidth = bandwidth
+        self.bandwidth_fp = bandwidth.fingerprint()
+        if cluster is None:
+            return self.cache.invalidate_epoch(self.bandwidth_fp)
+        self.cluster = cluster
+        retired = len(self.cache)
+        self.cache.clear()
+        self._profiles.clear()
+        return retired
 
     # --------------------------------------------------------------- metrics
 

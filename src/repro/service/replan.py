@@ -42,12 +42,14 @@ from repro.core.configurator import (
     SearchContext,
     candidate_kernel,
 )
+from repro.core.latency_kernel import LatencyKernel
 from repro.core.memory_estimator import MemoryEstimator
 from repro.core.templates import PipelineTemplate
 from repro.model.transformer import TransformerConfig
 from repro.obs.recorder import FlightRecorder
 from repro.obs.trace import TRACER
 from repro.parallel.mapping import (
+    Mapping,
     WorkerGrid,
     compact_mapping_after_failure,
 )
@@ -278,6 +280,19 @@ def _warm_candidates(event: ClusterEvent, previous: RankedConfig,
     return survivors or [(leader.mapping, "cold")]
 
 
+def best_start(kernel: LatencyKernel, mappings: "list[Mapping]") -> int:
+    """Index of the lowest-latency warm start among ``mappings``.
+
+    Every candidate is scored in one batched kernel call; ties resolve
+    to the earliest.  A lone candidate is returned unscored.
+    """
+    if len(mappings) == 1:
+        return 0
+    perms = np.stack([np.asarray(m.block_to_slot, dtype=np.int64)
+                      for m in mappings])
+    return int(np.argmin(kernel.evaluate_batch(perms)))
+
+
 def template_fits(template: PipelineTemplate, cluster: ClusterSpec,
                   global_batch: int) -> bool:
     """Whether ``template`` can instantiate onto ``cluster`` for this job.
@@ -299,7 +314,6 @@ def replan(cluster: ClusterSpec, model: TransformerConfig,
            previous: RankedConfig, event: ClusterEvent,
            memory_estimator: MemoryEstimator | None = None,
            options: PipetteOptions | None = None,
-           warm_sa: SAOptions | None = None,
            new_bandwidth: BandwidthMatrix | None = None,
            memory_limit_bytes: float | None = None,
            micro_batches: "list[int] | None" = None,
@@ -315,9 +329,8 @@ def replan(cluster: ClusterSpec, model: TransformerConfig,
         event: what changed.  ``node_failure`` shrinks the cluster and
             restricts the matrix to the survivors; ``bandwidth_drift``
             keeps the cluster and requires ``new_bandwidth`` (the
-            re-profiled matrix).
-        warm_sa: annealing budget of the warm polish; defaults to a
-            quarter of the cold budget (:func:`default_warm_sa`).
+            re-profiled matrix).  The warm polish anneals on a quarter
+            of the cold budget (:func:`default_warm_sa`).
         micro_batches: microbatch restriction of the original request,
             honored by both the warm re-ranking and the cold search.
         schedules: pipeline-schedule restriction of the original
@@ -335,7 +348,7 @@ def replan(cluster: ClusterSpec, model: TransformerConfig,
             back to the re-rank path.
     """
     options = options or PipetteOptions()
-    warm_sa = warm_sa or default_warm_sa(options.sa)
+    warm_sa = default_warm_sa(options.sa)
     global_batch = previous.config.global_batch
 
     if event.kind == "node_failure":
@@ -400,17 +413,10 @@ def replan(cluster: ClusterSpec, model: TransformerConfig,
         else:
             candidates = _warm_candidates(event, previous, leader,
                                           new_cluster)
-        if len(candidates) > 1:
-            # Score every survivor in one batched kernel call and
-            # polish the best: a re-plan starts from the strongest
-            # member of the previous plan's portfolio, not blindly
-            # from its old best.
-            perms = np.stack([np.asarray(m.block_to_slot, dtype=np.int64)
-                              for m, _ in candidates])
-            pick = int(np.argmin(kernel.evaluate_batch(perms)))
-        else:
-            pick = 0
-        start_mapping, warm_source = candidates[pick]
+        # A re-plan starts from the strongest member of the previous
+        # plan's portfolio, not blindly from its old best.
+        start_mapping, warm_source = candidates[
+            best_start(kernel, [m for m, _ in candidates])]
         # The polish runs inline, so its flight recorder (provenance
         # "warm-start") lands on the span directly rather than
         # crossing a pool boundary.
@@ -427,17 +433,9 @@ def replan(cluster: ClusterSpec, model: TransformerConfig,
                 warm_span.set_attribute("flight", recorder.to_payload())
                 warm_span.set_attribute("exit_reason", sa_result.exit_reason)
         warm_search_s = time.perf_counter() - t0
-        warm = RankedConfig(
-            config=leader.config, mapping=sa_result.mapping,
-            estimated_latency_s=sa_result.value,
-            estimated_memory_bytes=leader.estimated_memory_bytes,
-            memory_ok=leader.memory_ok,
-            portfolio=tuple(m for m, _ in sa_result.portfolio[1:]),
-        )
-
         report = ReplanReport(
             event=event, cluster=new_cluster, bandwidth=new_bw,
-            previous=previous, warm=warm,
+            previous=previous, warm=leader.refined(sa_result),
             warm_start_latency_s=sa_result.initial_value,
             warm_search_s=warm_search_s,
             warm_source=warm_source,

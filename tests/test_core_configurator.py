@@ -2,9 +2,19 @@
 
 import pytest
 
+from repro.cluster import NetworkProfiler, make_fabric
+from repro.cluster.presets import mid_range_cluster
 from repro.core import PipetteConfigurator, PipetteOptions, SAOptions
-from repro.core.configurator import pipette_l, pipette_lf
-from repro.parallel import ParallelConfig
+from repro.core.configurator import pipette_l, pipette_lf, score_unit
+from repro.core.latency_model import pipette_latency
+from repro.model import get_model
+from repro.parallel import (
+    ParallelConfig,
+    WorkerGrid,
+    sequential_mapping,
+)
+from repro.profiling import profile_compute
+from repro.sim.schedule import registered_schedules
 
 
 class OracleEstimator:
@@ -171,3 +181,32 @@ class TestEstimateLatency:
         explicit = configurator.estimate_latency(
             config, sequential_mapping(WorkerGrid(2, 4, 2), tiny_cluster))
         assert configurator.estimate_latency(config) == explicit
+
+
+class TestNaiveScoring:
+    def test_score_unit_matches_reference_on_mid_range_preset(self):
+        """The kernel scorer equals ``pipette_latency`` bit for bit.
+
+        Every configuration of the 16-node mid-range preset at global
+        batch 256, under every registered schedule, is scored on its
+        sequential mapping by both paths.
+        """
+        cluster = mid_range_cluster(16)
+        bandwidth = NetworkProfiler().profile(
+            make_fabric(cluster, seed=0), seed=0).bandwidth
+        model = get_model("gpt-1.1b")
+        profile = profile_compute(model, cluster)
+        configurator = PipetteConfigurator(cluster, model, bandwidth,
+                                           profile)
+        configs = configurator.candidates(
+            256, schedules=registered_schedules())
+        assert len(configs) == 191
+        scored = score_unit((configurator.context(),
+                             tuple((c, None, True) for c in configs)))
+        assert [entry.config for entry in scored] == configs
+        for entry in scored:
+            grid = WorkerGrid(pp=entry.config.pp, tp=entry.config.tp,
+                              dp=entry.config.dp)
+            assert entry.mapping == sequential_mapping(grid, cluster)
+            assert entry.estimated_latency_s == pipette_latency(
+                model, entry.config, entry.mapping, bandwidth, profile)

@@ -220,6 +220,33 @@ class TestRoutes:
         assert metric_value(samples, "pipette_events_total",
                             cluster="alpha", kind="failure") == 0
 
+    def test_bad_drift_threshold_is_400_and_changes_nothing(self):
+        # Regression: a NaN threshold compares false against any drift,
+        # so a halved fabric was silently never adopted.
+        async def main():
+            async with _Server(_registry()) as server:
+                await _request(server.port, "POST", "/v1/plan",
+                               {"model": "gpt-toy", "global_batch": 32,
+                                "cluster": "alpha"})
+                service = server.registry.service("alpha")
+                before = (len(service.cache), service.bandwidth_fp)
+                answers = []
+                for threshold in (float("nan"), -1):
+                    status, _, body = await _request(
+                        server.port, "POST", "/v1/events/bandwidth",
+                        {"cluster": "alpha", "scale": 0.5,
+                         "drift_threshold": threshold})
+                    answers.append((status, _json(body)))
+                after = (len(service.cache), service.bandwidth_fp)
+                return answers, before, after
+
+        answers, before, after = asyncio.run(main())
+        for status, out in answers:
+            assert status == 400
+            assert "drift_threshold" in out["error"]
+        assert before == after
+        assert before[0] == 1
+
     def test_bandwidth_event_scale_retires_plans(self, toy_model):
         async def main():
             async with _Server(_registry()) as server:

@@ -15,6 +15,7 @@ import threading
 
 import pytest
 
+import repro.core.configurator as configurator_module
 from repro.core import (
     MemoryEstimator,
     PipetteConfigurator,
@@ -226,6 +227,30 @@ class TestMemoryFeasibility:
             assert reason is not None and "memory limit" in reason
 
 
+    def test_impossible_limit_runs_no_anneal(
+            self, toy_model, tiny_cluster, tiny_network, toy_profile,
+            estimator, monkeypatch):
+        """An infeasible node count anneals nothing, not even best-effort."""
+        anneals = []
+        real = configurator_module.anneal_mapping
+
+        def counted(*args, **kwargs):
+            anneals.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(configurator_module, "anneal_mapping", counted)
+        gen = PipelineTemplateGenerator(toy_model, tiny_cluster,
+                                        tiny_network.bandwidth, toy_profile,
+                                        memory_estimator=estimator,
+                                        options=FAST)
+        assert gen.generate(GLOBAL_BATCH, memory_limit_bytes=1.0).size == 0
+        assert anneals == []
+        # The counter does see the generator's anneals when a count is
+        # feasible: FAST refines sa_top_k=2 leaders.
+        gen.generate(GLOBAL_BATCH, min_nodes=4)
+        assert len(anneals) == FAST.sa_top_k
+
+
 class TestLookup:
     def test_honors_restrictions(self):
         cheap = _template(micro_batch=2, schedule="1f1b", latency=1.0,
@@ -423,6 +448,26 @@ class TestServicePath:
         assert report.warm.estimated_latency_s \
             <= report.cold.estimated_latency_s
         assert service.stats["replan_warm_sources"]["template"] == 1
+
+    def test_rejected_failure_counts_nothing(self, toy_model, tiny_cluster,
+                                             tiny_network):
+        """An out-of-range node is refused before the library is asked."""
+        service = PlanningService(tiny_cluster, tiny_network.bandwidth)
+        service.warm_templates(toy_model, GLOBAL_BATCH, options=FAST)
+        request = service.request(toy_model, GLOBAL_BATCH, options=FAST)
+        service.plan(request)
+        before = service.stats
+        epoch = service.bandwidth_fp
+        with pytest.raises(ValueError, match="outside the cluster"):
+            service.replan(request, ClusterEvent.node_failure(7),
+                           run_cold=False)
+        after = service.stats
+        assert after["template_lookups"] == before["template_lookups"] \
+            == {"hit": 1, "miss": 0}
+        assert after["cache_entries"] == before["cache_entries"] == 1
+        assert after["requests_submitted"] == before["requests_submitted"]
+        assert service.bandwidth_fp == epoch
+        assert service.cluster == tiny_cluster
 
     def test_replan_without_library_stays_warm(self, toy_model,
                                                tiny_cluster, tiny_network):
