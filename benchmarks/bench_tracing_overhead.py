@@ -44,7 +44,7 @@ def _service() -> PlanningService:
     return PlanningService(cluster, bandwidth)
 
 
-def _plan_once(service: PlanningService, request) -> float:
+def _time_plan(service: PlanningService, request) -> float:
     """One uncached end-to-end plan; returns its wall-clock seconds."""
     service.cache.clear()
     t0 = time.perf_counter()
@@ -63,13 +63,13 @@ def test_tracing_overhead_under_5_percent():
     TRACER.disable()
     baseline_best = service.plan(request).result  # warmup + identity ref
     service.cache.clear()
-    untraced = min(_plan_once(service, request) for _ in range(RUNS))
+    untraced = min(_time_plan(service, request) for _ in range(RUNS))
 
     TRACER.enable()
     try:
         traced_result = service.plan(request).result
         service.cache.clear()
-        traced = min(_plan_once(service, request) for _ in range(RUNS))
+        traced = min(_time_plan(service, request) for _ in range(RUNS))
     finally:
         TRACER.disable()
         TRACER.reset()

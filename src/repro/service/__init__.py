@@ -4,8 +4,9 @@ The offline configurator answers one ``search()`` at a time; this
 package makes it production-shaped, the way Piper exposes planning as
 a programmable service and PipeTune amortizes tuning across jobs:
 
-* :mod:`repro.service.cache` — canonical request fingerprints and an
-  LRU plan store invalidated by bandwidth-matrix epoch;
+* :mod:`repro.service.cache` — the one plan-payload parser, canonical
+  request fingerprints, and an LRU plan store invalidated by
+  bandwidth-matrix epoch;
 * :mod:`repro.service.executor` — fans the configurator's pure
   per-candidate work units over ``concurrent.futures`` pools;
 * :mod:`repro.service.replan` — elastic re-planning after node
@@ -14,8 +15,8 @@ a programmable service and PipeTune amortizes tuning across jobs:
   answering routine (cache, then search) and event handling;
 * :mod:`repro.service.store` — durable JSON-lines plan persistence,
   rehydrating the cache (epochs intact) across service restarts;
-* :mod:`repro.service.registry` — many named services behind one
-  router: pinned/spec-matched planning, per-cluster elastic events;
+* :mod:`repro.service.registry` — a table from cluster name to
+  service, plus spec-match routing of unpinned requests;
 * :mod:`repro.service.gateway` — the asyncio front door and the only
   queue: concurrent clients, in-flight coalescing, bounded
   per-cluster backpressure, weighted-fair per-client lanes, batches
@@ -99,10 +100,7 @@ from repro.service.planner import (
     PlanningService,
     PlanResponse,
 )
-from repro.service.registry import (
-    ClusterRegistry,
-    RoutedResponse,
-)
+from repro.service.registry import ClusterRegistry
 from repro.service.shard import (
     DEFAULT_REPLICAS,
     HashRing,
@@ -161,7 +159,6 @@ __all__ = [
     "PlanningService",
     "PlanResponse",
     "ClusterRegistry",
-    "RoutedResponse",
     "SCHEMA_VERSION",
     "DurablePlanCache",
     "PlanStore",

@@ -250,20 +250,20 @@ def _plan_every_cluster(registry: ClusterRegistry, model, global_batch: int,
 
     The pick ranks the printed answers by
     :func:`~repro.service.registry.cheapest_rank_key`, the same order
-    the servers' unpinned requests use.
+    the servers' unpinned requests use.  Returns ``(name, best)``.
     """
-    answers = []
+    ranked = []
     for name in registry.names:
-        routed = registry.plan_on(name, model, global_batch,
-                                  options=options)
-        best = routed.best
-        print(f"  [{routed.status:<4}] {name:<14} "
+        service = registry.service(name)
+        response = service.plan(service.request(model, global_batch,
+                                                options=options))
+        best = response.best
+        print(f"  [{response.status:<4}] {name:<14} "
               f"{best.config.describe():<24} "
               f"{best.estimated_latency_s:7.3f} s/iter")
-        answers.append(routed)
-    return min(answers,
-               key=lambda routed: cheapest_rank_key(routed.best,
-                                                    routed.cluster_name))
+        ranked.append((cheapest_rank_key(best, name), name, best))
+    _, name, best = min(ranked)
+    return name, best
 
 
 def cmd_registry(args) -> int:
@@ -273,25 +273,25 @@ def cmd_registry(args) -> int:
     model = get_model(args.model)
     print(f"\nmodel: {model.name}, global batch {args.global_batch}\n")
 
-    cheapest = _plan_every_cluster(registry, model, args.global_batch,
-                                   options)
-    print(f"\ncheapest feasible: {cheapest.cluster_name} "
-          f"({cheapest.best.config.describe()}, "
-          f"{cheapest.best.estimated_latency_s:.3f} s/iter)")
+    name, best = _plan_every_cluster(registry, model, args.global_batch,
+                                     options)
+    print(f"\ncheapest feasible: {name} "
+          f"({best.config.describe()}, "
+          f"{best.estimated_latency_s:.3f} s/iter)")
 
     if args.fail_node is not None:
         # Destructive by design: the victim's cache (and durable
         # store, if any) is cleared, so this step is opt-in — a
         # --store-dir re-run without it keeps answering [hit].
         victim = registry.names[0]
-        retired = registry.fail_nodes(victim, args.fail_node)
+        retired = registry.service(victim).apply_failure(args.fail_node)
         print(f"\nnode {args.fail_node} failed on {victim}: "
               f"{retired} cached plans retired; siblings untouched\n")
-        after = _plan_every_cluster(registry, model, args.global_batch,
-                                    options)
-        print(f"\ncheapest now: {after.cluster_name} "
-              f"({after.best.config.describe()}, "
-              f"{after.best.estimated_latency_s:.3f} s/iter)")
+        name, best = _plan_every_cluster(registry, model, args.global_batch,
+                                         options)
+        print(f"\ncheapest now: {name} "
+              f"({best.config.describe()}, "
+              f"{best.estimated_latency_s:.3f} s/iter)")
 
     print("\nregistry stats:")
     for name, stats in registry.stats.items():
@@ -323,8 +323,8 @@ async def _handle_line(gateway: PlanGateway, options: PipetteOptions,
         out["id"] = rid
     except (ValueError, TypeError, RuntimeError, KeyError,
             json.JSONDecodeError) as exc:
-        # TypeError included: a wrongly-typed field (e.g. a number for
-        # micro_batches) must answer as an error line, never vanish.
+        # Whatever a request line carries, it must answer as an error
+        # line, never vanish.
         out = {"id": rid, "status": "error", "error": str(exc)}
     await write_line(json.dumps(out, sort_keys=True))
 

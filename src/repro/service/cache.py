@@ -13,6 +13,9 @@ searched against, so every entry records the matrix fingerprint
 epoch.  A re-profiled fabric that drifted (Fig. 3) or lost a node gets
 a new fingerprint, and lookups against the new epoch retire the stale
 entries instead of returning them.
+
+:func:`parse_plan_payload` is the one reader of a plan request's JSON
+fields; every transport and the fleet router go through it.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 from repro.cluster.topology import ClusterSpec
 from repro.core.configurator import PipetteOptions, PipetteResult
 from repro.model.transformer import TransformerConfig
+from repro.units import GIB
 
 
 def canonical_value(obj):
@@ -49,6 +53,128 @@ def canonical_value(obj):
     if isinstance(obj, (str, int, float, bool)) or obj is None:
         return obj
     raise TypeError(f"cannot canonicalize {type(obj).__name__} for hashing")
+
+
+def sorted_unique(values) -> tuple:
+    """A swept set in canonical form: sorted, duplicates dropped.
+
+    ``[4, 2, 2]`` and ``(2, 4)`` ask one question.  :class:`PlanRequest`
+    and the fleet's :func:`~repro.service.shard.routing_key` both
+    canonicalize through here, so a cache entry and a shard always
+    agree on what "the same set" is.
+    """
+    return tuple(sorted(set(values)))
+
+
+def payload_int(value, name: str) -> int:
+    """``value`` read as an integer field of a JSON payload.
+
+    An integer is a JSON number with an integral value (``32`` or
+    ``32.0``).  A bool, a string or a fraction raises ``ValueError``
+    instead of being coerced: ``"16"`` must not sweep micro-batches 1
+    and 6, and ``true`` must not plan for global batch 1.
+    """
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _string_field(payload: dict, name: str) -> "str | None":
+    value = payload.get(name)
+    if value is not None and not isinstance(value, str):
+        raise ValueError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+@dataclass(frozen=True)
+class PlanFields:
+    """The plan-request fields of one JSON payload, typed and normalized.
+
+    Plain values only (no model catalog, no cluster spec), so the fleet
+    router can parse, and refuse, a payload it could not plan itself.
+    ``micro_batches`` and ``schedules`` are already in
+    :func:`sorted_unique` form.
+    """
+
+    model: str
+    global_batch: int
+    micro_batches: "tuple[int, ...] | None" = None
+    memory_limit_gib: float | None = None
+    schedules: "tuple[str, ...] | None" = None
+    portfolio_k: int | None = None
+    cluster: str | None = None
+    client_id: str | None = None
+
+    def search_kwargs(self) -> dict:
+        """The sweep restrictions as keyword arguments.
+
+        Accepted alike by :meth:`PlanningService.request
+        <repro.service.planner.PlanningService.request>` and
+        :meth:`~repro.service.planner.PlanningService.warm_templates`.
+        """
+        kwargs: dict = {}
+        if self.micro_batches is not None:
+            kwargs["micro_batches"] = self.micro_batches
+        if self.memory_limit_gib is not None:
+            kwargs["memory_limit_bytes"] = self.memory_limit_gib * GIB
+        if self.schedules is not None:
+            kwargs["schedules"] = self.schedules
+        return kwargs
+
+
+def parse_plan_payload(payload) -> PlanFields:
+    """The one reader of a plan request's wire fields.
+
+    Every front end reads a plan payload through here: the worker's
+    ``POST /v1/plan`` and stdin lines, ``POST /v1/templates/warm``,
+    and the fleet router's shard key.  ``global_batch`` defaults to 64
+    when absent; every other field may be absent or ``null``.
+    Integers follow :func:`payload_int`, list fields must be JSON
+    arrays, names must be strings, and ``"schedule"`` is one name or
+    an array of names.  A bad field raises ``ValueError``.
+    """
+    if not isinstance(payload, dict):
+        raise ValueError("plan payload must be a JSON object")
+    model = _string_field(payload, "model")
+    if model is None:
+        raise ValueError("request needs a 'model' (e.g. \"gpt-1.1b\")")
+    micro_batches = payload.get("micro_batches")
+    if micro_batches is not None:
+        if not isinstance(micro_batches, list):
+            raise ValueError(f"micro_batches must be an array of integers, "
+                             f"got {micro_batches!r}")
+        micro_batches = sorted_unique(
+            payload_int(m, "micro_batches entry") for m in micro_batches)
+    memory = payload.get("memory_limit_gib")
+    if memory is not None:
+        if isinstance(memory, bool) or not isinstance(memory, (int, float)):
+            raise ValueError(
+                f"memory_limit_gib must be a number, got {memory!r}")
+        memory = float(memory)
+    schedules = payload.get("schedule")
+    if schedules is not None:
+        if isinstance(schedules, str):
+            schedules = [schedules]
+        if not isinstance(schedules, list) \
+                or not all(isinstance(s, str) for s in schedules):
+            raise ValueError(f"schedule must be a name or an array of "
+                             f"names, got {payload['schedule']!r}")
+        schedules = sorted_unique(schedules)
+    portfolio_k = payload.get("portfolio_k")
+    return PlanFields(
+        model=model,
+        global_batch=payload_int(payload.get("global_batch", 64),
+                                 "global_batch"),
+        micro_batches=micro_batches,
+        memory_limit_gib=memory,
+        schedules=schedules,
+        portfolio_k=None if portfolio_k is None
+        else payload_int(portfolio_k, "portfolio_k"),
+        cluster=_string_field(payload, "cluster"),
+        client_id=_string_field(payload, "client_id"),
+    )
 
 
 @dataclass(frozen=True)
@@ -91,7 +217,7 @@ class PlanRequest:
                 f"{self.memory_limit_bytes}"
             )
         if self.micro_batches is not None:
-            normalized = tuple(sorted({int(m) for m in self.micro_batches}))
+            normalized = sorted_unique(int(m) for m in self.micro_batches)
             if not normalized:
                 raise ValueError(
                     "micro_batches must not be empty; pass None to sweep "
@@ -104,7 +230,7 @@ class PlanRequest:
                 )
             object.__setattr__(self, "micro_batches", normalized)
         if self.schedules is not None:
-            schedules = tuple(sorted({str(s) for s in self.schedules}))
+            schedules = sorted_unique(str(s) for s in self.schedules)
             if not schedules:
                 raise ValueError(
                     "schedules must not be empty; pass None to sweep the "

@@ -50,6 +50,7 @@ from collections import OrderedDict
 from pathlib import Path
 
 from repro.obs.logs import get_logger
+from repro.service.cache import parse_plan_payload
 from repro.service.http import (
     _JSON,
     MAX_BODY_BYTES,
@@ -534,16 +535,17 @@ class FleetRouter(HttpServerBase):
     # ------------------------------------------------------------ routes
 
     async def _plan(self, body: bytes):
-        payload = self._json_payload(body)
-        client_id = payload.get("client_id")
-        client_id = "" if client_id is None else str(client_id)
+        # A malformed plan answers 400 here, before it costs a quota
+        # token or a worker round trip.
+        fields = parse_plan_payload(self._json_payload(body))
+        client_id = fields.client_id or ""
         if self.quota is not None and not self.quota.admit(client_id):
             self._admission_rejects.labels(client_id=client_id).inc()
             raise HttpError(
                 429, f"admission quota exhausted for client "
                      f"{client_id or '(default)'}; retry in "
                      f"~{self.quota.retry_after_s:.2f}s")
-        index = self.ring.lookup(routing_key(payload))
+        index = self.ring.lookup(routing_key(fields))
         status, out = await self._proxy(index, "POST", "/v1/plan", body)
         return status, _JSON, out
 

@@ -1,12 +1,12 @@
 """Async planning gateway: many concurrent clients, one fleet.
 
-:class:`~repro.service.planner.PlanningService` and
-:class:`~repro.service.registry.ClusterRegistry` answer one caller at
-a time; a live planning *service* has many — every job of a training
-campaign asking "what config do I train with right now", often the
-same question at the same moment.  :class:`PlanGateway` is the asyncio
-front door over a registry that absorbs that concurrency without
-serializing the fleet:
+A :class:`~repro.service.planner.PlanningService` answers one caller
+at a time; a live planning *service* has many — every job of a
+training campaign asking "what config do I train with right now",
+often the same question at the same moment.  :class:`PlanGateway` is
+the asyncio front door over a
+:class:`~repro.service.registry.ClusterRegistry` of named services
+that absorbs that concurrency without serializing the fleet:
 
 * **coalescing** — concurrent requests with the same fingerprint (and
   the same bandwidth epoch) share one search: the first caller leads,
@@ -355,9 +355,7 @@ class PlanGateway:
     """Asyncio front door over a :class:`ClusterRegistry`.
 
     Args:
-        registry: the fleet to serve; a single
-            :class:`~repro.service.planner.PlanningService` can be
-            wrapped via :meth:`for_service`.
+        registry: the fleet to serve (one named cluster per lane).
         max_queue_depth: distinct in-flight requests admitted per
             cluster lane before the overflow policy applies.
         overflow: ``"wait"`` parks over-limit callers until a slot
@@ -420,14 +418,6 @@ class PlanGateway:
         self._pool: ThreadPoolExecutor | None = None
         self._closed = False
 
-    @classmethod
-    def for_service(cls, service: PlanningService, name: str = "default",
-                    **kwargs) -> "PlanGateway":
-        """A gateway over one service, registered under ``name``."""
-        registry = ClusterRegistry(executor=service.executor)
-        registry.register(name, service)
-        return cls(registry, **kwargs)
-
     # ------------------------------------------------------------ planning
 
     async def plan(self, request: PlanRequest,
@@ -435,10 +425,11 @@ class PlanGateway:
                    client_id: str | None = None) -> GatewayResponse:
         """Answer one request; safe to call from many tasks at once.
 
-        Routing matches :meth:`ClusterRegistry.plan` (pinned name or
-        spec match).  An identical request already in flight on the
-        same cluster *and the same bandwidth epoch* is coalesced —
-        this caller awaits the in-flight search and shares its result.
+        The request goes to the ``cluster`` lane when named, else to
+        the cluster :meth:`ClusterRegistry.route` matches by spec.  An
+        identical request already in flight on the same cluster *and
+        the same bandwidth epoch* is coalesced — this caller awaits
+        the in-flight search and shares its result.
         Otherwise the request is enqueued on its cluster's lane,
         subject to the overflow policy, and answered by the lane's
         next drain batch.  A request built for a cluster that has since
@@ -576,8 +567,8 @@ class PlanGateway:
         with TRACER.span("event.bandwidth", cluster=name) as span:
             async with self._lane(name).fence:
                 retired = await self._run(partial(
-                    self.registry.update_bandwidth, name, new_bandwidth,
-                    drift_threshold=drift_threshold))
+                    self.registry.service(name).update_bandwidth,
+                    new_bandwidth, drift_threshold=drift_threshold))
             span.set_attribute("retired", retired)
         self._record_event(name, "bandwidth", retired)
         _log.info("bandwidth event", extra={"cluster": name,
@@ -596,7 +587,8 @@ class PlanGateway:
                          failed_nodes=list(failed_nodes)) as span:
             async with self._lane(name).fence:
                 retired = await self._run(partial(
-                    self.registry.fail_nodes, name, *failed_nodes))
+                    self.registry.service(name).apply_failure,
+                    *failed_nodes))
             span.set_attribute("retired", retired)
         self._record_event(name, "failure", retired)
         _log.info("node failure", extra={"cluster": name,
@@ -711,13 +703,7 @@ class PlanGateway:
                     self._resolve(lane, key, future, exc=exc)
 
     async def _drain_batch(self, lane: _Lane, items: list) -> None:
-        try:
-            service = self.registry.service(lane.name)
-        except ValueError as exc:  # unregistered while queued
-            for _, key, future, qspan, _parent in items:
-                qspan.end()
-                self._resolve(lane, key, future, exc=exc)
-            return
+        service = self.registry.service(lane.name)
         for *_, qspan, _parent in items:
             # Queue wait ends here: the drain has picked the item up
             # and the rest of its life is the service's spans, which

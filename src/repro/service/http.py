@@ -81,6 +81,7 @@ from repro.obs.trace import (
     format_traceparent,
     parse_traceparent,
 )
+from repro.service.cache import parse_plan_payload, payload_int
 from repro.service.gateway import GatewayOverloadedError, PlanGateway
 from repro.service.metrics import MetricsRegistry
 from repro.service.registry import cheapest_rank_key
@@ -141,52 +142,30 @@ async def answer_payload(gateway: PlanGateway, options: PipetteOptions,
     first, then latency, then cluster name).  ``"client_id"`` selects
     the caller's fair-queue lane on every path.
     """
-    if "model" not in payload:
-        raise ValueError("request needs a 'model' (e.g. \"gpt-1.1b\")")
-    model = get_model(str(payload["model"]))
-    global_batch = int(payload.get("global_batch", 64))
-    client_id = payload.get("client_id")
-    if client_id is not None:
-        client_id = str(client_id)
-    if payload.get("portfolio_k") is not None:
+    fields = parse_plan_payload(payload)
+    model = get_model(fields.model)
+    if fields.portfolio_k is not None:
         # Per-request portfolio depth: how many runner-up mappings the
         # plan carries for elastic warm starts.  SAOptions validates
         # the value (>= 1) and raises the 400-mapped ValueError.
         options = _replace(
-            options, sa=_replace(options.sa,
-                                 portfolio_k=int(payload["portfolio_k"])))
-    kwargs: dict = {"options": options}
-    if payload.get("micro_batches") is not None:
-        kwargs["micro_batches"] = tuple(
-            int(m) for m in payload["micro_batches"])
-    if payload.get("memory_limit_gib") is not None:
-        kwargs["memory_limit_bytes"] = \
-            float(payload["memory_limit_gib"]) * GIB
-    if payload.get("schedule") is not None:
-        # ``"schedule"`` accepts one name or a list of names to sweep;
-        # unknown names fail request validation with the registered
-        # list in the message.
-        raw = payload["schedule"]
-        if isinstance(raw, str):
-            raw = [raw]
-        kwargs["schedules"] = tuple(str(s) for s in raw)
+            options, sa=_replace(options.sa, portfolio_k=fields.portfolio_k))
+    kwargs = {"options": options, **fields.search_kwargs()}
     registry = gateway.registry
-    name = payload.get("cluster")
-    if name is not None:
-        name = str(name)
-        request = registry.service(name).request(model, global_batch,
-                                                 **kwargs)
-        return await gateway.plan(request, cluster=name,
-                                  client_id=client_id)
+
+    def ask(name: str):
+        request = registry.service(name).request(
+            model, fields.global_batch, **kwargs)
+        return gateway.plan(request, cluster=name,
+                            client_id=fields.client_id)
+
+    if fields.cluster is not None:
+        return await ask(fields.cluster)
     names = registry.names
     if not names:
         raise ValueError("no clusters registered")
-    answers = await asyncio.gather(
-        *(gateway.plan(registry.service(n).request(model, global_batch,
-                                                   **kwargs),
-                       cluster=n, client_id=client_id)
-          for n in names),
-        return_exceptions=True)
+    answers = await asyncio.gather(*(ask(n) for n in names),
+                                   return_exceptions=True)
     ranked, errors = [], []
     for n, answer in zip(names, answers):
         if isinstance(answer, BaseException):
@@ -686,13 +665,13 @@ class HttpPlanServer(HttpServerBase):
         payload = self._json_payload(body)
         name = self._cluster_name(payload)
         nodes = payload.get("nodes")
-        if isinstance(nodes, (int, float)):
-            nodes = [nodes]
+        if not isinstance(nodes, list):
+            nodes = [] if nodes is None else [nodes]
         if not nodes:
-            # Refused before it takes the lane fence: no node failed.
             raise HttpError(400, "failure event needs 'nodes' "
                                  "(a node index or a non-empty list)")
-        failed = [int(n) for n in nodes]
+        # Refused before the event takes the lane fence: no node failed.
+        failed = [payload_int(n, "nodes entry") for n in nodes]
         retired = await self.gateway.fail_nodes(name, *failed)
         service = self.gateway.registry.service(name)
         return 200, _JSON, _json_body(
@@ -713,37 +692,25 @@ class HttpPlanServer(HttpServerBase):
         answers ``400`` (the warmer refuses to race two generations).
         """
         payload = self._json_payload(body)
-        name = self._cluster_name(payload)
+        fields = parse_plan_payload(payload)
+        name = fields.cluster
+        if name is None:
+            raise HttpError(400, "template warm-up needs a 'cluster' name")
         service = self.gateway.registry.service(name)
-        if "model" not in payload:
-            raise HttpError(400, "template warm-up needs a 'model' "
-                                 "(e.g. \"gpt-1.1b\")")
-        model = get_model(str(payload["model"]))
-        global_batch = int(payload.get("global_batch", 64))
-        kwargs: dict = {"options": self.options}
-        if payload.get("min_nodes") is not None:
-            kwargs["min_nodes"] = int(payload["min_nodes"])
-        if payload.get("max_nodes") is not None:
-            kwargs["max_nodes"] = int(payload["max_nodes"])
-        if payload.get("memory_limit_gib") is not None:
-            kwargs["memory_limit_bytes"] = \
-                float(payload["memory_limit_gib"]) * GIB
-        if payload.get("micro_batches") is not None:
-            kwargs["micro_batches"] = tuple(
-                int(m) for m in payload["micro_batches"])
-        if payload.get("schedule") is not None:
-            raw = payload["schedule"]
-            if isinstance(raw, str):
-                raw = [raw]
-            kwargs["schedules"] = tuple(str(s) for s in raw)
-        if payload.get("templates_per_count") is not None:
-            kwargs["templates_per_count"] = \
-                int(payload["templates_per_count"])
+        model = get_model(fields.model)
+        global_batch = fields.global_batch
+        kwargs = {"options": self.options, **fields.search_kwargs()}
+        for key in ("min_nodes", "max_nodes", "templates_per_count"):
+            if payload.get(key) is not None:
+                kwargs[key] = payload_int(payload[key], key)
+        wait = payload.get("wait")
+        if wait is not None and not isinstance(wait, bool):
+            raise HttpError(400, f"wait must be true or false, got {wait!r}")
         warmer = self._warmers.get(name)
         if warmer is None:
             warmer = TemplateWarmer(service)
             self._warmers[name] = warmer
-        if not payload.get("wait", True):
+        if wait is False:
             warmer.start(model, global_batch, **kwargs)
             return 202, _JSON, _json_body(
                 {"cluster": name, "status": "warming",

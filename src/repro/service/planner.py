@@ -394,7 +394,7 @@ class PlanningService:
         matrix, rolls the bandwidth epoch, and retires every cached
         plan and per-model profile (they all reference GPUs that no
         longer all exist).  Unlike :meth:`replan`, no request is
-        needed — a registry can propagate a failure event to the right
+        needed — the gateway can propagate a failure event to the right
         cluster and let later requests re-plan on demand.  Returns the
         number of retired plans.  An empty node set raises
         ``ValueError`` and changes nothing: no node failed, so no plan

@@ -1,25 +1,22 @@
-"""Multi-cluster planning: one front door over many named services.
+"""Multi-cluster planning: a table from cluster name to service.
 
 A real fleet is several clusters — different hardware generations,
 different fabrics — each with its own profiled bandwidth matrix,
 memory estimator, and plan cache.  :class:`ClusterRegistry` owns one
-:class:`~repro.service.planner.PlanningService` per named cluster and
-routes work to them:
-
-* a request *pinned* to a cluster name goes straight to that service;
-* an unpinned request is routed by spec match — the registered
-  cluster equal to the request's ``cluster`` answers it;
-* elastic events — a re-profiled matrix, a node failure — are
-  propagated to exactly one named cluster, leaving every sibling's
-  cache and epoch untouched.
+:class:`~repro.service.planner.PlanningService` per named cluster;
+callers look a service up by name (:meth:`ClusterRegistry.service`)
+and talk to it directly, so an elastic event on one cluster leaves
+every sibling's cache and epoch untouched.  An unpinned request can
+also be routed by spec match (:meth:`ClusterRegistry.route`).
 
 Services keep their identity inside the registry: per-cluster durable
 caches (:mod:`repro.service.store`) rehydrate independently, so a
 restarted registry remembers every cluster's plans.
 
-Queueing, in-flight coalescing, and the cheapest-feasible fan-out of a
-request with no cluster preference live one layer up, in the async
-gateway (:mod:`repro.service.gateway`) and its transports
+Answering requests — queueing, in-flight coalescing, the event fence,
+and the cheapest-feasible fan-out of a request with no cluster
+preference — lives one layer up, in the async gateway
+(:mod:`repro.service.gateway`) and its transports
 (:func:`repro.service.http.answer_payload`).
 """
 
@@ -27,41 +24,15 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 
 from repro.cluster.fabric import BandwidthMatrix
 from repro.cluster.topology import ClusterSpec
-from repro.core.configurator import PipetteResult, RankedConfig
+from repro.core.configurator import RankedConfig
 from repro.core.memory_estimator import MemoryEstimator
-from repro.model.transformer import TransformerConfig
 from repro.obs.trace import TRACER
 from repro.service.cache import PlanCache, PlanRequest
 from repro.service.executor import CandidateExecutor
-from repro.service.planner import PlanningService, PlanResponse
-from repro.service.replan import DEFAULT_DRIFT_THRESHOLD
-
-
-@dataclass
-class RoutedResponse:
-    """A plan answer plus the name of the cluster that produced it."""
-
-    cluster_name: str
-    response: PlanResponse
-
-    @property
-    def best(self) -> RankedConfig | None:
-        """Shortcut to the recommended configuration."""
-        return self.response.best
-
-    @property
-    def result(self) -> PipetteResult | None:
-        """Shortcut to the full search result."""
-        return self.response.result
-
-    @property
-    def status(self) -> str:
-        """Shortcut to the cache status (``"hit"``/``"miss"``/...)."""
-        return self.response.status
+from repro.service.planner import PlanningService
 
 
 def cheapest_rank_key(best: RankedConfig, name: str) -> tuple:
@@ -78,7 +49,7 @@ def cheapest_rank_key(best: RankedConfig, name: str) -> tuple:
 
 
 class ClusterRegistry:
-    """Front door owning one planning service per named cluster.
+    """A table from cluster name to its planning service.
 
     Args:
         executor: candidate executor shared by every registered
@@ -91,20 +62,12 @@ class ClusterRegistry:
         self.executor = executor
         self._services: "OrderedDict[str, PlanningService]" = OrderedDict()
         self._metrics = None
-        # Guards membership only.  Routing and planning take a snapshot
-        # of the table and then rely on each service's own lock, so a
-        # long search on one cluster never blocks registering another.
+        # Guards membership only.  Routing and stats take a snapshot of
+        # the table and then rely on each service's own lock, so a long
+        # search on one cluster never blocks registering another.
         self._lock = threading.RLock()
 
     # ---------------------------------------------------------- membership
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._services)
-
-    def __contains__(self, name: str) -> bool:
-        with self._lock:
-            return name in self._services
 
     @property
     def names(self) -> list[str]:
@@ -121,10 +84,10 @@ class ClusterRegistry:
 
         If metrics were attached (:meth:`attach_metrics`), the new
         service is exported immediately under its cluster name — and
-        *before* the membership mutation, so a failed attach (e.g.
-        re-registering a name whose series are still bound to an
-        unregistered predecessor) leaves the registry unchanged
-        instead of half-registered.
+        *before* the membership mutation, so a failed attach (e.g. a
+        name whose series another service already bound on that
+        metrics registry) leaves the registry unchanged instead of
+        half-registered.
         """
         with self._lock:
             if name in self._services:
@@ -148,13 +111,6 @@ class ClusterRegistry:
         return self.register(name, PlanningService(
             cluster, bandwidth, memory_estimator=memory_estimator,
             executor=self.executor, cache=cache, profile_seed=profile_seed))
-
-    def unregister(self, name: str) -> PlanningService:
-        """Remove and return the named service (its cache is untouched)."""
-        with self._lock:
-            if name not in self._services:
-                self._raise_unknown(name)
-            return self._services.pop(name)
 
     def service(self, name: str) -> PlanningService:
         """The service planning for the named cluster."""
@@ -189,66 +145,6 @@ class ClusterRegistry:
                 f"nodes); registered: {self.names or 'none'}"
             )
 
-    def plan(self, request: PlanRequest,
-             cluster: str | None = None) -> RoutedResponse:
-        """Answer one request, pinned to ``cluster`` or routed by spec."""
-        name = cluster if cluster is not None else self.route(request)
-        return RoutedResponse(cluster_name=name,
-                              response=self.service(name).plan(request))
-
-    def plan_on(self, name: str, model: TransformerConfig,
-                global_batch: int, **kwargs) -> RoutedResponse:
-        """Build a request bound to the named cluster and answer it."""
-        service = self.service(name)
-        return RoutedResponse(
-            cluster_name=name,
-            response=service.plan(service.request(model, global_batch,
-                                                  **kwargs)))
-
-    # ----------------------------------------------------------- templates
-
-    def template_library(self, name: str):
-        """The named cluster's installed template library (or ``None``)."""
-        return self.service(name).template_library
-
-    def set_template_library(self, name: str, library) -> None:
-        """Install a :class:`~repro.core.templates.TemplateLibrary`."""
-        self.service(name).set_template_library(library)
-
-    def warm_templates(self, name: str, model: TransformerConfig,
-                       global_batch: int, **kwargs):
-        """Warm the named cluster's template library synchronously.
-
-        Passes through to
-        :meth:`PlanningService.warm_templates`; background warming
-        goes through :class:`repro.service.warmer.TemplateWarmer`
-        instead.
-        """
-        return self.service(name).warm_templates(model, global_batch,
-                                                 **kwargs)
-
-    # ------------------------------------------------------------- elastic
-
-    def update_bandwidth(self, name: str, new_bandwidth: BandwidthMatrix,
-                         drift_threshold: float = DEFAULT_DRIFT_THRESHOLD,
-                         ) -> int:
-        """Adopt a re-profiled matrix on one cluster only.
-
-        Siblings keep their matrices, epochs, and caches; returns the
-        number of plans the named cluster retired.
-        """
-        return self.service(name).update_bandwidth(
-            new_bandwidth, drift_threshold=drift_threshold)
-
-    def fail_nodes(self, name: str, *failed_nodes: int) -> int:
-        """Apply a node failure to one cluster only.
-
-        The named service shrinks (:meth:`PlanningService.apply_failure`)
-        and retires its plans; every sibling's cache stays intact.
-        Returns the number of retired plans.
-        """
-        return self.service(name).apply_failure(*failed_nodes)
-
     def compact_stores(self) -> int:
         """Compact every cluster's durable store to its live entries.
 
@@ -275,10 +171,6 @@ class ClusterRegistry:
         Each service attaches under its registered name as the
         ``cluster`` label (:meth:`PlanningService.attach_metrics`);
         services registered *after* this call attach automatically.
-        Unregistering a cluster does not retract its series — they
-        keep reporting the detached service's last state, matching
-        Prometheus' convention that series disappear on restart, not
-        mid-flight.
 
         Args:
             metrics: a :class:`repro.service.metrics.MetricsRegistry`.

@@ -12,9 +12,10 @@ the routing math that makes that hold:
   ``tests/test_service_fleet.py``), so a restarted or resized fleet
   keeps most shards' caches warm instead of reshuffling everything.
 * :func:`routing_key` — a stable content hash of the
-  *plan-determining* fields of a request payload, normalized exactly
-  the way :class:`~repro.service.cache.PlanRequest` normalizes them
-  (sorted/deduplicated ``micro_batches`` and ``schedule``, defaulted
+  *plan-determining* fields of a request payload, read by the one
+  plan-payload parser (:func:`~repro.service.cache.parse_plan_payload`,
+  which sorts and deduplicates ``micro_batches`` and ``schedule`` the
+  way :class:`~repro.service.cache.PlanRequest` does and defaults
   ``global_batch``), and deliberately blind to transport identity
   (``client_id``, ``detail``, ``id``, ``traceparent``).  Two payload
   spellings of one question therefore hash to one shard, where the
@@ -36,6 +37,8 @@ import bisect
 import hashlib
 import json
 import os
+
+from repro.service.cache import PlanFields, parse_plan_payload
 
 __all__ = ["HashRing", "routing_key", "shard_segment_path"]
 
@@ -125,44 +128,36 @@ class HashRing:
         return self._owners[self._points[index]]
 
 
-def routing_key(payload: dict) -> str:
-    """Stable shard key of one plan-request payload.
+def routing_key(payload: "dict | PlanFields") -> str:
+    """Stable shard key of one plan request.
 
-    Hashes exactly the fields that enter the worker-side
-    :meth:`~repro.service.cache.PlanRequest.fingerprint` — and none of
-    the transport fields — with the same normalization the request
-    dataclass applies, so any two payloads that would share a cache
-    entry on a worker also share a shard.  (The key is *not* the cache
-    fingerprint itself: the router must not need model catalogs or
-    cluster specs to route.  It only has to be constant per question.)
+    ``payload`` is a decoded request body, or the
+    :class:`~repro.service.cache.PlanFields` already parsed from one.
+    The key hashes exactly the fields that enter the worker-side
+    :meth:`~repro.service.cache.PlanRequest.fingerprint`, normalized
+    by the same :func:`~repro.service.cache.parse_plan_payload`, and
+    none of the transport fields; so any two payloads that would share
+    a cache entry on a worker also share a shard, and a payload the
+    worker would refuse as malformed raises ``ValueError`` here.  (The
+    key is *not* the cache fingerprint itself: the router must not
+    need model catalogs or cluster specs to route.  It only has to be
+    constant per question.)
 
     Unpinned requests (no ``"cluster"``) fan over every cluster inside
     whichever worker they land on, so they hash under a ``"*"``
     sentinel: the same unpinned question always reaches the same
     worker and coalesces there.
     """
-    if not isinstance(payload, dict):
-        raise ValueError("plan payload must be a JSON object")
-    micro_batches = payload.get("micro_batches")
-    if micro_batches is not None:
-        micro_batches = sorted({int(m) for m in micro_batches})
-    schedule = payload.get("schedule")
-    if schedule is not None:
-        if isinstance(schedule, str):
-            schedule = [schedule]
-        schedule = sorted({str(s) for s in schedule})
-    cluster = payload.get("cluster")
-    memory_limit = payload.get("memory_limit_gib")
-    portfolio_k = payload.get("portfolio_k")
+    fields = payload if isinstance(payload, PlanFields) \
+        else parse_plan_payload(payload)
     parts = {
-        "cluster": "*" if cluster is None else str(cluster),
-        "model": str(payload.get("model", "")),
-        "global_batch": int(payload.get("global_batch", 64)),
-        "micro_batches": micro_batches,
-        "memory_limit_gib":
-            None if memory_limit is None else float(memory_limit),
-        "schedule": schedule,
-        "portfolio_k": None if portfolio_k is None else int(portfolio_k),
+        "cluster": "*" if fields.cluster is None else fields.cluster,
+        "model": fields.model,
+        "global_batch": fields.global_batch,
+        "micro_batches": fields.micro_batches,
+        "memory_limit_gib": fields.memory_limit_gib,
+        "schedule": fields.schedules,
+        "portfolio_k": fields.portfolio_k,
     }
     canonical = json.dumps(parts, sort_keys=True)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:24]

@@ -7,7 +7,14 @@ from repro.cluster.fabric import BandwidthMatrix
 from repro.core import PipetteOptions, SAOptions
 from repro.core.configurator import PipetteResult
 from repro.model import get_model
-from repro.service.cache import PlanCache, PlanRequest, canonical_value
+from repro.service.cache import (
+    PlanCache,
+    PlanFields,
+    PlanRequest,
+    canonical_value,
+    parse_plan_payload,
+)
+from repro.units import GIB
 
 
 def _result() -> PipetteResult:
@@ -255,3 +262,72 @@ class TestBandwidthFingerprint:
                                alpha=alpha_nan).fingerprint() \
             != BandwidthMatrix(matrix=bw.matrix,
                                alpha=alpha_inf).fingerprint()
+
+
+class TestParsePlanPayload:
+    def test_defaults_and_nulls(self):
+        fields = parse_plan_payload(
+            {"model": "gpt-toy", "micro_batches": None, "schedule": None,
+             "memory_limit_gib": None, "portfolio_k": None,
+             "cluster": None, "client_id": None})
+        assert fields == PlanFields(model="gpt-toy", global_batch=64)
+        assert fields.search_kwargs() == {}
+
+    def test_sets_are_sorted_and_deduplicated(self):
+        fields = parse_plan_payload(
+            {"model": "gpt-toy", "micro_batches": [8, 2, 4, 2],
+             "schedule": ["gpipe", "1f1b", "gpipe"]})
+        assert fields.micro_batches == (2, 4, 8)
+        assert fields.schedules == ("1f1b", "gpipe")
+        assert parse_plan_payload(
+            {"model": "gpt-toy", "schedule": "1f1b"}).schedules == ("1f1b",)
+
+    def test_integral_numbers_are_integers(self):
+        fields = parse_plan_payload(
+            {"model": "gpt-toy", "global_batch": 32.0,
+             "micro_batches": [2.0], "portfolio_k": 3,
+             "memory_limit_gib": 12})
+        assert fields.global_batch == 32
+        assert isinstance(fields.global_batch, int)
+        assert fields.micro_batches == (2,)
+        assert fields.search_kwargs() == {"micro_batches": (2,),
+                                          "memory_limit_bytes": 12 * GIB}
+
+    @pytest.mark.parametrize("field, value", [
+        ("micro_batches", "16"),
+        ("micro_batches", 5),
+        ("micro_batches", [1.5]),
+        ("micro_batches", [True]),
+        ("micro_batches", ["2"]),
+        ("global_batch", True),
+        ("global_batch", 32.9),
+        ("global_batch", "32"),
+        ("global_batch", None),
+        ("global_batch", float("inf")),
+        ("portfolio_k", "3"),
+        ("portfolio_k", False),
+        ("memory_limit_gib", "12"),
+        ("memory_limit_gib", True),
+        ("schedule", 1),
+        ("schedule", ["1f1b", 2]),
+        ("model", 7),
+        ("cluster", 0),
+        ("client_id", ["a"]),
+    ])
+    def test_mistyped_field_is_refused(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            parse_plan_payload({"model": "gpt-toy", field: value})
+
+    def test_model_is_required_and_payload_is_an_object(self):
+        with pytest.raises(ValueError, match="model"):
+            parse_plan_payload({"global_batch": 32})
+        with pytest.raises(ValueError, match="JSON object"):
+            parse_plan_payload(["gpt-toy"])
+
+    def test_request_and_parser_share_one_normalization(self, tiny_cluster,
+                                                        toy_model):
+        fields = parse_plan_payload({"model": "gpt-toy",
+                                     "micro_batches": [4, 1, 2, 2]})
+        request = PlanRequest(cluster=tiny_cluster, model=toy_model,
+                              global_batch=32, micro_batches=[4, 1, 2, 2])
+        assert request.micro_batches == fields.micro_batches

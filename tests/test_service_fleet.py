@@ -159,6 +159,38 @@ class TestRoutingKey:
         with pytest.raises(ValueError):
             routing_key(["not", "a", "dict"])
 
+    # Keys pin shard placement and durable shard segments, so a change
+    # to the payload parser must leave every well-typed key where it is.
+    PINNED = [
+        (BASE, "f40f66886c908df862de4c4f"),
+        ({"model": "gpt-toy", "global_batch": 32},
+         "39bdca9fcdaab22b0debf5b6"),
+        ({"model": "gpt-1.1b", "cluster": "mid-range-0"},
+         "02fec13f51c5a4c1f1e20476"),
+        (dict(BASE, micro_batches=[8, 2, 4, 2]), "ac6f9e50253d4c125151bf03"),
+        (dict(BASE, schedule="interleaved"), "1515a32afa8768ff5217bbba"),
+        (dict(BASE, schedule=["gpipe", "1f1b", "gpipe"]),
+         "e1e4c3126e4bdea45a9e2a6c"),
+        (dict(BASE, memory_limit_gib=12), "ee33bf42ac7b9a5783c8ebe9"),
+        (dict(BASE, portfolio_k=3), "81d544f34ff27e613115425a"),
+        ({"model": "gpt-1.1b", "global_batch": 256, "cluster": "high-end-1",
+          "micro_batches": [4, 1, 2], "schedule": ["1f1b", "interleaved"],
+          "memory_limit_gib": 38.5, "portfolio_k": 2, "client_id": "t",
+          "detail": True, "id": 7}, "7ad800b75cf81363b8ed8b6f"),
+    ]
+
+    @pytest.mark.parametrize("payload, key", PINNED)
+    def test_pinned_keys(self, payload, key):
+        assert routing_key(payload) == key
+
+    @pytest.mark.parametrize("field, value", [
+        ("micro_batches", "16"), ("global_batch", True),
+        ("global_batch", 32.9)])
+    def test_mistyped_payload_has_no_key(self, field, value):
+        # "16" used to hash like [1, 6], and true like global batch 1.
+        with pytest.raises(ValueError, match=field):
+            routing_key(dict(self.BASE, **{field: value}))
+
 
 class TestShardSegmentPath:
     def test_unsharded_keeps_plain_name(self, tmp_path):
@@ -602,6 +634,36 @@ class TestFleetRouter:
         status, _, body = asyncio.run(main())
         assert status == 502
         assert "unreachable" in _json(body)["error"]
+
+
+class TestRouterRefusesMalformedPlans:
+    @pytest.mark.parametrize("field, value", [
+        ("micro_batches", "16"), ("global_batch", True),
+        ("global_batch", 32.9)])
+    def test_400_before_forwarding(self, field, value):
+        # The only worker is unreachable, so any forwarded request would
+        # answer 502: a 400 proves the router refused it on its own.
+        async def main():
+            probe = await asyncio.start_server(lambda r, w: w.close(),
+                                               host="127.0.0.1", port=0)
+            dead_port = probe.sockets[0].getsockname()[1]
+            probe.close()
+            await probe.wait_closed()
+            router = FleetRouter([WorkerClient("127.0.0.1", dead_port, 0)])
+            server = await asyncio.start_server(router.handle,
+                                                host="127.0.0.1", port=0)
+            port = server.sockets[0].getsockname()[1]
+            try:
+                return await _request(port, "POST", "/v1/plan",
+                                      {"model": "gpt-toy",
+                                       "global_batch": 32, field: value})
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        status, _, body = asyncio.run(main())
+        assert status == 400
+        assert field in _json(body)["error"]
 
 
 class TestRouterDrain:

@@ -618,9 +618,10 @@ class TestFairQueue:
 class TestFairness:
     def _stubbed_registry(self, toy_model, search_s=0.03):
         """One cluster whose searches cost a fixed, known duration."""
-        registry = _registry()
-        registry.unregister("beta")
-        service = registry.service("alpha")
+        cluster = _cluster("alpha")
+        registry = ClusterRegistry()
+        service = registry.add_cluster("alpha", cluster,
+                                       _bandwidth(cluster, 1))
         result = service.plan(service.request(toy_model, 8,
                                               options=FAST)).result
         import time as _time
@@ -709,11 +710,14 @@ class TestFairness:
 class TestForService:
     def test_single_service_wrapper(self, tiny_cluster, tiny_network,
                                     toy_model):
+        # A single service is served by registering it under one name.
         service = PlanningService(tiny_cluster, tiny_network.bandwidth)
+        registry = ClusterRegistry()
+        registry.register("default", service)
         request = service.request(toy_model, 32, options=FAST)
 
         async def main():
-            async with PlanGateway.for_service(service) as gateway:
+            async with PlanGateway(registry) as gateway:
                 answers = await asyncio.gather(gateway.plan(request),
                                                gateway.plan(request))
                 return answers

@@ -220,6 +220,45 @@ class TestRoutes:
         assert metric_value(samples, "pipette_events_total",
                             cluster="alpha", kind="failure") == 0
 
+    def test_mistyped_failure_nodes_are_400_and_change_nothing(self):
+        # Regression: "12" failed nodes 1 and 2, true failed node 1, and
+        # 1.7 / [1.9] were truncated to node 1.
+        registry = ClusterRegistry()
+        cluster = _cluster("alpha", n_nodes=4)
+        fabric = Fabric(cluster, heterogeneity=HeterogeneityModel(), seed=1)
+        registry.add_cluster("alpha", cluster, NetworkProfiler(
+            n_rounds=2).profile(fabric, seed=1).bandwidth)
+        bad = ["12", True, 1.7, [1.9], [1, "2"], [False], {"1": 1}]
+
+        async def main():
+            async with _Server(registry) as server:
+                await _request(server.port, "POST", "/v1/plan",
+                               {"model": "gpt-toy", "global_batch": 32,
+                                "cluster": "alpha"})
+                service = server.registry.service("alpha")
+                before = (len(service.cache), service.bandwidth_fp,
+                          service.cluster.n_nodes)
+                answers = []
+                for nodes in bad:
+                    status, _, body = await _request(
+                        server.port, "POST", "/v1/events/failure",
+                        {"cluster": "alpha", "nodes": nodes})
+                    answers.append((status, _json(body)))
+                after = (len(service.cache), service.bandwidth_fp,
+                         service.cluster.n_nodes)
+                _, _, page = await _request(server.port, "GET", "/metrics")
+                return answers, before, after, page
+
+        answers, before, after, page = asyncio.run(main())
+        for status, out in answers:
+            assert status == 400
+            assert "nodes" in out["error"]
+        assert before == after
+        assert before[0] == 1 and before[2] == 4
+        samples = parse_prometheus(page.decode("utf-8"))
+        assert metric_value(samples, "pipette_events_total",
+                            cluster="alpha", kind="failure") == 0
+
     def test_bad_drift_threshold_is_400_and_changes_nothing(self):
         # Regression: a NaN threshold compares false against any drift,
         # so a halved fabric was silently never adopted.
@@ -376,6 +415,52 @@ class TestEdgeCases:
         assert "unknown model" in _json(b1)["error"]
         assert "unknown cluster" in _json(b2)["error"]
         assert "'cluster'" in _json(b3)["error"]
+
+    def test_mistyped_plan_fields_are_400(self):
+        # Regression: "16" swept micro-batches 1 and 6, true planned for
+        # global batch 1, and 32.9 planned for 32; all answered 200.
+        bad = [{"micro_batches": "16"}, {"global_batch": True},
+               {"global_batch": 32.9}, {"portfolio_k": "2"},
+               {"memory_limit_gib": "12"}, {"schedule": [1]}]
+
+        async def main():
+            async with _Server(_registry()) as server:
+                answers = []
+                for fields in bad:
+                    status, _, body = await _request(
+                        server.port, "POST", "/v1/plan",
+                        {"model": "gpt-toy", "global_batch": 32,
+                         "cluster": "alpha", **fields})
+                    answers.append((status, _json(body)))
+                return answers, server.registry.stats["alpha"]
+
+        answers, stats = asyncio.run(main())
+        for fields, (status, out) in zip(bad, answers):
+            assert status == 400
+            assert next(iter(fields)) in out["error"]
+        assert stats["cache_misses"] == 0  # nothing was planned
+
+    def test_mistyped_template_warm_fields_are_400(self):
+        bad = [{"min_nodes": "1"}, {"max_nodes": 1.5},
+               {"templates_per_count": True}, {"wait": "no"},
+               {"micro_batches": "16"}]
+
+        async def main():
+            async with _Server(_registry()) as server:
+                answers = []
+                for fields in bad:
+                    status, _, body = await _request(
+                        server.port, "POST", "/v1/templates/warm",
+                        {"model": "gpt-toy", "global_batch": 32,
+                         "cluster": "alpha", **fields})
+                    answers.append((status, _json(body)))
+                return answers, server.registry.service("alpha")
+
+        answers, service = asyncio.run(main())
+        for fields, (status, out) in zip(bad, answers):
+            assert status == 400
+            assert next(iter(fields)) in out["error"]
+        assert service.template_library is None
 
     def test_duplicate_header_flood_hits_the_cap(self):
         # Regression: the header cap must count parsed *lines*, not

@@ -401,23 +401,21 @@ class TestStatsAgreement:
 
     def test_failed_reregistration_leaves_registry_unchanged(self):
         # Regression: the metrics auto-attach runs *before* the
-        # membership mutation, so re-registering a name whose series
-        # are still bound to an unregistered predecessor raises
-        # without leaving a half-registered service behind.
+        # membership mutation, so registering a name whose series are
+        # already bound by another service raises without leaving a
+        # half-registered service behind.
         registry = _registry()
         metrics = MetricsRegistry()
         registry.attach_metrics(metrics)
-        old = registry.unregister("alpha")
-        replacement = _registry().service("alpha")
+        owner = _registry().service("alpha")
+        owner.attach_metrics(metrics, "gamma")
         with pytest.raises(MetricsError, match="already bound"):
-            registry.register("alpha", replacement)
-        assert "alpha" not in registry
-        assert registry.names == ["beta"]
-        # /metrics still reports the predecessor's state, documented
-        # behaviour of unregister (series are not retracted).
+            registry.register("gamma", _registry().service("beta"))
+        assert registry.names == ["alpha", "beta"]
+        # The series stay with the service that bound them first.
         samples = parse_prometheus(metrics.render())
         assert metric_value(samples, "pipette_cluster_gpus",
-                            cluster="alpha") == old.cluster.n_gpus
+                            cluster="gamma") == owner.cluster.n_gpus
 
     def test_late_registration_attaches_automatically(self, toy_model):
         registry = _registry()
@@ -428,7 +426,8 @@ class TestStatsAgreement:
         bandwidth = NetworkProfiler(n_rounds=2).profile(
             fabric, seed=9).bandwidth
         registry.add_cluster("gamma", cluster, bandwidth)
-        registry.plan_on("gamma", toy_model, 16, options=FAST)
+        service = registry.service("gamma")
+        service.plan(service.request(toy_model, 16, options=FAST))
         samples = parse_prometheus(metrics.render())
         assert metric_value(samples, "pipette_cache_misses_total",
                             cluster="gamma") == 1

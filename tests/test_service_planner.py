@@ -1,8 +1,8 @@
 """The planning service: the one answering routine, cache, events.
 
 Queueing and in-flight dedup live in the gateway; the tests of those
-behaviours here drive one service through
-:meth:`PlanGateway.for_service`.
+behaviours here drive one service through a gateway over a
+one-cluster registry.
 """
 
 import asyncio
@@ -16,6 +16,7 @@ from repro.model import get_model
 from repro.service import (
     CandidateExecutor,
     ClusterEvent,
+    ClusterRegistry,
     PlanGateway,
     PlanningService,
     PlanRequest,
@@ -34,7 +35,9 @@ def service(tiny_cluster, tiny_network) -> PlanningService:
 def _concurrently(service, requests):
     """Answer ``requests`` through a gateway, all enqueued at once."""
     async def main():
-        async with PlanGateway.for_service(service) as gateway:
+        registry = ClusterRegistry()
+        registry.register("default", service)
+        async with PlanGateway(registry) as gateway:
             return await asyncio.gather(
                 *(gateway.plan(request) for request in requests))
 

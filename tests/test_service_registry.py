@@ -40,6 +40,12 @@ def _bandwidth(cluster: ClusterSpec, seed: int):
     return NetworkProfiler(n_rounds=2).profile(fabric, seed=seed).bandwidth
 
 
+def _ask(registry: ClusterRegistry, name: str, model):
+    """Ask the named cluster's service directly (gpt-toy, batch 16)."""
+    service = registry.service(name)
+    return service.plan(service.request(model, 16, options=FAST))
+
+
 def _cheapest(registry: ClusterRegistry, **payload):
     """Answer an unpinned gpt-toy request: the cheapest-feasible path."""
     async def main():
@@ -72,8 +78,6 @@ def registry(slow_cluster, fast_cluster) -> ClusterRegistry:
 class TestMembership:
     def test_names_in_registration_order(self, registry):
         assert registry.names == ["slow", "fast"]
-        assert len(registry) == 2
-        assert "slow" in registry and "nope" not in registry
 
     def test_duplicate_name_rejected(self, registry, slow_cluster):
         with pytest.raises(ValueError, match="already registered"):
@@ -83,13 +87,6 @@ class TestMembership:
     def test_unknown_name_rejected(self, registry):
         with pytest.raises(ValueError, match="unknown cluster"):
             registry.service("nope")
-
-    def test_unregister(self, registry):
-        service = registry.unregister("slow")
-        assert isinstance(service, PlanningService)
-        assert registry.names == ["fast"]
-        with pytest.raises(ValueError):
-            registry.unregister("slow")
 
     def test_register_existing_service(self, slow_cluster):
         reg = ClusterRegistry()
@@ -104,33 +101,33 @@ class TestRouting:
         request = PlanRequest(cluster=fast_cluster, model=toy_model,
                               global_batch=16, options=FAST)
         assert registry.route(request) == "fast"
-        routed = registry.plan(request)
-        assert routed.cluster_name == "fast"
-        assert routed.status == "miss"
-        assert routed.best is not None
+        response = registry.service(registry.route(request)).plan(request)
+        assert response.status == "miss"
+        assert response.best is not None
 
     def test_route_unknown_spec_rejected(self, registry, toy_model):
         stranger = _cluster("stranger", n_nodes=3)
         request = PlanRequest(cluster=stranger, model=toy_model,
                               global_batch=16, options=FAST)
         with pytest.raises(ValueError, match="no registered cluster"):
-            registry.plan(request)
+            registry.route(request)
 
     def test_pinned_plan(self, registry, slow_cluster, toy_model):
         request = PlanRequest(cluster=slow_cluster, model=toy_model,
                               global_batch=16, options=FAST)
-        routed = registry.plan(request, cluster="slow")
-        assert routed.cluster_name == "slow"
+        response = registry.service("slow").plan(request)
+        assert response.status == "miss"
+        assert registry.stats["slow"]["cache_entries"] == 1
+        assert registry.stats["fast"]["cache_entries"] == 0
 
-    def test_plan_on_builds_bound_request(self, registry, toy_model):
-        routed = registry.plan_on("slow", toy_model, 16, options=FAST)
-        assert routed.cluster_name == "slow"
-        assert routed.response.request.cluster \
-            == registry.service("slow").cluster
+    def test_service_request_is_bound_to_its_cluster(self, registry,
+                                                     toy_model):
+        response = _ask(registry, "slow", toy_model)
+        assert response.request.cluster == registry.service("slow").cluster
 
     def test_repeats_hit_per_cluster_cache(self, registry, toy_model):
-        first = registry.plan_on("slow", toy_model, 16, options=FAST)
-        second = registry.plan_on("slow", toy_model, 16, options=FAST)
+        first = _ask(registry, "slow", toy_model)
+        second = _ask(registry, "slow", toy_model)
         assert (first.status, second.status) == ("miss", "hit")
 
 
@@ -138,8 +135,7 @@ class TestCheapestFeasible:
     def test_picks_lower_latency_cluster(self, registry, toy_model):
         routed = _cheapest(registry)
         assert routed.cluster_name == "fast"  # 8x the FLOPs
-        slow_best = registry.plan_on("slow", toy_model, 16,
-                                     options=FAST).best
+        slow_best = _ask(registry, "slow", toy_model).best
         assert routed.best.estimated_latency_s \
             <= slow_best.estimated_latency_s
 
@@ -167,30 +163,30 @@ class TestCheapestFeasible:
 class TestElasticIsolation:
     def test_node_failure_leaves_sibling_cache_intact(self, registry,
                                                       toy_model):
-        registry.plan_on("slow", toy_model, 16, options=FAST)
-        registry.plan_on("fast", toy_model, 16, options=FAST)
-        retired = registry.fail_nodes("slow", 1)
+        _ask(registry, "slow", toy_model)
+        _ask(registry, "fast", toy_model)
+        retired = registry.service("slow").apply_failure(1)
         assert retired == 1
         assert registry.service("slow").cluster.n_nodes == 1
         # The sibling's cluster, epoch, and cache are untouched.
         assert registry.service("fast").cluster.n_nodes == 2
         assert len(registry.service("fast").cache) == 1
-        hot = registry.plan_on("fast", toy_model, 16, options=FAST)
+        hot = _ask(registry, "fast", toy_model)
         assert hot.status == "hit"
         # The failed cluster re-plans on demand on its shrunken spec.
-        replanned = registry.plan_on("slow", toy_model, 16, options=FAST)
+        replanned = _ask(registry, "slow", toy_model)
         assert replanned.status == "miss"
         assert replanned.best.config.n_gpus \
             == registry.service("slow").cluster.n_gpus
 
     def test_bandwidth_update_is_per_cluster(self, registry, slow_cluster,
                                              toy_model):
-        registry.plan_on("slow", toy_model, 16, options=FAST)
-        registry.plan_on("fast", toy_model, 16, options=FAST)
+        _ask(registry, "slow", toy_model)
+        _ask(registry, "fast", toy_model)
         fast_fp = registry.service("fast").bandwidth_fp
         drifted = _bandwidth(slow_cluster, seed=99)
-        retired = registry.update_bandwidth("slow", drifted,
-                                            drift_threshold=0.0)
+        retired = registry.service("slow").update_bandwidth(
+            drifted, drift_threshold=0.0)
         assert retired == 1
         assert registry.service("fast").bandwidth_fp == fast_fp
         assert len(registry.service("fast").cache) == 1
@@ -209,19 +205,17 @@ class TestElasticIsolation:
             return reg
 
         first = build()
-        first.plan_on("slow", toy_model, 16, options=FAST)
-        first.plan_on("fast", toy_model, 16, options=FAST)
+        _ask(first, "slow", toy_model)
+        _ask(first, "fast", toy_model)
 
         reborn = build()  # a registry restart
-        assert reborn.plan_on("slow", toy_model, 16,
-                              options=FAST).status == "hit"
-        assert reborn.plan_on("fast", toy_model, 16,
-                              options=FAST).status == "hit"
+        assert _ask(reborn, "slow", toy_model).status == "hit"
+        assert _ask(reborn, "fast", toy_model).status == "hit"
 
 
 class TestStats:
     def test_stats_keyed_by_cluster(self, registry, toy_model):
-        registry.plan_on("slow", toy_model, 16, options=FAST)
+        _ask(registry, "slow", toy_model)
         stats = registry.stats
         assert set(stats) == {"slow", "fast"}
         assert stats["slow"]["cache_misses"] == 1
@@ -269,7 +263,7 @@ class TestRegistryQueueing:
                     pending = asyncio.ensure_future(gateway.plan(stale))
                     while gateway.stats.read("submitted") < 1:
                         await asyncio.sleep(0.01)
-                    registry.fail_nodes("slow", 0)
+                    registry.service("slow").apply_failure(0)
                 with pytest.raises(ValueError, match="match exactly"):
                     await pending
                 # Post-event work plans cleanly on the survivors.
