@@ -25,8 +25,6 @@ from repro.core.annealing import (
     SAOptions,
     SAResult,
     anneal_mapping,
-    anneal_mapping_reference,
-    anneal_mapping_with_restarts,
 )
 from repro.core.memory_dataset import MemoryDataset, build_memory_dataset
 from repro.core.memory_estimator import MemoryEstimator, memory_features
@@ -56,8 +54,6 @@ __all__ = [
     "SAOptions",
     "SAResult",
     "anneal_mapping",
-    "anneal_mapping_reference",
-    "anneal_mapping_with_restarts",
     "MemoryDataset",
     "build_memory_dataset",
     "MemoryEstimator",

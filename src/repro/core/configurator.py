@@ -84,8 +84,6 @@ class PipetteOptions:
             that leaves results unchanged in practice because SA gains
             a few percent and cannot rescue a configuration that
             starts far behind.  Set to 0 to anneal every candidate.
-            Table-1 leaders (16-32 blocks) anneal on the full re-score:
-            the delta path needs ``SAOptions.delta_min_slots`` blocks.
         max_micro_batch: largest microbatch swept (the paper uses 8).
         seed: seed stream for the annealer.
     """
@@ -589,8 +587,6 @@ class PipetteConfigurator:
         if flight is not None:
             attributes["anneal_iterations"] = flight["iterations"]
             attributes["anneal_evaluations"] = flight["evaluations"]
-            attributes["anneal_delta_evaluations"] = \
-                flight.get("delta_evaluations", 0)
             attributes["exit_reason"] = flight["exit_reason"]
             attributes["flight"] = flight
         TRACER.record_span("search.candidate", elapsed_s,

@@ -40,9 +40,11 @@ plans, store round-trips, and gateway coalescing see byte-identical
 results, just computed an order of magnitude faster
 (``benchmarks/bench_annealing_kernel.py``).
 
-**The incremental contract.** :meth:`LatencyKernel.evaluate_perm`
-remains the executable spec, but an annealing move touches at most a
-handful of permutation positions, and Eqs. (3)-(6) decompose into
+**Batches.** :meth:`LatencyKernel.evaluate_batch` scores K
+permutations per NumPy dispatch for the naive scoring pass and the
+warm-start pick, each row bit-identical to :meth:`evaluate_perm`.
+
+**The incremental contract.** Eqs. (3)-(6) decompose into
 *per-component partial terms* that each depend only on a slice of the
 permutation:
 
@@ -51,15 +53,15 @@ permutation:
 * one data-parallel ring term per exposure-aware stage.
 
 :class:`IncrementalEvaluator` caches those partials for a bound
-permutation and, per proposed move, recomputes only the touched
+permutation and, per proposed permutation, recomputes only the touched
 components — *with the exact operation order of the full evaluation*
 (chain sums re-accumulate their whole lane sequentially; a stage's
-ring term is recomputed whole), so the incremental value equals
-``evaluate_perm`` to the last bit and the annealer's trajectory is
-unchanged.  :meth:`LatencyKernel.delta_for_move` wraps this as the
-one-shot ``latency(move(perm)) - latency(perm)`` form, and
-:meth:`LatencyKernel.evaluate_batch` scores K permutations per NumPy
-dispatch for the naive scoring pass and the warm-start pick.
+ring term is recomputed whole), so its value equals ``evaluate_perm``
+to the last bit.  The annealer does not use it:
+:func:`repro.core.annealing.anneal_mapping` always re-scores in full.
+Range moves touch about a third of the permutation, so the delta form
+only pays off from roughly 128-256 blocks, while Table 1 leaders have
+16-32.
 """
 
 from __future__ import annotations
@@ -170,8 +172,8 @@ class LatencyKernel:
             self._tp_blocks = np.concatenate([rows[0], rows[-1]]) \
                 if pp > 1 else rows[0]
             # Which permutation positions feed the TP straggler term —
-            # the incremental path skips it entirely for moves that
-            # touch neither the first nor the last stage.
+            # :class:`IncrementalEvaluator` skips it entirely for moves
+            # that touch neither the first nor the last stage.
             self._tp_touch = np.zeros(n_slots, dtype=bool)
             self._tp_touch[self._tp_blocks] = True
 
@@ -388,40 +390,6 @@ class LatencyKernel:
             out[i] = self._finish(pp, row_c_tp, float(t_pp[i]), t_dp)
         return out
 
-    # --------------------------------------------------- incremental path
-
-    def incremental(self) -> "IncrementalEvaluator":
-        """A fresh incremental evaluator over this kernel's partial terms.
-
-        The annealer's sequential hot loop binds its current
-        permutation once and then re-scores each proposed move by
-        recomputing only the touched components; see
-        :class:`IncrementalEvaluator` for the exactness argument.
-        """
-        return IncrementalEvaluator(self)
-
-    def delta_for_move(self, perm: np.ndarray, move) -> float:
-        """Exact latency delta of applying ``move`` to ``perm``.
-
-        ``move`` is a ``(kind, i, j)`` tuple with the semantics of
-        :func:`repro.core.annealing.apply_move` (``"swap"``,
-        ``"migrate"``, or ``"reverse"``).  The result equals
-        ``evaluate_perm(apply_move(perm, move)) - evaluate_perm(perm)``
-        computed on bit-identical evaluations, but only the components
-        the move touches are recomputed.  Consecutive calls with the
-        same ``perm`` reuse the bound partial terms; the annealer's hot
-        loop uses the stateful :meth:`incremental` form directly.
-        """
-        from repro.core.annealing import apply_move
-
-        perm = np.asarray(perm, dtype=np.int64)
-        inc = getattr(self, "_delta_inc", None)
-        if inc is None:
-            inc = self._delta_inc = self.incremental()
-        if inc.perm is None or not np.array_equal(inc.perm, perm):
-            inc.bind(perm)
-        return inc.propose(apply_move(perm, move)) - inc.value
-
     def _finish(self, pp: int, c_tp: float, t_pp: float,
                 t_dp: float) -> float:
         if self.options.hidden_critical_path:
@@ -458,13 +426,13 @@ class IncrementalEvaluator:
     re-runs its full ring reduction), and the scalar epilogue combines
     the cached floats exactly as the full evaluation would.  The
     per-component results are therefore bit-identical to the full
-    re-score's, and so is their combination — which is what lets
-    :func:`repro.core.annealing.anneal_mapping` run this path by
-    default without perturbing its trajectory.
+    re-score's, and so is their combination.  No production caller
+    binds one: :func:`repro.core.annealing.anneal_mapping` scores every
+    proposal with :meth:`LatencyKernel.evaluate_perm`.
 
     Usage is a bind/propose/accept cycle::
 
-        inc = kernel.incremental()
+        inc = IncrementalEvaluator(kernel)
         value = inc.bind(perm)              # full evaluation, cached
         cand = inc.propose(new_perm)        # delta evaluation
         inc.accept()                        # new_perm becomes current

@@ -7,8 +7,7 @@ per-iteration telemetry that tuning systems (PipeTune) live on.  A
 :class:`FlightRecorder` rides along one :func:`~repro.core.annealing.
 anneal_mapping` call and captures a bounded, decimated series of
 ``(iteration, temperature, best_so_far, acceptance_rate)`` samples
-plus run provenance (cold start / warm start / restart index) and the
-exit reason.
+plus run provenance (cold start or warm start) and the exit reason.
 
 The recorder must never perturb the search itself:
 
@@ -41,9 +40,8 @@ class FlightRecorder:
 
     Args:
         provenance: where the starting mapping came from — ``"cold"``
-            (naive placement), ``"warm-start"`` (elastic re-plan from
-            the incumbent), or ``"restart-k"`` for the k-th restart of
-            :func:`~repro.core.annealing.anneal_mapping_with_restarts`.
+            (naive placement) or ``"warm-start"`` (elastic re-plan from
+            the incumbent).
         max_samples: stored-series bound; the stride doubles and the
             series is thinned 2:1 whenever it fills.
         stride: initial sampling stride in iterations.
@@ -52,8 +50,7 @@ class FlightRecorder:
     __slots__ = ("provenance", "max_samples", "stride", "samples",
                  "exit_reason", "iterations", "evaluations", "accepted",
                  "initial_value", "final_value", "_accept_window",
-                 "_window_span", "moves_proposed", "moves_accepted",
-                 "delta_evaluations", "full_evaluations")
+                 "_window_span", "moves_proposed", "moves_accepted")
 
     def __init__(self, provenance: str = "cold",
                  max_samples: int = DEFAULT_MAX_SAMPLES,
@@ -79,44 +76,29 @@ class FlightRecorder:
         #: iterations whose move kind the loop reports.
         self.moves_proposed: "dict[str, int]" = {}
         self.moves_accepted: "dict[str, int]" = {}
-        #: How :attr:`evaluations` splits between the kernel's
-        #: incremental path and full re-scores.
-        self.delta_evaluations = 0
-        self.full_evaluations = 0
 
-    def start(self, initial_value: float, evaluations: int = 1,
-              delta_evaluations: int = 0) -> None:
+    def start(self, initial_value: float, evaluations: int = 1) -> None:
         """Record the starting objective and evaluations spent so far.
 
         ``evaluations`` counts objective calls made before iteration 0
-        — the initial evaluation plus any temperature probes —
-        ``delta_evaluations`` of which went through the incremental
-        path (the rest were full re-scores).
+        — the initial evaluation plus any temperature probes.
         """
         self.initial_value = float(initial_value)
         self.evaluations = int(evaluations)
-        self.delta_evaluations = int(delta_evaluations)
-        self.full_evaluations = int(evaluations) - int(delta_evaluations)
 
     def sample(self, iteration: int, temperature: float, best: float,
-               accepted_move: bool, move: "str | None" = None,
-               delta: bool = False) -> None:
+               accepted_move: bool, move: "str | None" = None) -> None:
         """Observe one iteration (called from the annealing hot loop).
 
         Every call is O(1); a row is stored only every ``stride``
         iterations, carrying the acceptance *rate over the window*
         since the previous stored row rather than a point sample.
         ``move`` names the proposed move's kind for the per-kind
-        counters; ``delta`` marks the iteration's evaluation as having
-        gone through the objective's incremental path.  Both are
-        bookkeeping on values the loop already has — no RNG draws.
+        counters — bookkeeping on a value the loop already has, no RNG
+        draws.
         """
         self.iterations = iteration + 1
         self.evaluations += 1
-        if delta:
-            self.delta_evaluations += 1
-        else:
-            self.full_evaluations += 1
         if move is not None:
             self.moves_proposed[move] = self.moves_proposed.get(move, 0) + 1
             if accepted_move:
@@ -158,8 +140,6 @@ class FlightRecorder:
             "accepted": self.accepted,
             "initial_value": self.initial_value,
             "final_value": self.final_value,
-            "delta_evaluations": self.delta_evaluations,
-            "full_evaluations": self.full_evaluations,
             "moves": {
                 "proposed": dict(self.moves_proposed),
                 "accepted": dict(self.moves_accepted),

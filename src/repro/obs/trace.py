@@ -232,7 +232,6 @@ class Tracer:
         self._phase_histogram = None
         self._anneal_iterations = None
         self._anneal_evaluations = None
-        self._anneal_delta_evals = None
 
     # ----------------------------------------------------------- lifecycle
 
@@ -285,9 +284,7 @@ class Tracer:
         finished span whose name is in :data:`PHASE_SPANS`;
         ``pipette_anneal_iterations`` / ``pipette_anneal_evaluations``
         observe each ``search.candidate`` span's flight-recorder
-        counts, and ``pipette_anneal_delta_evals_total`` accumulates
-        how many of those evaluations went through the kernel's
-        incremental path.  Duck-typed on the registry (no import of
+        counts.  Duck-typed on the registry (no import of
         :mod:`repro.service.metrics` here) to keep ``repro.obs``
         dependency-free.
         """
@@ -305,10 +302,6 @@ class Tracer:
             "Objective evaluations per refined candidate "
             "(initial + temperature probes + one per iteration).",
             buckets=ANNEAL_COUNT_BUCKETS)
-        self._anneal_delta_evals = metrics.counter(
-            "pipette_anneal_delta_evals_total",
-            "Annealer objective evaluations served by the latency "
-            "kernel's incremental (delta) path.")
 
     # --------------------------------------------------------------- spans
 
@@ -439,9 +432,6 @@ class Tracer:
             if self._anneal_evaluations is not None \
                     and evaluations is not None:
                 self._anneal_evaluations.observe(float(evaluations))
-            delta_evals = span.attributes.get("anneal_delta_evaluations")
-            if self._anneal_delta_evals is not None and delta_evals:
-                self._anneal_delta_evals.inc(float(delta_evals))
 
     def _finish_trace_locked(self, trace_id: str) -> None:
         spans = self._open.pop(trace_id, [])

@@ -81,6 +81,18 @@ def payload_int(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def payload_number(value, name: str) -> float:
+    """``value`` read as a numeric field of a JSON payload.
+
+    Any JSON number; a bool or a string raises ``ValueError`` instead
+    of being coerced (``true`` is not 1.0, ``"2"`` is not 2.0).  Range
+    and finiteness are the caller's rules.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _string_field(payload: dict, name: str) -> "str | None":
     value = payload.get(name)
     if value is not None and not isinstance(value, str):
@@ -149,10 +161,7 @@ def parse_plan_payload(payload) -> PlanFields:
             payload_int(m, "micro_batches entry") for m in micro_batches)
     memory = payload.get("memory_limit_gib")
     if memory is not None:
-        if isinstance(memory, bool) or not isinstance(memory, (int, float)):
-            raise ValueError(
-                f"memory_limit_gib must be a number, got {memory!r}")
-        memory = float(memory)
+        memory = payload_number(memory, "memory_limit_gib")
     schedules = payload.get("schedule")
     if schedules is not None:
         if isinstance(schedules, str):

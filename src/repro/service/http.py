@@ -81,7 +81,11 @@ from repro.obs.trace import (
     format_traceparent,
     parse_traceparent,
 )
-from repro.service.cache import parse_plan_payload, payload_int
+from repro.service.cache import (
+    parse_plan_payload,
+    payload_int,
+    payload_number,
+)
 from repro.service.gateway import GatewayOverloadedError, PlanGateway
 from repro.service.metrics import MetricsRegistry
 from repro.service.registry import cheapest_rank_key
@@ -322,6 +326,25 @@ def _write_response(writer: asyncio.StreamWriter, status: int, body: bytes,
 
 def _json_body(out: dict) -> bytes:
     return json.dumps(out, sort_keys=True).encode("utf-8")
+
+
+def _link_table(value, name: str) -> "tuple[np.ndarray, np.ndarray]":
+    """A square JSON array of arrays of numbers, and its link mask.
+
+    Returns the float matrix and the boolean mask of its off-diagonal
+    entries (the GPU pairs that are links).  Entries follow
+    :func:`~repro.service.cache.payload_number`; ranges are the
+    caller's rules.
+    """
+    if not isinstance(value, list) \
+            or not all(isinstance(row, list) and len(row) == len(value)
+                       for row in value):
+        raise ValueError(f"{name} must be a square array of arrays of "
+                         f"numbers")
+    table = np.array([[payload_number(x, f"{name} entry") for x in row]
+                      for row in value], dtype=float).reshape(
+                          len(value), len(value))
+    return table, ~np.eye(len(value), dtype=bool)
 
 
 # ------------------------------------------------------------ the servers
@@ -621,18 +644,35 @@ class HttpPlanServer(HttpServerBase):
         return 200, _JSON, _json_body(out)
 
     async def _event_bandwidth(self, body: bytes):
+        # Every field is read and checked here, before the event takes
+        # the lane fence: a refused event changes nothing.
         payload = self._json_payload(body)
         name = self._cluster_name(payload)
         service = self.gateway.registry.service(name)
         if "matrix" in payload:
-            matrix = np.asarray(payload["matrix"], dtype=float)
-            alpha = np.asarray(payload["alpha"], dtype=float) \
-                if "alpha" in payload else service.bandwidth.alpha.copy()
+            matrix, links = _link_table(payload["matrix"], "matrix")
+            if not (np.isfinite(matrix[links]).all()
+                    and (matrix[links] > 0).all()):
+                raise HttpError(400, "matrix bandwidths off the diagonal "
+                                     "must be finite and > 0 GB/s")
+            # The diagonal is not a link, but group minima read it:
+            # +inf bandwidth and zero latency, as a Fabric builds it.
+            np.fill_diagonal(matrix, np.inf)
+            if payload.get("alpha") is None:
+                alpha = service.bandwidth.alpha.copy()
+            else:
+                alpha, links = _link_table(payload["alpha"], "alpha")
+                if not (np.isfinite(alpha[links]).all()
+                        and (alpha[links] >= 0).all()):
+                    raise HttpError(400, "alpha latencies off the diagonal "
+                                         "must be finite and >= 0 s")
+                np.fill_diagonal(alpha, 0.0)
             new = BandwidthMatrix(matrix=matrix, alpha=alpha)
         elif "scale" in payload:
-            factor = float(payload["scale"])
-            if not factor > 0:
-                raise HttpError(400, f"scale must be positive, got {factor}")
+            factor = payload_number(payload["scale"], "scale")
+            if not (math.isfinite(factor) and factor > 0):
+                raise HttpError(400, "scale must be a finite number > 0, "
+                                     f"got {factor}")
             matrix = service.bandwidth.matrix.copy()
             finite = np.isfinite(matrix)
             matrix[finite] *= factor
@@ -640,10 +680,11 @@ class HttpPlanServer(HttpServerBase):
                                   alpha=service.bandwidth.alpha.copy())
         else:
             raise HttpError(400, "bandwidth event needs a full 'matrix' "
-                                 "(GB/s, Inf diagonal) or a 'scale' factor")
+                                 "(GB/s) or a 'scale' factor")
         kwargs = {}
         if payload.get("drift_threshold") is not None:
-            threshold = float(payload["drift_threshold"])
+            threshold = payload_number(payload["drift_threshold"],
+                                       "drift_threshold")
             # NaN compares false against everything, so it would turn
             # drift detection off without a word.
             if not (math.isfinite(threshold) and threshold >= 0):
@@ -732,7 +773,9 @@ class HttpPlanServer(HttpServerBase):
         name = payload.get("cluster")
         if name is None:
             raise HttpError(400, "event needs a 'cluster' name")
-        return str(name)
+        if not isinstance(name, str):
+            raise HttpError(400, f"cluster must be a string, got {name!r}")
+        return name
 
     async def _healthz(self, body: bytes):
         # A liveness probe must answer while every executor thread is

@@ -1,11 +1,11 @@
-"""Pod-structured fabric model and multi-restart annealing."""
+"""Pod-structured fabric model."""
 
 import numpy as np
 import pytest
 
 from repro.cluster import Fabric, PoddedHeterogeneityModel
 from repro.cluster.presets import mid_range_cluster
-from repro.core.annealing import SAOptions, anneal_mapping, anneal_mapping_with_restarts
+from repro.core.annealing import SAOptions, anneal_mapping
 from repro.parallel import WorkerGrid, sequential_mapping
 
 
@@ -86,39 +86,3 @@ class TestPoddedModel:
             SAOptions(max_iterations=2500, seed=2),
         )
         assert result.improvement > 0.02  # pods give real headroom
-
-
-class TestRestarts:
-    def _objective(self, weights):
-        def fn(mapping):
-            return float(sum(weights[b, s]
-                             for b, s in enumerate(mapping.block_to_slot)))
-        return fn
-
-    def test_never_worse_than_single_run(self, spec):
-        grid = WorkerGrid(pp=4, tp=8, dp=2)
-        mapping = sequential_mapping(grid, spec)
-        rng = np.random.default_rng(0)
-        objective = self._objective(rng.normal(size=(8, 8)))
-        opts = SAOptions(max_iterations=300, seed=4)
-        single = anneal_mapping(mapping, objective, opts)
-        multi = anneal_mapping_with_restarts(mapping, objective, opts,
-                                             n_restarts=3)
-        assert multi.value <= single.value + 1e-12
-
-    def test_improvement_reported_vs_callers_start(self, spec):
-        grid = WorkerGrid(pp=4, tp=8, dp=2)
-        mapping = sequential_mapping(grid, spec)
-        rng = np.random.default_rng(1)
-        objective = self._objective(rng.normal(size=(8, 8)))
-        result = anneal_mapping_with_restarts(
-            mapping, objective, SAOptions(max_iterations=200, seed=1),
-            n_restarts=2)
-        assert result.initial_value == pytest.approx(objective(mapping))
-
-    def test_rejects_bad_restarts(self, spec):
-        grid = WorkerGrid(pp=4, tp=8, dp=2)
-        mapping = sequential_mapping(grid, spec)
-        with pytest.raises(ValueError):
-            anneal_mapping_with_restarts(mapping, lambda m: 0.0,
-                                         n_restarts=0)

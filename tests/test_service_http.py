@@ -10,6 +10,7 @@ change answers.
 import asyncio
 import json
 
+import numpy as np
 import pytest
 from conftest import metric_value, parse_prometheus
 
@@ -261,7 +262,8 @@ class TestRoutes:
 
     def test_bad_drift_threshold_is_400_and_changes_nothing(self):
         # Regression: a NaN threshold compares false against any drift,
-        # so a halved fabric was silently never adopted.
+        # so a halved fabric was silently never adopted; "0.1" and true
+        # were coerced by float().
         async def main():
             async with _Server(_registry()) as server:
                 await _request(server.port, "POST", "/v1/plan",
@@ -270,7 +272,7 @@ class TestRoutes:
                 service = server.registry.service("alpha")
                 before = (len(service.cache), service.bandwidth_fp)
                 answers = []
-                for threshold in (float("nan"), -1):
+                for threshold in (float("nan"), -1, "0.1", True):
                     status, _, body = await _request(
                         server.port, "POST", "/v1/events/bandwidth",
                         {"cluster": "alpha", "scale": 0.5,
@@ -285,6 +287,160 @@ class TestRoutes:
             assert "drift_threshold" in out["error"]
         assert before == after
         assert before[0] == 1
+
+    @staticmethod
+    async def _refused_events(server, route: str, bodies) -> dict:
+        """POST each body to ``route``; the answers and what they changed."""
+        await _request(server.port, "POST", "/v1/plan",
+                       {"model": "gpt-toy", "global_batch": 32,
+                        "cluster": "alpha"})
+        service = server.registry.service("alpha")
+        before = (len(service.cache), service.bandwidth_fp,
+                  service.bandwidth.matrix.copy())
+        answers = []
+        for body in bodies:
+            raw = body if isinstance(body, bytes) \
+                else json.dumps(body).encode("utf-8")
+            status, _, out = await _request(server.port, "POST", route,
+                                            raw_body=raw)
+            answers.append((body, status, _json(out)))
+        _, _, page = await _request(server.port, "GET", "/metrics")
+        samples = parse_prometheus(page.decode("utf-8"))
+        return {"answers": answers, "before": before,
+                "after": (len(service.cache), service.bandwidth_fp,
+                          service.bandwidth.matrix),
+                "events": [metric_value(samples, "pipette_events_total",
+                                        cluster="alpha", kind=kind)
+                           for kind in ("bandwidth", "failure")]}
+
+    def _assert_refused_and_unchanged(self, seen: dict, needle: str):
+        for body, status, out in seen["answers"]:
+            assert status == 400, body
+            assert needle in out["error"], (body, out["error"])
+        (size, epoch, matrix), after = seen["before"], seen["after"]
+        assert size == 1
+        assert (size, epoch) == after[:2]
+        assert np.array_equal(matrix, after[2])
+        assert seen["events"] == [0, 0]
+
+    def test_mistyped_scale_is_400_and_changes_nothing(self):
+        # Regression: "2" and true were coerced by float(), and
+        # Infinity / 1e999 set every link to infinite bandwidth.
+        bodies = [
+            {"cluster": "alpha", "scale": "2"},
+            {"cluster": "alpha", "scale": True},
+            {"cluster": "alpha", "scale": [2]},
+            b'{"cluster": "alpha", "scale": Infinity}',
+            b'{"cluster": "alpha", "scale": 1e999}',
+            b'{"cluster": "alpha", "scale": NaN}',
+            {"cluster": "alpha", "scale": 0},
+        ]
+
+        async def main():
+            async with _Server(_registry()) as server:
+                return await self._refused_events(
+                    server, "/v1/events/bandwidth", bodies)
+
+        self._assert_refused_and_unchanged(asyncio.run(main()), "scale")
+
+    def test_non_string_cluster_is_400_on_both_event_routes(self):
+        async def main():
+            registry = _registry()
+            cluster = _cluster("7")
+            registry.add_cluster("7", cluster, Fabric(
+                cluster, heterogeneity=HeterogeneityModel(),
+                seed=3).bandwidth())
+            async with _Server(registry) as server:
+                bandwidth = await self._refused_events(
+                    server, "/v1/events/bandwidth",
+                    [{"cluster": 7, "scale": 0.5},
+                     {"cluster": ["alpha"], "scale": 0.5}])
+                failure = await self._refused_events(
+                    server, "/v1/events/failure",
+                    [{"cluster": 7, "nodes": [1]}])
+                return bandwidth, failure, \
+                    server.registry.service("7").cluster.n_nodes
+
+        bandwidth, failure, seven_nodes = asyncio.run(main())
+        self._assert_refused_and_unchanged(bandwidth, "cluster must be a "
+                                                      "string")
+        self._assert_refused_and_unchanged(failure, "cluster must be a "
+                                                    "string")
+        assert seven_nodes == 2
+
+    def test_matrix_bandwidth_event_is_adopted(self):
+        # The route owns the diagonal: +inf bandwidth, zero latency,
+        # whatever the body says (group minima read it).
+        async def main():
+            async with _Server(_registry()) as server:
+                await _request(server.port, "POST", "/v1/plan",
+                               {"model": "gpt-toy", "global_batch": 32,
+                                "cluster": "alpha"})
+                service = server.registry.service("alpha")
+                epoch = service.bandwidth_fp
+                matrix = service.bandwidth.matrix * 0.5
+                np.fill_diagonal(matrix, 0.0)
+                alpha = service.bandwidth.alpha * 2.0
+                np.fill_diagonal(alpha, 7.0)
+                status, _, body = await _request(
+                    server.port, "POST", "/v1/events/bandwidth",
+                    {"cluster": "alpha", "matrix": matrix.tolist(),
+                     "alpha": alpha.tolist()})
+                return (status, _json(body), epoch, service.bandwidth,
+                        matrix, alpha)
+
+        status, event, epoch, adopted, matrix, alpha = asyncio.run(main())
+        assert status == 200
+        assert event["adopted"] is True and event["retired"] == 1
+        assert event["epoch"] != epoch
+        links = ~np.eye(len(matrix), dtype=bool)
+        assert np.array_equal(adopted.matrix[links], matrix[links])
+        assert np.array_equal(adopted.alpha[links], alpha[links])
+        assert np.all(np.diag(adopted.matrix) == np.inf)
+        assert np.all(np.diag(adopted.alpha) == 0.0)
+
+    def test_bad_matrix_bandwidth_event_is_400_and_changes_nothing(self):
+        # Regression: a matrix of "-5" strings and an all-zero matrix
+        # were both adopted.
+        n = 8  # GPUs of the two-node test cluster
+
+        def table(off, diagonal=0.0, size=n):
+            return [[diagonal if i == j else off for j in range(size)]
+                    for i in range(size)]
+
+        good = table(10.0)
+        one_bad = table(10.0)
+        one_bad[0][1] = -1.0
+        bodies = [
+            {"cluster": "alpha", "matrix": table("-5", "-5")},
+            {"cluster": "alpha", "matrix": table(0.0)},
+            {"cluster": "alpha", "matrix": one_bad},
+            {"cluster": "alpha", "matrix": table(True)},
+            {"cluster": "alpha", "matrix": table(None)},
+            {"cluster": "alpha", "matrix": table(float("nan"))},
+            {"cluster": "alpha", "matrix": table(float("inf"))},
+            {"cluster": "alpha", "matrix": good[:-1]},
+            {"cluster": "alpha", "matrix": [row[:-1] for row in good]},
+            {"cluster": "alpha", "matrix": table(10.0, size=4)},
+            {"cluster": "alpha", "matrix": "10"},
+            {"cluster": "alpha", "matrix": good, "alpha": table(-1e-6)},
+            {"cluster": "alpha", "matrix": good,
+             "alpha": table(float("nan"))},
+            {"cluster": "alpha", "matrix": good,
+             "alpha": table(float("inf"))},
+            {"cluster": "alpha", "matrix": good, "alpha": table("1e-6")},
+        ]
+
+        async def main():
+            async with _Server(_registry()) as server:
+                return await self._refused_events(
+                    server, "/v1/events/bandwidth", bodies)
+
+        seen = asyncio.run(main())
+        self._assert_refused_and_unchanged(seen, "")
+        errors = [out["error"] for _, _, out in seen["answers"]]
+        assert all("matrix" in e for e in errors[:11])
+        assert all("alpha" in e for e in errors[11:])
 
     def test_bandwidth_event_scale_retires_plans(self, toy_model):
         async def main():
