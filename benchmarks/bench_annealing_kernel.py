@@ -1,7 +1,7 @@
 """Annealer hot path: vectorized kernel vs reference latency model.
 
-Two claims, matching the kernel's contract
-(:mod:`repro.core.latency_kernel`):
+Three claims, matching the kernel's and the draw stream's contracts
+(:mod:`repro.core.latency_kernel`, :class:`repro.utils.rng.DrawStream`):
 
 * on the Table 1 cluster shapes (16 nodes x 8 GPUs = 128 GPUs) the
   kernel evaluates the SA objective >= 10x faster than the reference
@@ -9,7 +9,10 @@ Two claims, matching the kernel's contract
   identical random permutations;
 * the speed costs nothing: every kernel evaluation is bit-identical to
   the reference, and a same-seed annealing run returns the identical
-  best mapping with a value within 1e-9 relative (in fact equal).
+  best mapping with a value within 1e-9 relative (in fact equal);
+* the annealer's move proposals, drawn from a ``DrawStream``, land the
+  same permutations as the ``Generator``-drawing reference proposal
+  >= 3x faster at 16 blocks.
 """
 
 import sys
@@ -21,17 +24,27 @@ import pytest
 
 from repro.cluster import Fabric
 from repro.cluster.presets import high_end_cluster, mid_range_cluster
-from repro.core.annealing import SAOptions, anneal_mapping
+from repro.core.annealing import (
+    DEFAULT_MOVES,
+    SAOptions,
+    _propose_into,
+    anneal_mapping,
+)
 from repro.core.latency_kernel import IncrementalEvaluator, pipette_kernel
 from repro.core.latency_model import pipette_latency
 from repro.model import get_model
 from repro.parallel import ParallelConfig, WorkerGrid, random_block_mapping
 from repro.profiling import profile_compute
+from repro.utils.rng import DrawStream
 
 # The reference annealer and the deterministic move helper are test
 # oracles; they live with the test suite.
 sys.path.append(str(Path(__file__).resolve().parents[1] / "tests"))
-from annealing_oracle import anneal_mapping_reference, apply_move  # noqa: E402
+from annealing_oracle import (  # noqa: E402
+    anneal_mapping_reference,
+    apply_move,
+    propose_into,
+)
 
 #: One concrete fabric draw, like the other macro-benchmarks.
 SEED = 2
@@ -272,3 +285,47 @@ def test_delta_path_wins_at_scale():
         f"delta path speedup {speedup:.1f}x at 512 slots, below the "
         f"1.5x floor"
     )
+
+
+def _proposals(propose, draw_move, draws, n, count):
+    """``count`` chained proposals over ``n`` blocks; returns the last."""
+    perm = np.arange(n, dtype=np.int64)
+    scratch = np.empty_like(perm)
+    for _ in range(count):
+        propose(scratch, perm, DEFAULT_MOVES[draw_move(3)], draws)
+        perm, scratch = scratch, perm
+    return perm
+
+
+def test_proposal_draw_floor():
+    """Stream-drawn proposals >= 3x the ``Generator``-drawn reference.
+
+    Each proposal is what one annealing iteration draws before it
+    scores: a move kind (``integers(3)``), then the move's indices — a
+    ``choice(n, 2, replace=False)`` pair for a swap or a reverse
+    window, two ``integers`` for a migrate.  Both sides run a fixed
+    count of chained proposals at n = 16 (the Table-1 leaders' block
+    count) from the same seed, must end on the same permutation, and
+    are compared on the median of seven repeats.
+    """
+    n, count, repeats = 16, 4000, 7
+    times = {"generator": [], "stream": []}
+    for repeat in range(repeats):
+        rng = np.random.default_rng(repeat)
+        t0 = time.perf_counter()
+        expected = _proposals(propose_into, lambda k: int(rng.integers(k)),
+                              rng, n, count)
+        times["generator"].append(time.perf_counter() - t0)
+        draws = DrawStream(repeat)
+        t0 = time.perf_counter()
+        got = _proposals(_propose_into, draws.integers, draws, n, count)
+        times["stream"].append(time.perf_counter() - t0)
+        assert np.array_equal(got, expected)
+    gen_s, stream_s = (float(np.median(times[k]))
+                       for k in ("generator", "stream"))
+    speedup = gen_s / stream_s
+    print(f"\n  n={n} proposals: generator {gen_s / count * 1e6:5.2f} us   "
+          f"stream {stream_s / count * 1e6:5.2f} us   {speedup:4.1f}x")
+    assert speedup >= 3.0, (
+        f"stream proposals only {speedup:.1f}x the Generator reference, "
+        f"below the 3x floor")

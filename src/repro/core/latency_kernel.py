@@ -26,12 +26,28 @@ permutation:
 :class:`LatencyKernel` hoists all of that into ``__init__`` and reduces
 one objective evaluation to a handful of NumPy gathers and reductions
 over the raw permutation array — no Python-level group loops, no
-``Mapping`` construction.
+``Mapping`` construction.  Pair gathers read the slot-pair tables at
+``perm[src] * n_slots + perm[dst]`` through precomputed flat position
+tables (pipeline hops, ring pairs), shared by :meth:`evaluate_perm`
+and :meth:`evaluate_batch`.
+
+**Minimum first.** The TP straggler term, and on the
+one-slot-per-node path each stage's ring term, is a maximum over
+groups of ``f(bw) = a * (c / (bw * GB))`` with ``a, c >= 0``.  Each
+IEEE step of ``f`` is monotone for ``bw >= 0``, so ``f`` never rises
+with ``bw`` and ``max_i f(bw_i) == f(min_i bw_i)`` exactly (NaN
+propagates through both sides).  The kernel reduces the gathered
+bandwidths first and applies ``f`` once, and refuses a matrix with a
+negative entry.  With ``pp <= 2`` the straggler sees every slot, so its
+term is a compile-time constant.  On 16-node Table-1 presets this
+takes a one-slot-per-node ``evaluate_perm`` from about 27 to 13-18 µs;
+the path where a node holds several slots keeps its per-tensor-rank
+phases (their maximum is over a sum) and runs 55-60 µs.
 
 **Equivalence guarantee.** The kernel is not merely close to the
 reference model: every floating-point expression mirrors the reference
 implementation's operation order (same products, same quotients, same
-reduction extrema), so ``kernel.evaluate_perm(m.block_to_slot)`` is
+reduction extrema, reached minimum-first where that is exact), so ``kernel.evaluate_perm(m.block_to_slot)`` is
 *bit-identical* to ``latency_with_options(..., m, ...)`` for every
 mapping.  That is what lets :func:`repro.core.annealing.anneal_mapping`
 replay the exact accept/reject trajectory of the pre-kernel annealer
@@ -65,6 +81,8 @@ only pays off from roughly 128-256 blocks, while Table 1 leaders have
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -148,10 +166,13 @@ class LatencyKernel:
         self._critical_time = schedule_type(config.schedule).critical_time
 
         matrix = bandwidth.matrix
+        if (matrix < 0).any():
+            raise ValueError("bandwidths must be non-negative")
         # ``blocked[s1, y1, s2, y2] == matrix[s1*tp + y1, s2*tp + y2]``.
         blocked = matrix.reshape(n_slots, tp, n_slots, tp)
 
         self._n_slots = n_slots
+        rows = grid.stage_blocks()                      # (pp, dp) positions
 
         # ---- tensor-parallel term (part of C + T_TP_com) -------------
         if tp > 1:
@@ -168,7 +189,6 @@ class LatencyKernel:
                 * TP_ALLREDUCES_PER_LAYER
             # The reference model inspects stage 0 and the last stage;
             # these are the positions of their blocks in the permutation.
-            rows = grid.stage_blocks()
             self._tp_blocks = np.concatenate([rows[0], rows[-1]]) \
                 if pp > 1 else rows[0]
             # Which permutation positions feed the TP straggler term —
@@ -176,6 +196,21 @@ class LatencyKernel:
             # that touch neither the first nor the last stage.
             self._tp_touch = np.zeros(n_slots, dtype=bool)
             self._tp_touch[self._tp_blocks] = True
+        # With pp <= 2 the first and last stages hold every block, so
+        # the straggler sees every slot whatever the permutation: its
+        # term is a constant (``None`` when it must be gathered).
+        self._c_tp = None
+        if tp == 1:
+            self._c_tp = c
+        elif pp <= 2:
+            self._c_tp = float(self._c_tp_at(self._tp_min_bw.min()))
+
+        # Flat position tables: the pair-table column of positions
+        # ``a -> b`` of a permutation is ``perm[a] * n_slots + perm[b]``.
+        # Pipeline hops join stage ``x``'s data rank ``z`` to stage
+        # ``x + 1``'s; ring pairs join two data ranks of one stage.
+        if pp > 1:
+            self._pp_src, self._pp_dst = rows[:-1], rows[1:]    # (pp-1, dp)
 
         # ``pair_bw[y, s1, s2]``: bandwidth between tensor rank ``y``'s
         # GPUs of slots ``s1`` and ``s2`` — the table both the pipeline
@@ -202,6 +237,8 @@ class LatencyKernel:
             self._n_dp_stages = ns
             self._msg_dp_col = self._msg_dp[:ns, None]
             self._drain_steps = np.arange(1, ns)
+            self._dp_src = np.repeat(rows[:ns, :, None], dp, axis=2)
+            self._dp_dst = np.repeat(rows[:ns, None, :], dp, axis=1)
             # When a slot is a whole node (tp == gpus_per_node, the
             # Megatron default), every DP group has exactly one member
             # per node: the intra-node phase vanishes and the leaders
@@ -227,18 +264,17 @@ class LatencyKernel:
         the annealing loop guarantee that by construction (the move set
         preserves permutations), so no per-call check is paid.
         """
-        pp, tp, dp = self.grid.pp, self.grid.tp, self.grid.dp
+        pp, dp = self.grid.pp, self.grid.dp
         perm = np.asarray(perm)
-        slots = perm.reshape(pp, dp)
         if pp > 1 or dp > 1:
-            scaled = slots * self._n_slots        # s1 * n_slots, by stage
+            scaled = perm * self._n_slots
 
-        # C + T_TP_com: the straggler TP group sets the pace.
-        c_tp = self._c
-        if tp > 1:
-            sel = np.take(self._tp_min_bw, np.take(perm, self._tp_blocks))
-            t = self._tp_layers4 * (self._tp_coef / (sel * GB))
-            c_tp = self._c + self._tp_factor * float(t.max())
+        # C + T_TP_com: the straggler TP group sets the pace — the
+        # slowest slot, since the term falls as bandwidth rises.
+        c_tp = self._c_tp
+        if c_tp is None:
+            c_tp = float(self._c_tp_at(
+                self._tp_min_bw.take(perm.take(self._tp_blocks)).min()))
 
         # Eq. (5): slowest end-to-end pipeline communication path.  The
         # running ``add.accumulate`` visits hops in chain order, so the
@@ -246,64 +282,24 @@ class LatencyKernel:
         # accumulation exactly (unlike ``np.sum``'s pairwise blocking).
         t_pp = 0.0
         if pp > 1:
-            hop = np.take(self._pp_hop_flat, scaled[:-1] + slots[1:], axis=1)
+            hop = self._pp_hop_flat.take(scaled.take(self._pp_src)
+                                         + perm.take(self._pp_dst), axis=1)
             t_pp = float(np.add.accumulate(hop, axis=1)[:, -1].max())
-
-        backward_slack = 2.0 * c_tp / 3.0
 
         # Eq. (6): hierarchical-ring all-reduce per stage, worst tensor
         # rank; later stages net of their drain slack when
         # ``dp_exposure_aware``.
         t_dp = 0.0
         if dp > 1:
-            ns = self._n_dp_stages
-            pair = np.take(self._pair_flat,
-                           scaled[:ns, :, None] + slots[:ns, None, :],
-                           axis=1)                                # (tp,ns,dp,dp)
+            pair = self._pair_flat.take(scaled.take(self._dp_src)
+                                        + perm.take(self._dp_dst), axis=1)
             if self._one_slot_per_node:
-                # One member per node: no intra phase, every member is
-                # its node's leader, and the group min needs no mask
-                # (the diagonal is +inf and never wins).
-                inter_bw = pair.reshape(tp, ns, -1).min(axis=2)   # (tp, ns)
-                inter = self._inter_num_all[None] \
-                    / ((dp * inter_bw) * GB)
-                stage_t = inter.max(axis=0)                       # (ns,)
-                exposed = float(stage_t[0])
-                if ns > 1:
-                    adj = stage_t[1:] - self._drain_steps * backward_slack
-                    exposed = max(exposed, float(adj.max()))
-                return self._finish(pp, c_tp, t_pp, exposed / self._eff)
-            nodes = np.take(self._node_of_slot, slots[:ns])       # (ns, dp)
-            same = nodes[:, :, None] == nodes[:, None, :]         # (ns, dp, dp)
-
-            # Intra-node phase: per data rank, the slowest link to a
-            # same-node peer; the member attaining the node minimum
-            # reproduces the reference's per-node term, the rest are
-            # dominated.  A data rank's node population is its row sum
-            # of ``same``.  Excluded pairs are masked to +inf, so the
-            # min ranges over exactly the reference's candidate set.
-            rowmin = np.where(same[None], pair, np.inf).min(axis=3)
-            k = same.sum(axis=2)                                  # (ns, dp)
-            intra_num = (4.0 * (k - 1)) * self._msg_dp_col
-            intra = (intra_num[None] / ((k[None] * rowmin) * GB)).max(axis=2)
-
-            # Inter-node phase: leaders are each node's first member in
-            # data-rank order (no earlier same-node occurrence).
-            leader = ~((same & self._tril).any(axis=2))           # (ns, dp)
-            kn = leader.sum(axis=1)                               # (ns,)
-            pairmask = leader[:, :, None] & leader[:, None, :]
-            masked = np.where(pairmask[None], pair, np.inf)
-            inter_bw = masked.reshape(tp, ns, -1).min(axis=2)     # (tp, ns)
-            inter_num = (2.0 * (kn - 1)) * self._msg_dp[:ns]
-            inter = inter_num[None] / ((kn[None] * inter_bw) * GB)
-
-            stage_t = (intra + inter).max(axis=0)                 # (ns,)
-            exposed = float(stage_t[0])
-            if ns > 1:
-                adj = stage_t[1:] - self._drain_steps * backward_slack
-                exposed = max(exposed, float(adj.max()))
-            t_dp = exposed / self._eff
-
+                stage_t = self._one_slot_stage_terms(
+                    pair.min(axis=(0, 2, 3)))
+            else:
+                stage_t = self._ring_stage_terms(
+                    pair, perm.reshape(pp, dp)[:self._n_dp_stages])
+            t_dp = self._exposed_dp(stage_t.tolist(), c_tp)
         return self._finish(pp, c_tp, t_pp, t_dp)
 
     def evaluate_batch(self, perms: np.ndarray) -> np.ndarray:
@@ -319,7 +315,7 @@ class LatencyKernel:
         dispatch amortization: a warm re-plan scores its K candidate
         starts with one NumPy call chain instead of K.
         """
-        pp, tp, dp = self.grid.pp, self.grid.tp, self.grid.dp
+        pp, dp = self.grid.pp, self.grid.dp
         perms = np.asarray(perms)
         if perms.ndim != 2 or perms.shape[1] != self.grid.n_blocks:
             raise ValueError(
@@ -327,68 +323,116 @@ class LatencyKernel:
                 f"permutations, got shape {perms.shape}"
             )
         n = perms.shape[0]
-        slots = perms.reshape(n, pp, dp)
         if pp > 1 or dp > 1:
-            scaled = slots * self._n_slots
+            scaled = perms * self._n_slots
 
-        if tp > 1:
-            sel = np.take(self._tp_min_bw,
-                          np.take(perms, self._tp_blocks, axis=1))
-            t = self._tp_layers4 * (self._tp_coef / (sel * GB))
-            c_tp = self._c + self._tp_factor * t.max(axis=1)
+        if self._c_tp is not None:
+            c_tp = [self._c_tp] * n
         else:
-            c_tp = np.full(n, self._c)
+            c_tp = self._c_tp_at(self._tp_min_bw.take(
+                perms.take(self._tp_blocks, axis=1)).min(axis=1)).tolist()
 
-        t_pp = np.zeros(n)
+        t_pp = [0.0] * n
         if pp > 1:
-            hop = np.take(self._pp_hop_flat,
-                          scaled[:, :-1] + slots[:, 1:], axis=1)
-            t_pp = np.add.accumulate(hop, axis=2)[:, :, -1].max(axis=(0, 2))
+            hop = self._pp_hop_flat.take(scaled[:, self._pp_src]
+                                         + perms[:, self._pp_dst], axis=1)
+            t_pp = np.add.accumulate(hop, axis=2)[:, :, -1] \
+                .max(axis=(0, 2)).tolist()
 
         stage_t = None
         if dp > 1:
-            ns = self._n_dp_stages
-            pair = np.take(self._pair_flat,
-                           scaled[:, :ns, :, None] + slots[:, :ns, None, :],
-                           axis=1)                         # (tp, K, ns, dp, dp)
+            pair = self._pair_flat.take(scaled[:, self._dp_src]
+                                        + perms[:, self._dp_dst], axis=1)
             if self._one_slot_per_node:
-                inter_bw = pair.reshape(tp, n, ns, -1).min(axis=3)
-                inter = self._inter_num_all[None, None] \
-                    / ((dp * inter_bw) * GB)
-                stage_t = inter.max(axis=0)                # (K, ns)
+                stage_t = self._one_slot_stage_terms(
+                    pair.min(axis=(0, 3, 4)))
             else:
-                nodes = np.take(self._node_of_slot, slots[:, :ns])
-                same = nodes[:, :, :, None] == nodes[:, :, None, :]
-                rowmin = np.where(same[None], pair, np.inf).min(axis=4)
-                k = same.sum(axis=3)                       # (K, ns, dp)
-                intra_num = (4.0 * (k - 1)) * self._msg_dp_col
-                intra = (intra_num[None]
-                         / ((k[None] * rowmin) * GB)).max(axis=3)
-                leader = ~((same & self._tril).any(axis=3))
-                kn = leader.sum(axis=2)                    # (K, ns)
-                pairmask = leader[:, :, :, None] & leader[:, :, None, :]
-                masked = np.where(pairmask[None], pair, np.inf)
-                inter_bw = masked.reshape(tp, n, ns, -1).min(axis=3)
-                inter_num = (2.0 * (kn - 1)) * self._msg_dp[:ns]
-                inter = inter_num[None] / ((kn[None] * inter_bw) * GB)
-                stage_t = (intra + inter).max(axis=0)      # (K, ns)
+                stage_t = self._ring_stage_terms(
+                    pair, perms.reshape(n, pp, dp)[:, :self._n_dp_stages])
+            stage_t = stage_t.tolist()
 
         # Combine per row with the scalar epilogue of ``evaluate_perm``
-        # (same expressions on the same floats), so each row's final
-        # combination is performed in the spec's exact order.
+        # (same expressions on the same floats).
         out = np.empty(n)
         for i in range(n):
-            row_c_tp = float(c_tp[i])
-            t_dp = 0.0
-            if stage_t is not None:
-                exposed = float(stage_t[i, 0])
-                if self._n_dp_stages > 1:
-                    backward_slack = 2.0 * row_c_tp / 3.0
-                    adj = stage_t[i, 1:] - self._drain_steps * backward_slack
-                    exposed = max(exposed, float(adj.max()))
-                t_dp = exposed / self._eff
-            out[i] = self._finish(pp, row_c_tp, float(t_pp[i]), t_dp)
+            t_dp = 0.0 if stage_t is None \
+                else self._exposed_dp(stage_t[i], c_tp[i])
+            out[i] = self._finish(pp, c_tp[i], t_pp[i], t_dp)
         return out
+
+    # ------------------------------------------------------------- terms
+
+    def _c_tp_at(self, bw):
+        """C + T_TP_com for straggler TP groups of bandwidth ``bw``.
+
+        The TP term ``layers * (coef / (bw * GB))`` never rises with
+        ``bw`` (each IEEE operation is monotone), so its maximum over
+        the straggler candidates is its value at their minimum
+        bandwidth: taking the minimum first is exact, and computes the
+        transform once instead of per group.  ``bw`` is one NumPy
+        scalar or an array of them (one per batch row).
+        """
+        return self._c + self._tp_factor * (
+            self._tp_layers4 * (self._tp_coef / (bw * GB)))
+
+    def _one_slot_stage_terms(self, bw: np.ndarray) -> np.ndarray:
+        """Per-stage ring terms when every slot is a whole node.
+
+        One member per node: no intra phase, every member is its
+        node's leader, and the term ``num / ((dp * bw) * GB)`` never
+        rises with ``bw`` — so the worst tensor rank is the one with
+        the slowest pair, and ``bw`` is each stage's minimum over all
+        of its pairs and tensor ranks (the +inf diagonal never wins).
+        """
+        return self._inter_num_all / ((self.grid.dp * bw) * GB)
+
+    def _ring_stage_terms(self, pair: np.ndarray,
+                          slots: np.ndarray) -> np.ndarray:
+        """Per-stage ring terms when a node holds several slots.
+
+        ``slots`` holds the ``(..., ns, dp)`` slots of the
+        exposure-aware stages and ``pair[y, ..., x, a, b]`` tensor rank
+        ``y``'s bandwidth between data ranks ``a`` and ``b`` of stage
+        ``x``; the leading ``...`` is the batch axis, if any.
+        """
+        nodes = np.take(self._node_of_slot, slots)            # (..., ns, dp)
+        same = nodes[..., :, None] == nodes[..., None, :]     # (..., ns, dp, dp)
+
+        # Intra-node phase: per data rank, the slowest link to a
+        # same-node peer; the member attaining the node minimum
+        # reproduces the reference's per-node term, the rest are
+        # dominated.  A data rank's node population is its row sum
+        # of ``same``.  Excluded pairs are masked to +inf, so the
+        # min ranges over exactly the reference's candidate set.
+        rowmin = np.where(same[None], pair, np.inf).min(axis=-1)
+        k = same.sum(axis=-1)                                 # (..., ns, dp)
+        intra_num = (4.0 * (k - 1)) * self._msg_dp_col
+        intra = (intra_num[None] / ((k[None] * rowmin) * GB)).max(axis=-1)
+
+        # Inter-node phase: leaders are each node's first member in
+        # data-rank order (no earlier same-node occurrence).
+        leader = ~((same & self._tril).any(axis=-1))          # (..., ns, dp)
+        kn = leader.sum(axis=-1)                              # (..., ns)
+        pairmask = leader[..., :, None] & leader[..., None, :]
+        masked = np.where(pairmask[None], pair, np.inf)
+        inter_bw = masked.min(axis=(-2, -1))                  # (tp, ..., ns)
+        inter_num = (2.0 * (kn - 1)) * self._msg_dp[:self._n_dp_stages]
+        inter = inter_num[None] / ((kn[None] * inter_bw) * GB)
+        return (intra + inter).max(axis=0)                    # (..., ns)
+
+    def _exposed_dp(self, stage_t: "list[float]", c_tp: float) -> float:
+        """T_DP: the first stage's ring term, or a later stage's net of
+        its drain slack when that is larger."""
+        exposed = stage_t[0]
+        if len(stage_t) > 1:
+            backward_slack = 2.0 * c_tp / 3.0
+            adj = [t - x * backward_slack
+                   for x, t in enumerate(stage_t) if x]
+            worst = max(adj)
+            if worst == worst and any(a != a for a in adj):
+                worst = math.nan        # NumPy's max propagates NaN
+            exposed = max(exposed, worst)
+        return exposed / self._eff
 
     def _finish(self, pp: int, c_tp: float, t_pp: float,
                 t_dp: float) -> float:

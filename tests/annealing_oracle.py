@@ -2,9 +2,11 @@
 
 :func:`anneal_mapping_reference` is the pre-kernel ``SA_NextMap`` loop
 of Algorithm 1: one ``Mapping`` per proposal, one ``perf_counter`` per
-move, the copy-returning :func:`propose`.  The seed-identity tests and
-``benchmarks/bench_annealing_kernel.py`` pin
-:func:`repro.core.annealing.anneal_mapping` against it.
+move, the copy-returning :func:`propose`, and every draw a call on a
+``np.random.Generator`` (:func:`propose_into`).  The seed-identity
+tests and ``benchmarks/bench_annealing_kernel.py`` pin
+:func:`repro.core.annealing.anneal_mapping`, whose draws come from a
+:class:`repro.utils.rng.DrawStream`, against it.
 :func:`apply_move` is the RNG-free twin of the move set, for tests that
 name a move rather than draw one.
 
@@ -25,17 +27,50 @@ from repro.core.annealing import (
     SAOptions,
     SAResult,
     _degenerate_result,
-    _propose_into,
     _temperature_from_spread,
 )
 from repro.parallel.mapping import Mapping
 from repro.utils.rng import resolve_rng
 
 
+def propose_into(out: np.ndarray, perm: np.ndarray, move: str,
+                 rng: np.random.Generator) -> None:
+    """Apply one move of ``perm`` into ``out``, drawing from ``rng``.
+
+    The reference proposal: the same moves as
+    :func:`repro.core.annealing._propose_into`, with every draw a
+    ``Generator`` call.
+    """
+    n = len(perm)
+    out[:] = perm
+    if n < 2:
+        return
+    if move == "swap":
+        i, j = rng.choice(n, size=2, replace=False)
+        out[i], out[j] = perm[j], perm[i]
+    elif move == "migrate":
+        i = int(rng.integers(n))
+        j = int(rng.integers(n - 1))
+        if j >= i:
+            out[i:j] = perm[i + 1:j + 1]
+        else:
+            out[j + 1:i + 1] = perm[j:i]
+        out[j] = perm[i]
+    elif move == "reverse":
+        i, j = sorted(rng.choice(n + 1, size=2, replace=False))
+        if j - i >= 2:
+            out[i:j] = perm[i:j][::-1]
+        else:
+            i2, j2 = rng.choice(n, size=2, replace=False)
+            out[i2], out[j2] = perm[j2], perm[i2]
+    else:
+        raise ValueError(f"unknown move {move!r}")
+
+
 def propose(perm: np.ndarray, move: str, rng: np.random.Generator) -> np.ndarray:
     """Apply one move to a copy of the permutation (allocating form)."""
     out = np.empty_like(perm)
-    _propose_into(out, perm, move, rng)
+    propose_into(out, perm, move, rng)
     return out
 
 

@@ -6,7 +6,7 @@ import pytest
 from annealing_oracle import anneal_mapping_reference, propose
 from repro.core.annealing import SAOptions, _propose_into, anneal_mapping
 from repro.parallel import WorkerGrid, sequential_mapping
-from repro.utils.rng import resolve_rng
+from repro.utils.rng import DrawStream, resolve_rng
 
 
 @pytest.fixture
@@ -32,6 +32,30 @@ class TestOptionsValidation:
     def test_rejects_empty_moves(self):
         with pytest.raises(ValueError):
             SAOptions(moves=())
+
+    @pytest.mark.parametrize("limit", [float("nan"), float("inf"), 0.0,
+                                       -1.0, True])
+    def test_time_limit_must_be_finite_and_positive(self, limit):
+        # A NaN limit never trips ``elapsed >= limit``: the anneal
+        # would never exit.
+        with pytest.raises(ValueError, match="time_limit_s"):
+            SAOptions(time_limit_s=limit, max_iterations=None)
+
+    @pytest.mark.parametrize("field", ["max_iterations", "portfolio_k",
+                                       "seed"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "3"])
+    def test_integer_fields_reject_non_ints(self, field, value):
+        with pytest.raises(TypeError, match=field):
+            SAOptions(**{field: value})
+
+    def test_integer_fields_accept_numpy_ints(self):
+        opts = SAOptions(max_iterations=np.int64(5), portfolio_k=np.int32(2),
+                         seed=np.uint16(7))
+        assert opts.max_iterations == 5 and opts.seed == 7
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed"):
+            SAOptions(seed=-1)
 
     def test_paper_defaults(self):
         opts = SAOptions()
@@ -65,10 +89,10 @@ class TestMoves:
 
     @pytest.mark.parametrize("move", ["migrate", "swap", "reverse"])
     def test_scratch_form_matches_allocating_form(self, move):
-        """``_propose_into`` draws the same stream and lands the same
-        permutations as the copy-returning ``propose``."""
+        """``_propose_into`` on a draw stream lands the same permutations
+        as the reference ``propose`` on a ``Generator`` of that seed."""
         rng_a = resolve_rng(17)
-        rng_b = resolve_rng(17)
+        rng_b = DrawStream(17)
         perm = resolve_rng(4).permutation(9)
         scratch = np.empty_like(perm)
         for _ in range(200):
@@ -79,7 +103,7 @@ class TestMoves:
 
     def test_scratch_migrate_never_allocates_views_of_source(self):
         """The scratch buffer is fully rewritten; the source is untouched."""
-        rng = resolve_rng(0)
+        rng = DrawStream(0)
         perm = np.arange(12)
         before = perm.copy()
         scratch = np.full(12, -1)
@@ -91,7 +115,7 @@ class TestMoves:
     def test_propose_into_rejects_unknown_move(self):
         with pytest.raises(ValueError, match="unknown move"):
             _propose_into(np.empty(4, dtype=np.int64), np.arange(4),
-                          "teleport", resolve_rng(0))
+                          "teleport", DrawStream(0))
 
 
 class TestAnnealing:

@@ -19,6 +19,8 @@ import pytest
 
 from annealing_oracle import anneal_mapping_reference
 from repro.cluster import Fabric, HeterogeneityModel
+from repro.cluster.fabric import BandwidthMatrix
+from repro.cluster.presets import high_end_cluster, mid_range_cluster
 from repro.core.annealing import SAOptions, anneal_mapping
 from repro.core.configurator import SearchContext, candidate_kernel
 from repro.core.latency_kernel import LatencyKernel, pipette_kernel
@@ -35,6 +37,7 @@ from repro.parallel import (
     sequential_mapping,
 )
 from repro.profiling import profile_compute
+from repro.sim.schedule import registered_schedules
 
 #: Every (pp, tp, dp) factorization of the 16-GPU tiny cluster whose TP
 #: groups fit a 4-GPU node and whose stages fit the toy model's
@@ -43,6 +46,13 @@ TINY_SHAPES = [
     (1, 4, 4), (2, 4, 2), (4, 4, 1),
     (1, 2, 8), (2, 2, 4), (4, 2, 2),
     (1, 1, 16), (2, 1, 8), (4, 1, 4),
+]
+
+#: The (pp, tp, dp) grids a 16-node Table-1 cold search anneals:
+#: full-node TP groups (one slot per node) and half-node ones (two).
+PRESET_GRIDS = [
+    (4, 8, 4), (2, 8, 8), (8, 8, 2), (1, 8, 16),
+    (8, 4, 4), (4, 4, 8), (2, 4, 16),
 ]
 
 #: The ablation corners of the latency model.
@@ -160,6 +170,52 @@ class TestKernelEquivalence:
             model, config, mapping, nominal, profile, options)
 
 
+@pytest.fixture(scope="module", params=["mid-range", "high-end"])
+def preset_world(request):
+    make = {"mid-range": mid_range_cluster,
+            "high-end": high_end_cluster}[request.param]
+    cluster = make(16)
+    fabric = Fabric(cluster, heterogeneity=HeterogeneityModel(), seed=3)
+    model = get_model("gpt-1.1b")
+    profile = profile_compute(model, cluster, seed=3)
+    return cluster, model, fabric.bandwidth(), profile
+
+
+class TestPresetSweep:
+    """Every preset grid x every schedule: the three paths agree bitwise.
+
+    ``evaluate_perm`` takes minimum bandwidths before its transforms
+    and gathers through position tables; ``evaluate_batch`` stacks the
+    same tables; ``latency_with_options`` walks the groups.  All three
+    must land on the same float for every permutation.
+    """
+
+    @pytest.mark.parametrize("schedule", registered_schedules())
+    @pytest.mark.parametrize("shape", PRESET_GRIDS)
+    def test_perm_batch_and_reference_agree(self, preset_world, shape,
+                                            schedule):
+        cluster, model, bw, profile = preset_world
+        pp, tp, dp = shape
+        config = ParallelConfig(pp=pp, tp=tp, dp=dp, micro_batch=1,
+                                global_batch=dp * 2 * pp, schedule=schedule)
+        grid = WorkerGrid(pp, tp, dp)
+        for options in (None, LatencyModelOptions()):
+            kernel = pipette_kernel(model, config, cluster, bw, profile) \
+                if options is None else LatencyKernel(
+                    model, config, cluster, bw, profile, options)
+            mappings = [sequential_mapping(grid, cluster)] + [
+                random_block_mapping(grid, cluster, seed=seed)
+                for seed in range(3)]
+            batch = kernel.evaluate_batch(
+                np.stack([m.block_to_slot for m in mappings]))
+            for mapping, row in zip(mappings, batch):
+                ref = pipette_latency(model, config, mapping, bw, profile) \
+                    if options is None else latency_with_options(
+                        model, config, mapping, bw, profile, options)
+                assert kernel.evaluate_perm(mapping.block_to_slot) == ref
+                assert row == ref
+
+
 class TestKernelValidation:
     def test_rejects_wrong_gpu_count(self, world):
         cluster, model, bw, profile = world
@@ -182,6 +238,15 @@ class TestKernelValidation:
         small = bw.restrict(range(8))
         with pytest.raises(ValueError, match="bandwidth"):
             LatencyKernel(model, _config(2, 2, 4), cluster, small, profile)
+
+    def test_rejects_negative_bandwidth(self, world):
+        """The min-first terms assume bandwidth never goes negative."""
+        cluster, model, bw, profile = world
+        matrix = bw.matrix.copy()
+        matrix[0, 5] = -1.0
+        with pytest.raises(ValueError, match="non-negative"):
+            LatencyKernel(model, _config(2, 2, 4), cluster,
+                          BandwidthMatrix(matrix, bw.alpha), profile)
 
     def test_rejects_foreign_grid_mapping(self, world):
         cluster, model, bw, profile = world
