@@ -32,6 +32,7 @@ and :func:`pipette_lf` (plus fine-grained worker dedication —
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import dataclass, field, replace
 
@@ -189,6 +190,10 @@ class PipetteResult:
             Annealing"); under a parallel executor this is the *sum*
             of per-candidate annealing times, i.e. CPU time.
         total_s: end-to-end search time.
+
+    A finished result is not mutated: the plan cache shares one
+    instance among every answer it serves, and :meth:`payload_json`
+    keeps its encoding.
     """
 
     best: RankedConfig | None
@@ -197,6 +202,8 @@ class PipetteResult:
     memory_check_s: float
     annealing_s: float
     total_s: float
+    _payload_json: "str | None" = field(default=None, init=False,
+                                        repr=False, compare=False)
 
     def to_payload(self) -> dict:
         """Versioned, JSON-serializable form of a finished search.
@@ -224,6 +231,20 @@ class PipetteResult:
         if self.best is not None and best_index is None:
             payload["best"] = self.best.to_payload()
         return payload
+
+    def payload_json(self) -> str:
+        """``json.dumps(self.to_payload(), sort_keys=True)``, encoded once.
+
+        The first call encodes the payload and keeps the text on this
+        result; every later call returns it.  The text lives exactly as
+        long as the result, so a plan cache that evicts or retires the
+        result drops the text with it.  The planning service's
+        ``"detail": true`` answers splice it in verbatim.
+        """
+        if self._payload_json is None:
+            self._payload_json = json.dumps(self.to_payload(),
+                                            sort_keys=True)
+        return self._payload_json
 
     @classmethod
     def from_payload(cls, payload: dict) -> "PipetteResult":

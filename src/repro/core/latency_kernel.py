@@ -37,8 +37,11 @@ groups of ``f(bw) = a * (c / (bw * GB))`` with ``a, c >= 0``.  Each
 IEEE step of ``f`` is monotone for ``bw >= 0``, so ``f`` never rises
 with ``bw`` and ``max_i f(bw_i) == f(min_i bw_i)`` exactly (NaN
 propagates through both sides).  The kernel reduces the gathered
-bandwidths first and applies ``f`` once, and refuses a matrix with a
-negative entry.  With ``pp <= 2`` the straggler sees every slot, so its
+bandwidths first and applies ``f`` once.  It refuses a matrix with a
+negative entry, and one with a NaN entry through the reference's own
+check (:func:`~repro.core.latency_model.refuse_nan_bandwidth`), so
+both paths answer a failed measurement with the same ``ValueError``.
+With ``pp <= 2`` the straggler sees every slot, so its
 term is a compile-time constant.  On 16-node Table-1 presets this
 takes a one-slot-per-node ``evaluate_perm`` from about 27 to 13-18 µs;
 the path where a node holds several slots keeps its per-tensor-rank
@@ -88,7 +91,7 @@ import numpy as np
 
 from repro.cluster.fabric import BandwidthMatrix
 from repro.cluster.topology import ClusterSpec
-from repro.core.latency_model import LatencyModelOptions
+from repro.core.latency_model import LatencyModelOptions, refuse_nan_bandwidth
 from repro.model.memory import stage_layer_count
 from repro.model.transformer import TransformerConfig
 from repro.parallel.config import ParallelConfig
@@ -166,6 +169,7 @@ class LatencyKernel:
         self._critical_time = schedule_type(config.schedule).critical_time
 
         matrix = bandwidth.matrix
+        refuse_nan_bandwidth(bandwidth)
         if (matrix < 0).any():
             raise ValueError("bandwidths must be non-negative")
         # ``blocked[s1, y1, s2, y2] == matrix[s1*tp + y1, s2*tp + y2]``.

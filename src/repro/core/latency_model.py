@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.cluster.fabric import BandwidthMatrix
 from repro.model.memory import stage_layer_count
 from repro.model.transformer import TransformerConfig
@@ -56,6 +58,21 @@ class LatencyModelOptions:
     per_link_bandwidth: bool = True
     collective_efficiency: float = 1.0
     dp_exposure_aware: bool = False
+
+
+def refuse_nan_bandwidth(bandwidth: BandwidthMatrix) -> None:
+    """Raise ``ValueError`` if ``bandwidth`` has a NaN entry.
+
+    NaN is a failed measurement, not a bandwidth.  The reference
+    model's Python ``min``/``max`` and the kernel's NumPy reductions
+    order NaN differently, so the two would score one mapping
+    differently; both refuse the matrix here instead.  A
+    :class:`BandwidthMatrix` may still hold NaN (drift detection and
+    epoch fingerprints read it); it just cannot be planned against.
+    """
+    if np.isnan(bandwidth.matrix).any():
+        raise ValueError("bandwidth matrix has a NaN entry (a failed "
+                         "measurement); re-profile before planning")
 
 
 def _compute_and_tp(model: TransformerConfig, config: ParallelConfig,
@@ -174,8 +191,10 @@ def latency_with_options(model: TransformerConfig, config: ParallelConfig,
 
     With both options on this is :func:`pipette_latency`; with both
     off and the nominal matrix handed in it is
-    :func:`prior_art_latency`.
+    :func:`prior_art_latency`.  A matrix with a NaN entry raises
+    ``ValueError`` (:func:`refuse_nan_bandwidth`).
     """
+    refuse_nan_bandwidth(bandwidth)
     pp, n_mb = config.pp, config.n_microbatches
     c_tp = _compute_and_tp(model, config, mapping, bandwidth, profile)
     t_pp = _pp_path_time(model, config, mapping, bandwidth)

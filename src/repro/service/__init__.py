@@ -75,6 +75,7 @@ from repro.service.http import (
     HttpPlanServer,
     answer_payload,
     plan_response_payload,
+    render_answer,
 )
 from repro.service.metrics import (
     DEFAULT_LATENCY_BUCKETS,
@@ -140,6 +141,7 @@ __all__ = [
     "HttpPlanServer",
     "answer_payload",
     "plan_response_payload",
+    "render_answer",
     "DEFAULT_LATENCY_BUCKETS",
     "Counter",
     "Gauge",

@@ -78,6 +78,7 @@ from repro.service.http import (
     HttpPlanServer,
     answer_payload,
     plan_response_payload,
+    render_answer,
 )
 from repro.service.metrics import MetricsRegistry
 from repro.service.planner import PlanningService
@@ -326,7 +327,7 @@ async def _handle_line(gateway: PlanGateway, options: PipetteOptions,
         # Whatever a request line carries, it must answer as an error
         # line, never vanish.
         out = {"id": rid, "status": "error", "error": str(exc)}
-    await write_line(json.dumps(out, sort_keys=True))
+    await write_line(render_answer(out))
 
 
 async def _serve_stream(gateway: PlanGateway, options: PipetteOptions,

@@ -32,6 +32,11 @@ from repro.model.transformer import TransformerConfig
 from repro.units import GIB
 
 
+#: Instance-``__dict__`` key of a frozen dataclass's memoised
+#: ``(canonical value, canonical JSON text)`` pair.
+_CANONICAL = "_canonical_memo"
+
+
 def canonical_value(obj):
     """Recursively reduce ``obj`` to JSON-serializable primitives.
 
@@ -40,18 +45,65 @@ def canonical_value(obj):
     are skipped — cosmetic text must not split cache keys); tuples and
     lists become lists.  The reduction is deliberately type-tagged so
     two different dataclasses with equal field values never collide.
+
+    Memoised, frozen-only: a frozen dataclass whose fields are all
+    frozen too (frozen dataclasses, tuples, scalars — no list, no
+    mutable dataclass) keeps its reduction on the instance, so a
+    long-lived :class:`ClusterSpec`, :class:`TransformerConfig` or
+    :class:`PipetteOptions` is reduced once per object, not once per
+    request.  The memo is keyed by identity, never by equality
+    (``1 == 1.0`` and ``0.0 == -0.0`` encode differently), and a
+    frozen object cannot change under it.  The returned structure may
+    therefore be shared: treat it as read-only.
+    """
+    return _reduce(obj)[0]
+
+
+def canonical_json(obj) -> str:
+    """``json.dumps(canonical_value(obj), sort_keys=True)``, memoised.
+
+    Built from the same per-instance memo as :func:`canonical_value`:
+    a memoised part contributes its stored text verbatim, so encoding
+    a fresh request re-encodes only its own scalar fields.
+    """
+    return _reduce(obj)[1]
+
+
+def _reduce(obj) -> "tuple[object, str, bool]":
+    """``(canonical value, canonical JSON text, deeply frozen)`` of ``obj``.
+
+    The text is what ``json.dumps(value, sort_keys=True)`` renders
+    (default separators, ASCII): leaves go through ``json.dumps`` and
+    containers join their members' texts, keys sorted.
     """
     if is_dataclass(obj) and not isinstance(obj, type):
+        state = getattr(obj, "__dict__", None)
+        memo = None if state is None else state.get(_CANONICAL)
+        if memo is not None:
+            return memo[0], memo[1], True
         payload = {"__class__": type(obj).__name__}
+        texts = {"__class__": json.dumps(type(obj).__name__)}
+        frozen = type(obj).__dataclass_params__.frozen
         for f in fields(obj):
             if not f.compare:
                 continue
-            payload[f.name] = canonical_value(getattr(obj, f.name))
-        return payload
+            value, text, member_frozen = _reduce(getattr(obj, f.name))
+            payload[f.name] = value
+            texts[f.name] = text
+            frozen = frozen and member_frozen
+        text = "{" + ", ".join(f"{json.dumps(key)}: {texts[key]}"
+                               for key in sorted(texts)) + "}"
+        if frozen and state is not None:
+            state[_CANONICAL] = (payload, text)
+        return payload, text, frozen
     if isinstance(obj, (list, tuple)):
-        return [canonical_value(v) for v in obj]
+        members = [_reduce(v) for v in obj]
+        return ([value for value, _, _ in members],
+                "[" + ", ".join(text for _, text, _ in members) + "]",
+                isinstance(obj, tuple)
+                and all(frozen for _, _, frozen in members))
     if isinstance(obj, (str, int, float, bool)) or obj is None:
-        return obj
+        return obj, json.dumps(obj), True
     raise TypeError(f"cannot canonicalize {type(obj).__name__} for hashing")
 
 
@@ -144,8 +196,10 @@ def parse_plan_payload(payload) -> PlanFields:
     and the fleet router's shard key.  ``global_batch`` defaults to 64
     when absent; every other field may be absent or ``null``.
     Integers follow :func:`payload_int`, list fields must be JSON
-    arrays, names must be strings, and ``"schedule"`` is one name or
-    an array of names.  A bad field raises ``ValueError``.
+    arrays, names must be strings, ``"schedule"`` is one name or an
+    array of names, and ``"detail"`` is ``true`` or ``false`` (it
+    shapes the answer, not the plan, so only the transports read it).
+    A bad field raises ``ValueError``.
     """
     if not isinstance(payload, dict):
         raise ValueError("plan payload must be a JSON object")
@@ -172,6 +226,9 @@ def parse_plan_payload(payload) -> PlanFields:
                              f"names, got {payload['schedule']!r}")
         schedules = sorted_unique(schedules)
     portfolio_k = payload.get("portfolio_k")
+    detail = payload.get("detail")
+    if detail is not None and not isinstance(detail, bool):
+        raise ValueError(f"detail must be true or false, got {detail!r}")
     return PlanFields(
         model=model,
         global_batch=payload_int(payload.get("global_batch", 64),
@@ -261,9 +318,19 @@ class PlanRequest:
         the bandwidth epoch is deliberately *not* part of the hash —
         the cache tracks it per entry so a drifted fabric invalidates
         rather than silently forks the key space.
+
+        Memoised: a request is frozen, so the hash is computed on the
+        first call and every later call (the gateway's coalescing key,
+        the service's cache key) returns the stored value.  The hash is
+        the one :func:`canonical_json` has always fed it, so the memo
+        never re-keys the durable store or splits the cache.
         """
-        payload = json.dumps(canonical_value(self), sort_keys=True)
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:24]
+        fingerprint = self.__dict__.get("_fingerprint")
+        if fingerprint is None:
+            fingerprint = hashlib.sha256(
+                canonical_json(self).encode("utf-8")).hexdigest()[:24]
+            self.__dict__["_fingerprint"] = fingerprint
+        return fingerprint
 
 
 @dataclass

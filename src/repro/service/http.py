@@ -72,7 +72,7 @@ import numpy as np
 
 import repro
 from repro.cluster.fabric import BandwidthMatrix
-from repro.core import PipetteOptions
+from repro.core import PipetteOptions, PipetteResult
 from repro.model import get_model
 from repro.obs.logs import get_logger
 from repro.obs.trace import (
@@ -93,7 +93,8 @@ from repro.service.warmer import TemplateWarmer
 from repro.units import GIB
 
 __all__ = ["HttpError", "HttpPlanServer", "HttpServerBase",
-           "answer_payload", "plan_response_payload", "MAX_BODY_BYTES"]
+           "answer_payload", "plan_response_payload", "render_answer",
+           "MAX_BODY_BYTES"]
 
 #: Default request-body cap; a plan request is a few hundred bytes,
 #: and even a full bandwidth matrix for a large fleet fits well under
@@ -101,6 +102,10 @@ __all__ = ["HttpError", "HttpPlanServer", "HttpServerBase",
 MAX_BODY_BYTES = 1 << 20
 
 _JSON = "application/json; charset=utf-8"
+
+#: ``_ENCODER.encode(x) == json.dumps(x, sort_keys=True)``, without
+#: building a new encoder per call.
+_ENCODER = json.JSONEncoder(sort_keys=True)
 
 _log = get_logger("service.http")
 
@@ -186,18 +191,21 @@ async def answer_payload(gateway: PlanGateway, options: PipetteOptions,
 
 
 def plan_response_payload(answer, payload: dict, registry=None) -> dict:
-    """The JSON answer body for one GatewayResponse.
+    """The answer dict for one GatewayResponse (see :func:`render_answer`).
 
     ``elapsed_ms`` is this caller's own submit-to-answer time — a
     coalesced follower must not report its leader's full search time.
-    With ``"detail": true`` in the request, the full
-    :meth:`~repro.core.configurator.PipetteResult.to_payload` rides
-    along under ``"result"``, which is what makes byte-identity
-    through the transport testable.  When tracing is on, the answer
-    additionally carries its ``trace_id``, and detail responses embed
-    the request's own span tree under ``"timing"`` — the per-request
-    twin of ``GET /v1/debug/traces/<id>``, rendered while the trace
-    may still be open.  With a ``registry``, detail responses also
+    With ``"detail": true`` in the request, the plan's
+    :class:`~repro.core.configurator.PipetteResult` itself rides along
+    under ``"result"``, and :func:`render_answer` writes it as its
+    :meth:`~repro.core.configurator.PipetteResult.to_payload`
+    document, encoded once per cached plan; that document is what
+    makes byte-identity through the transport testable.  When tracing
+    is on, the answer additionally carries its ``trace_id``, and
+    detail responses embed the request's own span tree under
+    ``"timing"`` — the per-request twin of
+    ``GET /v1/debug/traces/<id>``, rendered while the trace may still
+    be open.  With a ``registry``, detail responses also
     report the answering cluster's elastic template library under
     ``"templates"`` (size, covered node counts, and whether the
     current node count is covered), so a scheduler can see at plan
@@ -219,8 +227,9 @@ def plan_response_payload(answer, payload: dict, registry=None) -> dict:
         out["latency_s"] = best.estimated_latency_s
         if best.estimated_memory_bytes is not None:
             out["memory_gib"] = round(best.estimated_memory_bytes / GIB, 3)
-        if payload.get("detail") and answer.result is not None:
-            out["result"] = answer.result.to_payload()
+        # parse_plan_payload admits only a JSON bool (or null) here.
+        if payload.get("detail") is True and answer.result is not None:
+            out["result"] = answer.result
             if registry is not None:
                 try:
                     service = registry.service(answer.cluster_name)
@@ -242,6 +251,28 @@ def plan_response_payload(answer, payload: dict, registry=None) -> dict:
                 if timing is not None:
                     out["timing"] = timing
     return out
+
+
+def render_answer(out: dict) -> str:
+    """``json.dumps(out, sort_keys=True)`` for one answer dict.
+
+    A :class:`~repro.core.configurator.PipetteResult` under
+    ``"result"`` is written as its :meth:`payload_json
+    <repro.core.configurator.PipetteResult.payload_json>` text, spliced
+    in verbatim: the same bytes ``json.dumps`` renders for its
+    ``to_payload()`` document, without rebuilding or re-encoding the
+    document on every detail answer.  Every other value is encoded
+    per answer, so ``elapsed_ms``, ``trace_id``, ``timing`` and an
+    echoed ``"id"`` stay per delivery.
+    """
+    result = out.get("result")
+    if not isinstance(result, PipetteResult):
+        return _ENCODER.encode(out)
+    return "{" + ", ".join(
+        f"{_ENCODER.encode(key)}: "
+        + (result.payload_json() if key == "result"
+           else _ENCODER.encode(out[key]))
+        for key in sorted(out)) + "}"
 
 
 # ----------------------------------------------------------- HTTP parsing
@@ -325,7 +356,7 @@ def _write_response(writer: asyncio.StreamWriter, status: int, body: bytes,
 
 
 def _json_body(out: dict) -> bytes:
-    return json.dumps(out, sort_keys=True).encode("utf-8")
+    return render_answer(out).encode("utf-8")
 
 
 def _link_table(value, name: str) -> "tuple[np.ndarray, np.ndarray]":

@@ -248,6 +248,49 @@ class TestKernelValidation:
             LatencyKernel(model, _config(2, 2, 4), cluster,
                           BandwidthMatrix(matrix, bw.alpha), profile)
 
+    def test_nan_bandwidth_is_refused_alike_by_kernel_and_reference(
+            self, world):
+        """A failed measurement (NaN) has one semantics: refusal.
+
+        Scored, the reference's Python min/max and the kernel's NumPy
+        reductions disagreed on about half of a probe's mappings.  The
+        matrix itself may still hold NaN (drift detection reads it).
+        """
+        cluster, model, bw, profile = world
+        for link in ((0, 5), (1, 0), (3, 12)):
+            matrix = bw.matrix.copy()
+            matrix[link] = np.nan
+            poisoned = BandwidthMatrix(matrix, bw.alpha)
+            for config in (_config(2, 2, 4), _config(4, 4, 1),
+                           _config(1, 1, 16)):
+                mapping = sequential_mapping(
+                    WorkerGrid(config.pp, config.tp, config.dp), cluster)
+                errors = []
+                for build in (
+                        lambda: LatencyKernel(model, config, cluster,
+                                              poisoned, profile),
+                        lambda: latency_with_options(
+                            model, config, mapping, poisoned, profile,
+                            LatencyModelOptions()),
+                        lambda: pipette_latency(model, config, mapping,
+                                                poisoned, profile)):
+                    with pytest.raises(ValueError, match="NaN") as info:
+                        build()
+                    errors.append(str(info.value))
+                assert len(set(errors)) == 1
+
+    def test_profiled_presets_carry_no_nan(self):
+        """What the planners are handed today never trips the refusal."""
+        from repro.cluster import NetworkProfiler, make_fabric
+
+        for preset in (mid_range_cluster, high_end_cluster):
+            cluster = preset(4)
+            for seed in range(3):
+                bw = NetworkProfiler().profile(
+                    make_fabric(cluster, seed=seed), seed=seed).bandwidth
+                assert not np.isnan(bw.matrix).any()
+                assert not np.isnan(bw.restrict(range(8)).matrix).any()
+
     def test_rejects_foreign_grid_mapping(self, world):
         cluster, model, bw, profile = world
         kernel = LatencyKernel(model, _config(2, 2, 4), cluster, bw, profile)

@@ -1,9 +1,15 @@
 """Request fingerprinting and the LRU plan cache."""
 
+import gc
+import json
+import weakref
+from dataclasses import dataclass, replace
+
 import numpy as np
 import pytest
 
 from repro.cluster.fabric import BandwidthMatrix
+from repro.cluster.presets import mid_range_cluster
 from repro.core import PipetteOptions, SAOptions
 from repro.core.configurator import PipetteResult
 from repro.model import get_model
@@ -11,6 +17,7 @@ from repro.service.cache import (
     PlanCache,
     PlanFields,
     PlanRequest,
+    canonical_json,
     canonical_value,
     parse_plan_payload,
 )
@@ -94,6 +101,124 @@ class TestFingerprint:
                         global_batch=32, micro_batches=())
 
 
+@dataclass(frozen=True)
+class _Point:
+    x: float
+    tags: tuple = ()
+
+
+@dataclass(frozen=True)
+class _Holder:
+    """Frozen, but holding a list: not deeply frozen."""
+
+    items: list
+
+
+@dataclass
+class _Mutable:
+    x: float
+
+
+def _preset_request(**kwargs) -> PlanRequest:
+    return PlanRequest(cluster=mid_range_cluster(4),
+                       model=get_model("gpt-small"), global_batch=64,
+                       **kwargs)
+
+
+class TestPinnedFingerprints:
+    """Fingerprint literals recorded before the fingerprint was memoised.
+
+    A durable store keys its records by these hashes, so a change here
+    would orphan every stored plan; the memo must reproduce them.
+    """
+
+    PINNED = {
+        "defaults": "9733d9312ff5ada524cf0d11",
+        "restricted": "b4ec21117e30db25c8c88771",
+        "portfolio_k": "45a7ff9d2a91aa2ea0c46be8",
+    }
+
+    @staticmethod
+    def _requests() -> "dict[str, PlanRequest]":
+        options = PipetteOptions()
+        return {
+            "defaults": _preset_request(),
+            "restricted": _preset_request(
+                micro_batches=(4, 1, 2), schedules=("gpipe", "1f1b"),
+                memory_limit_bytes=20 * GIB),
+            "portfolio_k": _preset_request(options=replace(
+                options, sa=replace(options.sa, portfolio_k=5))),
+        }
+
+    def test_literals_cold_and_warm(self):
+        for name, request in self._requests().items():
+            assert request.fingerprint() == self.PINNED[name], name
+            assert request.fingerprint() == self.PINNED[name], name
+        # Fresh requests over parts whose memos are now warm.
+        for name, request in self._requests().items():
+            assert request.fingerprint() == self.PINNED[name], name
+
+    def test_memo_is_per_instance_and_never_splits_a_key(self):
+        warm = _preset_request()
+        key = warm.fingerprint()
+        assert warm.fingerprint() is key  # stored, not recomputed
+        # A twin over *different* (cold) part objects agrees.
+        assert _preset_request().fingerprint() == key
+        assert replace(warm, global_batch=128).fingerprint() != key
+
+    def test_one_sa_field_still_splits_after_both_memos_are_warm(self):
+        options = PipetteOptions()
+        a = _preset_request(options=options)
+        b = _preset_request(options=replace(
+            options, sa=replace(options.sa, max_iterations=2999)))
+        first = (a.fingerprint(), b.fingerprint())
+        assert first[0] != first[1]
+        canonical_value(options)
+        canonical_value(b.options)
+        assert (_preset_request(options=options).fingerprint(),
+                _preset_request(options=b.options).fingerprint()) == first
+
+
+class TestCanonicalMemo:
+    def test_json_is_json_dumps_of_the_value(self):
+        cases = [
+            _preset_request(),
+            _Point(-0.0, ("a", None, True, 3)),
+            _Point(float("nan"), (float("inf"), -float("inf"), 1e-300)),
+            _Point(1, ("\u00e9t\u00e9", "\"quoted\"", "tab\t")),
+            _Holder([_Point(2.5), (1, [2])]),
+            _Mutable(0.1),
+            [(), [], _Point(3.0)],
+            "plain", 7, None, False,
+        ]
+        for obj in cases:
+            assert canonical_json(obj) == json.dumps(canonical_value(obj),
+                                                     sort_keys=True)
+
+    def test_memo_is_by_identity_not_equality(self):
+        # Equal dataclasses may encode differently: 1 == 1.0 and
+        # 0.0 == -0.0, so one instance's memo must never answer for
+        # another's.
+        pairs = [(_Point(1), _Point(1.0)), (_Point(0.0), _Point(-0.0))]
+        for a, b in pairs:
+            assert a == b
+            text_a = canonical_json(a)
+            assert canonical_json(b) != text_a
+            assert canonical_json(a) == text_a
+
+    def test_only_deeply_frozen_objects_are_memoised(self):
+        holder = _Holder([1, 2])
+        assert canonical_value(holder)["items"] == [1, 2]
+        holder.items.append(3)  # frozen binding, mutable contents
+        assert canonical_value(holder)["items"] == [1, 2, 3]
+        mutable = _Mutable(1.0)
+        canonical_json(mutable)
+        mutable.x = 2.0
+        assert canonical_value(mutable)["x"] == 2.0
+        point = _Point(1.0, (2, 3))
+        assert canonical_value(point) is canonical_value(point)
+
+
 class TestPlanCache:
     def test_miss_then_hit(self, request_a):
         cache = PlanCache()
@@ -130,6 +255,23 @@ class TestPlanCache:
         cache.put("c", "new", _result())
         assert cache.invalidate_epoch("new") == 2
         assert len(cache) == 1 and "c" in cache
+
+    def test_cache_keeps_no_detail_document_after_a_plan_leaves(self):
+        # The encoded detail document lives on the result, so evicting,
+        # retiring or clearing a plan releases its bytes with it.
+        for drop in (lambda c: c.put("other", "fp", _result()),
+                     lambda c: c.invalidate_epoch("fp2"),
+                     lambda c: c.clear()):
+            cache = PlanCache(max_entries=1)
+            result = _result()
+            assert result.payload_json() == json.dumps(result.to_payload(),
+                                                       sort_keys=True)
+            cache.put("key", "fp", result)
+            ref = weakref.ref(result)
+            del result
+            drop(cache)
+            gc.collect()
+            assert ref() is None
 
     def test_clear_keeps_stats(self):
         cache = PlanCache()
@@ -313,10 +455,21 @@ class TestParsePlanPayload:
         ("model", 7),
         ("cluster", 0),
         ("client_id", ["a"]),
+        ("detail", "false"),
+        ("detail", "yes"),
+        ("detail", 1),
+        ("detail", 0),
+        ("detail", [True]),
     ])
     def test_mistyped_field_is_refused(self, field, value):
         with pytest.raises(ValueError, match=field):
             parse_plan_payload({"model": "gpt-toy", field: value})
+
+    def test_detail_may_be_a_json_bool_or_null(self):
+        for value in (True, False, None):
+            assert parse_plan_payload({"model": "gpt-toy",
+                                       "detail": value}) == \
+                PlanFields(model="gpt-toy", global_batch=64)
 
     def test_model_is_required_and_payload_is_an_object(self):
         with pytest.raises(ValueError, match="model"):

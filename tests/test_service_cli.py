@@ -134,11 +134,13 @@ class TestServeProtocol:
         answers = self._serve([
             json.dumps({"model": "gpt-toy", "cluster": "cli", **fields})
             for fields in ({"micro_batches": "16"}, {"global_batch": True},
-                           {"global_batch": 32.9})])
-        assert len(answers) == 3
+                           {"global_batch": 32.9}, {"detail": "false"},
+                           {"detail": 1})])
+        assert len(answers) == 5
         assert all(a["status"] == "error" for a in answers)
         assert sorted(a["error"].split()[0] for a in answers) == \
-            ["global_batch", "global_batch", "micro_batches"]
+            ["detail", "detail", "global_batch", "global_batch",
+             "micro_batches"]
 
     def test_duplicate_concurrent_requests_coalesce(self):
         line = json.dumps({"model": "gpt-toy", "global_batch": 32,

@@ -183,9 +183,14 @@ class TestRoutingKey:
     def test_pinned_keys(self, payload, key):
         assert routing_key(payload) == key
 
+    def test_detail_never_moves_a_key(self):
+        for detail in (True, False, None):
+            assert routing_key(dict(self.BASE, detail=detail)) == \
+                "f40f66886c908df862de4c4f"
+
     @pytest.mark.parametrize("field, value", [
         ("micro_batches", "16"), ("global_batch", True),
-        ("global_batch", 32.9)])
+        ("global_batch", 32.9), ("detail", "false")])
     def test_mistyped_payload_has_no_key(self, field, value):
         # "16" used to hash like [1, 6], and true like global batch 1.
         with pytest.raises(ValueError, match=field):
@@ -639,7 +644,7 @@ class TestFleetRouter:
 class TestRouterRefusesMalformedPlans:
     @pytest.mark.parametrize("field, value", [
         ("micro_batches", "16"), ("global_batch", True),
-        ("global_batch", 32.9)])
+        ("global_batch", 32.9), ("detail", "yes"), ("detail", 1)])
     def test_400_before_forwarding(self, field, value):
         # The only worker is unreachable, so any forwarded request would
         # answer 502: a 400 proves the router refused it on its own.

@@ -577,7 +577,11 @@ class TestEdgeCases:
         # global batch 1, and 32.9 planned for 32; all answered 200.
         bad = [{"micro_batches": "16"}, {"global_batch": True},
                {"global_batch": 32.9}, {"portfolio_k": "2"},
-               {"memory_limit_gib": "12"}, {"schedule": [1]}]
+               {"memory_limit_gib": "12"}, {"schedule": [1]},
+               # "false" and 1 used to answer a 20 KB detail body,
+               # 0 a compact one.
+               {"detail": "false"}, {"detail": 1}, {"detail": 0},
+               {"detail": "yes"}]
 
         async def main():
             async with _Server(_registry()) as server:
