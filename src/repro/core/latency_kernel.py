@@ -35,12 +35,13 @@ and :meth:`evaluate_batch`.
 one-slot-per-node path each stage's ring term, is a maximum over
 groups of ``f(bw) = a * (c / (bw * GB))`` with ``a, c >= 0``.  Each
 IEEE step of ``f`` is monotone for ``bw >= 0``, so ``f`` never rises
-with ``bw`` and ``max_i f(bw_i) == f(min_i bw_i)`` exactly (NaN
-propagates through both sides).  The kernel reduces the gathered
-bandwidths first and applies ``f`` once.  It refuses a matrix with a
-negative entry, and one with a NaN entry through the reference's own
-check (:func:`~repro.core.latency_model.refuse_nan_bandwidth`), so
-both paths answer a failed measurement with the same ``ValueError``.
+with ``bw`` and ``max_i f(bw_i) == f(min_i bw_i)`` exactly.  The
+kernel reduces the gathered bandwidths first and applies ``f`` once.
+It refuses a matrix with a NaN, zero or negative entry through the
+reference's own check
+(:func:`~repro.core.latency_model.refuse_unusable_bandwidth`), so both
+paths answer a failed measurement or a dead link with the same
+``ValueError``.
 With ``pp <= 2`` the straggler sees every slot, so its
 term is a compile-time constant.  On 16-node Table-1 presets this
 takes a one-slot-per-node ``evaluate_perm`` from about 27 to 13-18 µs;
@@ -85,13 +86,14 @@ only pays off from roughly 128-256 blocks, while Table 1 leaders have
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.cluster.fabric import BandwidthMatrix
 from repro.cluster.topology import ClusterSpec
-from repro.core.latency_model import LatencyModelOptions, refuse_nan_bandwidth
+from repro.core.latency_model import (
+    LatencyModelOptions,
+    refuse_unusable_bandwidth,
+)
 from repro.model.memory import stage_layer_count
 from repro.model.transformer import TransformerConfig
 from repro.parallel.config import ParallelConfig
@@ -169,9 +171,7 @@ class LatencyKernel:
         self._critical_time = schedule_type(config.schedule).critical_time
 
         matrix = bandwidth.matrix
-        refuse_nan_bandwidth(bandwidth)
-        if (matrix < 0).any():
-            raise ValueError("bandwidths must be non-negative")
+        refuse_unusable_bandwidth(bandwidth)
         # ``blocked[s1, y1, s2, y2] == matrix[s1*tp + y1, s2*tp + y2]``.
         blocked = matrix.reshape(n_slots, tp, n_slots, tp)
 
@@ -432,10 +432,7 @@ class LatencyKernel:
             backward_slack = 2.0 * c_tp / 3.0
             adj = [t - x * backward_slack
                    for x, t in enumerate(stage_t) if x]
-            worst = max(adj)
-            if worst == worst and any(a != a for a in adj):
-                worst = math.nan        # NumPy's max propagates NaN
-            exposed = max(exposed, worst)
+            exposed = max(exposed, max(adj))
         return exposed / self._eff
 
     def _finish(self, pp: int, c_tp: float, t_pp: float,

@@ -60,19 +60,25 @@ class LatencyModelOptions:
     dp_exposure_aware: bool = False
 
 
-def refuse_nan_bandwidth(bandwidth: BandwidthMatrix) -> None:
-    """Raise ``ValueError`` if ``bandwidth`` has a NaN entry.
+def refuse_unusable_bandwidth(bandwidth: BandwidthMatrix) -> None:
+    """Raise ``ValueError`` unless every entry of ``bandwidth`` is positive.
 
-    NaN is a failed measurement, not a bandwidth.  The reference
-    model's Python ``min``/``max`` and the kernel's NumPy reductions
-    order NaN differently, so the two would score one mapping
-    differently; both refuse the matrix here instead.  A
-    :class:`BandwidthMatrix` may still hold NaN (drift detection and
-    epoch fingerprints read it); it just cannot be planned against.
+    NaN is a failed measurement, and zero or a negative value is a dead
+    or broken link; none of them is a bandwidth.  Scored, they split
+    the two latency paths: the reference model's Python ``min``/``max``
+    and the kernel's NumPy reductions order NaN differently, a zero
+    link divides by zero in the reference's pipeline and ring terms
+    but scores ``inf`` (or ``nan``) in the kernel, and a negative link
+    yields a finite nonsense latency.  Both paths refuse the matrix
+    here instead, with one message.  A :class:`BandwidthMatrix` may
+    still hold such entries (drift detection and epoch fingerprints
+    read them); it just cannot be planned against.  The ``+inf``
+    diagonal passes.
     """
-    if np.isnan(bandwidth.matrix).any():
-        raise ValueError("bandwidth matrix has a NaN entry (a failed "
-                         "measurement); re-profile before planning")
+    if not (bandwidth.matrix > 0).all():
+        raise ValueError("bandwidth matrix has a NaN, zero or negative "
+                         "entry (a failed measurement or a dead link); "
+                         "re-profile before planning")
 
 
 def _compute_and_tp(model: TransformerConfig, config: ParallelConfig,
@@ -191,10 +197,10 @@ def latency_with_options(model: TransformerConfig, config: ParallelConfig,
 
     With both options on this is :func:`pipette_latency`; with both
     off and the nominal matrix handed in it is
-    :func:`prior_art_latency`.  A matrix with a NaN entry raises
-    ``ValueError`` (:func:`refuse_nan_bandwidth`).
+    :func:`prior_art_latency`.  A matrix with a NaN, zero or negative
+    entry raises ``ValueError`` (:func:`refuse_unusable_bandwidth`).
     """
-    refuse_nan_bandwidth(bandwidth)
+    refuse_unusable_bandwidth(bandwidth)
     pp, n_mb = config.pp, config.n_microbatches
     c_tp = _compute_and_tp(model, config, mapping, bandwidth, profile)
     t_pp = _pp_path_time(model, config, mapping, bandwidth)

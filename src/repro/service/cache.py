@@ -433,21 +433,40 @@ class PlanCache:
         and only a same-epoch hit refreshes recency.
         """
         with self._lock:
+            result = self.hit(key, bandwidth_fp)
+            if result is None:
+                self.miss(key, bandwidth_fp)
+            return result
+
+    def hit(self, key: str, bandwidth_fp: str) -> PipetteResult | None:
+        """The same-epoch plan for ``key``, or ``None`` untouched.
+
+        A hit counts and refreshes recency exactly as :meth:`get`
+        does.  Anything else — no entry, or one from another epoch —
+        returns ``None`` with no side effect: no stats, no drop.
+        """
+        with self._lock:
             entry = self._store.get(key)
-            if entry is None:
-                self.stats.misses += 1
-                return None
-            if entry.bandwidth_fp != bandwidth_fp:
-                # The stale entry leaves the LRU order outright — it
-                # must not be refreshed on its way out.
-                del self._store[key]
-                self._record_drop(key)
-                self.stats.stale_drops += 1
-                self.stats.misses += 1
+            if entry is None or entry.bandwidth_fp != bandwidth_fp:
                 return None
             self._store.move_to_end(key)
             self.stats.hits += 1
             return entry.result
+
+    def miss(self, key: str, bandwidth_fp: str) -> None:
+        """Count a lookup of ``key`` that :meth:`hit` did not serve.
+
+        An entry from another epoch is stale: it leaves the LRU order
+        outright (it must not be refreshed on its way out) and counts
+        one stale drop.
+        """
+        with self._lock:
+            entry = self._store.get(key)
+            if entry is not None and entry.bandwidth_fp != bandwidth_fp:
+                del self._store[key]
+                self._record_drop(key)
+                self.stats.stale_drops += 1
+            self.stats.misses += 1
 
     def put(self, key: str, bandwidth_fp: str, result: PipetteResult) -> None:
         """Store a finished plan under ``key`` for one bandwidth epoch."""

@@ -24,11 +24,19 @@ that absorbs that concurrency without serializing the fleet:
   ``max_queue_depth`` distinct in-flight requests; beyond that the
   gateway either makes callers *wait* for a slot (default) or
   *rejects* them immediately with :class:`GatewayOverloadedError`;
-* **non-blocking drains** — a drain batch calls the synchronous
-  :meth:`~repro.service.planner.PlanningService.plan` once per item,
-  in one ``run_in_executor`` hop onto a thread pool, so the event loop
-  keeps accepting clients (and coalescing their requests) while
-  searches run.  Inside each search the shared
+* **hits on the loop** — :meth:`PlanGateway.plan` first asks the
+  cluster's service for a cached answer
+  (:meth:`~repro.service.planner.PlanningService.lookup`), which only
+  tries the service lock and never waits.  A hit is answered right
+  there, before coalescing, admission or the lane; it is never parked
+  or rejected by a full lane.  Everything else — misses, and hits on a
+  cluster whose lock is busy with a search or an event — takes the
+  lane below;
+* **non-blocking drains** — for those misses, a drain batch calls the
+  synchronous :meth:`~repro.service.planner.PlanningService.plan` once
+  per item, in one ``run_in_executor`` hop onto a thread pool, so the
+  event loop keeps accepting clients (and coalescing their requests)
+  while searches run.  Inside each search the shared
   :class:`~repro.service.executor.CandidateExecutor` still fans
   candidate work over its own pool;
 * **fenced elastic events** — :meth:`PlanGateway.update_bandwidth` and
@@ -93,13 +101,15 @@ class GatewayStats:
     """Operational counters of one :class:`PlanGateway`.
 
     Attributes:
-        submitted: requests enqueued onto a lane (coalesced followers
-            are not enqueued and do not count here).
+        submitted: requests answered from the cache on the event loop
+            or enqueued onto a lane (coalesced followers do neither and
+            do not count here).
         coalesced: requests answered by joining an identical in-flight
             request instead of enqueueing their own.
         rejected: requests refused by the ``reject`` overflow policy.
-        batches: drain batches run on the executor threads.
-        answered: requests answered by those batches.
+        batches: drain batches run on the executor threads; a hit
+            answered on the loop forms no batch.
+        answered: requests answered on the loop or by those batches.
         max_batch: largest single drain batch.
 
     Mutations go through :meth:`bump`/:meth:`record_batch` and reads
@@ -429,7 +439,9 @@ class PlanGateway:
         the cluster :meth:`ClusterRegistry.route` matches by spec.  An
         identical request already in flight on the same cluster *and
         the same bandwidth epoch* is coalesced — this caller awaits
-        the in-flight search and shares its result.
+        the in-flight search and shares its result.  A cache hit is
+        answered before either, on the event loop, unless the
+        cluster's service is busy.
         Otherwise the request is enqueued on its cluster's lane,
         subject to the overflow policy, and answered by the lane's
         next drain batch.  A request built for a cluster that has since
@@ -451,6 +463,16 @@ class PlanGateway:
         fingerprint = request.fingerprint()
         with TRACER.span("gateway.plan", cluster=name,
                          fingerprint=fingerprint) as gspan:
+            trace_id = gspan.trace_id if gspan.recording else None
+            # A hit is answered here on the loop, never parked or
+            # rejected: the lookup only tries the service lock, so a
+            # busy cluster sends even its hits down the lane below.
+            response = self.registry.service(name).lookup(
+                request, gspan if gspan.recording else None)
+            if response is not None:
+                self.stats.bump("submitted")
+                self.stats.bump("answered")
+                return self._answered(name, response, t0, trace_id)
             while True:
                 service = self.registry.service(name)
                 # The epoch in the key is what fences coalescing across
@@ -480,19 +502,11 @@ class PlanGateway:
                     except BaseException:
                         self._record(name, "failed", None)
                         raise
-                    self._record(name, "coalesced", t0)
-                    elapsed = time.perf_counter() - t0
-                    _log.debug("plan answered", extra={
-                        "cluster": name, "outcome": "coalesced",
-                        "elapsed_ms": round(elapsed * 1000, 3)})
-                    return GatewayResponse(
-                        cluster_name=name, response=response, coalesced=True,
-                        elapsed_s=elapsed,
-                        trace_id=gspan.trace_id if gspan.recording else None)
+                    return self._answered(name, response, t0, trace_id,
+                                          coalesced=True)
                 lane = self._lane(name)
                 future = asyncio.get_running_loop().create_future()
-                self._inflight[key] = _Inflight(
-                    future, gspan.trace_id if gspan.recording else None)
+                self._inflight[key] = _Inflight(future, trace_id)
                 try:
                     if self.overflow == "reject" and lane.slots.locked():
                         self.stats.bump("rejected")
@@ -530,15 +544,21 @@ class PlanGateway:
                 except BaseException:
                     self._record(name, "failed", None)
                     raise
-                self._record(name, response.status, t0)
-                elapsed = time.perf_counter() - t0
-                _log.debug("plan answered", extra={
-                    "cluster": name, "outcome": response.status,
-                    "elapsed_ms": round(elapsed * 1000, 3)})
-                return GatewayResponse(
-                    cluster_name=name, response=response,
-                    elapsed_s=elapsed,
-                    trace_id=gspan.trace_id if gspan.recording else None)
+                return self._answered(name, response, t0, trace_id)
+
+    def _answered(self, name: str, response: PlanResponse, t0: float,
+                  trace_id: "str | None",
+                  coalesced: bool = False) -> GatewayResponse:
+        """Count, log and wrap one answer delivered to its caller."""
+        outcome = "coalesced" if coalesced else response.status
+        self._record(name, outcome, t0)
+        elapsed = time.perf_counter() - t0
+        _log.debug("plan answered", extra={
+            "cluster": name, "outcome": outcome,
+            "elapsed_ms": round(elapsed * 1000, 3)})
+        return GatewayResponse(cluster_name=name, response=response,
+                               coalesced=coalesced, elapsed_s=elapsed,
+                               trace_id=trace_id)
 
     def _record(self, cluster: str, outcome: str,
                 t0: "float | None") -> None:

@@ -8,9 +8,11 @@ against that state:
 
 * :meth:`PlanningService.plan` is the one answering routine: identical
   requests are answered from the LRU plan cache
-  (:mod:`repro.service.cache`), and cache misses run Algorithm 1,
-  optionally fanned over the service's
-  :class:`~repro.service.executor.CandidateExecutor`;
+  (:mod:`repro.service.cache`) through :meth:`PlanningService.lookup`,
+  and cache misses run Algorithm 1, optionally fanned over the
+  service's :class:`~repro.service.executor.CandidateExecutor`.  The
+  gateway calls the same non-blocking lookup on its event loop, so a
+  hit need not queue;
 * a re-profiled matrix that drifted beyond the threshold, or a node
   failure, rolls the bandwidth epoch and retires stale plans
   (:meth:`PlanningService.update_bandwidth`,
@@ -125,7 +127,9 @@ class PlanningService:
     cluster answers one request at a time (cross-cluster concurrency
     is the gateway's job), and an epoch roll midway through a search
     could otherwise hand out a plan computed against a matrix the
-    service no longer trusts.
+    service no longer trusts.  :meth:`lookup` only tries the lock, so
+    an event loop asking for a cached answer never waits behind a
+    search.
     """
 
     def __init__(self, cluster: ClusterSpec, bandwidth: BandwidthMatrix,
@@ -190,6 +194,9 @@ class PlanningService:
         a pool thread, where context-local parenting cannot follow.
         """
         with self._lock:
+            response = self.lookup(request, trace)
+            if response is not None:
+                return response
             if request.cluster != self.cluster:
                 raise ClusterMismatchError(
                     f"request is for cluster {request.cluster.name!r} "
@@ -202,29 +209,64 @@ class PlanningService:
             self._submitted += 1
             t0 = time.perf_counter()
             fingerprint = request.fingerprint()
-            lookup = TRACER.start_span("plan.cache_lookup", parent=trace,
-                                       fingerprint=fingerprint)
-            result = self.cache.get(fingerprint, self.bandwidth_fp)
-            lookup.set_attribute("outcome",
-                                 "miss" if result is None else "hit").end()
-            status = "hit"
+            span = TRACER.start_span("plan.cache_lookup", parent=trace,
+                                     fingerprint=fingerprint)
+            self.cache.miss(fingerprint, self.bandwidth_fp)
+            span.set_attribute("outcome", "miss").end()
+            with TRACER.span("plan.search", parent=trace,
+                             fingerprint=fingerprint,
+                             cluster=self.cluster.name):
+                result = self._search(request)
+            self.cache.put(fingerprint, self.bandwidth_fp, result)
+            return self._answered(request, fingerprint, result, "miss", t0,
+                                  trace)
+
+    def lookup(self, request: PlanRequest,
+               trace: "Span | None" = None) -> PlanResponse | None:
+        """Answer ``request`` from the cache without ever waiting.
+
+        The one cache lookup: :meth:`plan` runs it first, and the
+        gateway runs it on the event loop before it queues anything.
+        It only tries the service lock.  A same-epoch hit is answered
+        and counted exactly as :meth:`plan` counts one, with one
+        ``plan.cache_lookup`` span.  A miss, a stale entry, a request
+        for another cluster spec or a lock held by a running search or
+        event returns ``None`` with no side effect; :meth:`plan` then
+        does the accounting.
+        """
+        if not self._lock.acquire(blocking=False):
+            return None
+        try:
+            if request.cluster != self.cluster:
+                return None
+            t0 = time.perf_counter()
+            fingerprint = request.fingerprint()
+            result = self.cache.hit(fingerprint, self.bandwidth_fp)
             if result is None:
-                with TRACER.span("plan.search", parent=trace,
-                                 fingerprint=fingerprint,
-                                 cluster=self.cluster.name):
-                    result = self._search(request)
-                self.cache.put(fingerprint, self.bandwidth_fp, result)
-                status = "miss"
-            # A pool thread has no context-local span, so the join key
-            # is spelled out from the caller's own trace.
-            extra = {"cluster": self.cluster.name, "status": status,
-                     "elapsed_ms": round((time.perf_counter() - t0) * 1000, 3)}
-            if trace is not None and trace.recording:
-                extra["trace_id"] = trace.trace_id
-            _log.debug("request answered", extra=extra)
-            return PlanResponse(request=request, fingerprint=fingerprint,
-                                result=result, status=status,
-                                elapsed_s=time.perf_counter() - t0)
+                return None
+            self._submitted += 1
+            TRACER.record_span("plan.cache_lookup", time.perf_counter() - t0,
+                               parent=trace, fingerprint=fingerprint,
+                               outcome="hit")
+            return self._answered(request, fingerprint, result, "hit", t0,
+                                  trace)
+        finally:
+            self._lock.release()
+
+    def _answered(self, request: PlanRequest, fingerprint: str,
+                  result: PipetteResult, status: str, t0: float,
+                  trace: "Span | None") -> PlanResponse:
+        """Log one answer and wrap it as a :class:`PlanResponse`."""
+        # A pool thread has no context-local span, so the join key is
+        # spelled out from the caller's own trace.
+        extra = {"cluster": self.cluster.name, "status": status,
+                 "elapsed_ms": round((time.perf_counter() - t0) * 1000, 3)}
+        if trace is not None and trace.recording:
+            extra["trace_id"] = trace.trace_id
+        _log.debug("request answered", extra=extra)
+        return PlanResponse(request=request, fingerprint=fingerprint,
+                            result=result, status=status,
+                            elapsed_s=time.perf_counter() - t0)
 
     def _search(self, request: PlanRequest) -> PipetteResult:
         if request.options.use_worker_dedication:

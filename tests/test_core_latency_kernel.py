@@ -244,7 +244,7 @@ class TestKernelValidation:
         cluster, model, bw, profile = world
         matrix = bw.matrix.copy()
         matrix[0, 5] = -1.0
-        with pytest.raises(ValueError, match="non-negative"):
+        with pytest.raises(ValueError, match="zero or negative"):
             LatencyKernel(model, _config(2, 2, 4), cluster,
                           BandwidthMatrix(matrix, bw.alpha), profile)
 
@@ -278,6 +278,51 @@ class TestKernelValidation:
                         build()
                     errors.append(str(info.value))
                 assert len(set(errors)) == 1
+
+    def test_dead_links_are_refused_alike_by_kernel_and_reference(self):
+        """A zeroed or negative link has one semantics: refusal.
+
+        Scored, a zeroed link got three answers on a 4-node mid-range
+        copy: ``inf`` (or ``nan``) from the kernel, ``ZeroDivisionError``
+        from the reference's pipeline and ring terms, and ``ValueError``
+        inside a TP group; a negative link was a finite latency.
+        """
+        from repro.cluster import NetworkProfiler, make_fabric
+
+        cluster = mid_range_cluster(4)
+        model = get_model("gpt-small")
+        profile = profile_compute(model, cluster, seed=0)
+        bw = NetworkProfiler().profile(make_fabric(cluster, seed=0),
+                                       seed=0).bandwidth
+        links = {"zeroed intra-TP": ((0, 1), 0.0),
+                 "zeroed inter-node": ((0, 8), 0.0),
+                 "negative inter-node": ((0, 8), -1.0),
+                 "negative intra-TP": ((9, 10), -5.0)}
+        configs = [ParallelConfig(pp=pp, tp=tp, dp=dp, micro_batch=1,
+                                  global_batch=8 * dp)
+                   for pp, tp, dp in ((1, 8, 4), (2, 8, 2), (4, 8, 1),
+                                      (2, 4, 4), (4, 2, 4))]
+        for label, (link, value) in links.items():
+            matrix = bw.matrix.copy()
+            matrix[link] = matrix[link[::-1]] = value
+            dead = BandwidthMatrix(matrix, bw.alpha)
+            for config in configs:
+                mapping = sequential_mapping(
+                    WorkerGrid(config.pp, config.tp, config.dp), cluster)
+                errors = set()
+                for build in (
+                        lambda: LatencyKernel(model, config, cluster, dead,
+                                              profile),
+                        lambda: latency_with_options(
+                            model, config, mapping, dead, profile,
+                            LatencyModelOptions()),
+                        lambda: pipette_latency(model, config, mapping, dead,
+                                                profile)):
+                    with pytest.raises(ValueError,
+                                       match="zero or negative") as info:
+                        build()
+                    errors.add(str(info.value))
+                assert len(errors) == 1, (label, config.describe())
 
     def test_profiled_presets_carry_no_nan(self):
         """What the planners are handed today never trips the refusal."""

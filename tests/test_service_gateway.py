@@ -9,18 +9,22 @@ change wall-clock, never answers.
 
 import asyncio
 import json
+import sys
 import threading
 
 import numpy as np
 import pytest
+from conftest import metric_value, parse_prometheus
 
 from repro.cluster import Fabric, HeterogeneityModel, NetworkProfiler
 from repro.cluster.fabric import BandwidthMatrix
 from repro.cluster.topology import ClusterSpec, GpuSpec, LinkSpec, NodeSpec
 from repro.core import PipetteOptions
+from repro.obs import TRACER
 from repro.service import (
     ClusterRegistry,
     GatewayOverloadedError,
+    MetricsRegistry,
     PlanGateway,
     PlanningService,
 )
@@ -291,6 +295,211 @@ class TestBackpressure:
         assert leader.status == "miss"
         assert waiter.status == "miss"
         assert waiter.best is not None
+
+
+def _span_names(node) -> list:
+    """Every span name in a trace tree, depth first."""
+    names = [node["name"]]
+    for child in node.get("children", ()):
+        names.extend(_span_names(child))
+    return names
+
+
+class TestHitsOnTheLoop:
+    """A cache hit is answered on the event loop, never through a lane."""
+
+    def test_hit_counts_once_and_forms_no_batch(self, toy_model):
+        registry = _registry()
+        metrics = MetricsRegistry()
+        registry.attach_metrics(metrics)
+        service = registry.service("alpha")
+        request = service.request(toy_model, 32, options=FAST)
+
+        async def main():
+            async with PlanGateway(registry, metrics=metrics) as gateway:
+                miss = await gateway.plan(request)
+                before = gateway.stats.snapshot()
+                hit = await gateway.plan(
+                    service.request(toy_model, 32, options=FAST))
+                return miss, hit, before, gateway.stats.snapshot()
+
+        miss, hit, before, after = run(main())
+        assert (miss.status, hit.status) == ("miss", "hit")
+        assert hit.result is miss.result
+        assert {key: after[key] - before[key] for key in after} == {
+            "submitted": 1, "coalesced": 0, "rejected": 0, "batches": 0,
+            "answered": 1, "max_batch": 0}
+        samples = parse_prometheus(metrics.render())
+        assert metric_value(samples, "pipette_requests_total",
+                            cluster="alpha", outcome="hit") == 1
+        assert metric_value(samples, "pipette_requests_total",
+                            cluster="alpha", outcome="miss") == 1
+        assert metric_value(samples, "pipette_plan_latency_seconds_count",
+                            cluster="alpha") == 2
+        assert metric_value(samples, "pipette_gateway_batches_total") == 1
+        stats = service.stats
+        assert (stats["cache_hits"], stats["cache_misses"],
+                stats["requests_submitted"]) == (1, 1, 2)
+
+    def test_hit_trace_has_one_lookup_and_no_queue_wait(self, toy_model):
+        registry = _registry()
+        service = registry.service("alpha")
+        request = service.request(toy_model, 32, options=FAST)
+
+        async def main():
+            async with PlanGateway(registry) as gateway:
+                return [await gateway.plan(request, cluster="alpha")
+                        for _ in range(2)]
+
+        TRACER.enable()
+        try:
+            miss, hit = run(main())
+            trees = {answer.status: TRACER.trace(answer.trace_id)
+                     for answer in (miss, hit)}
+        finally:
+            TRACER.disable()
+            TRACER.reset()
+        hit_names = _span_names(trees["hit"]["root"])
+        assert hit_names == ["gateway.plan", "plan.cache_lookup"]
+        lookup = trees["hit"]["root"]["children"][0]
+        assert lookup["attributes"]["outcome"] == "hit"
+        # A lane-served miss keeps its tree: one wait, one lookup.
+        miss_names = _span_names(trees["miss"]["root"])
+        assert miss_names[:4] == ["gateway.plan", "queue.wait",
+                                  "plan.cache_lookup", "plan.search"]
+        assert miss_names.count("plan.cache_lookup") == 1
+        assert miss_names.count("queue.wait") == 1
+
+    def test_miss_and_stale_entry_count_once(self, toy_model):
+        registry = _registry()
+        service = registry.service("alpha")
+        fresh = service.request(toy_model, 32, options=FAST)
+        stale = service.request(toy_model, 16, options=FAST)
+
+        async def main():
+            async with PlanGateway(registry) as gateway:
+                answer = await gateway.plan(fresh)
+                service.cache.put(stale.fingerprint(), "another-epoch",
+                                  answer.result)
+                return answer, await gateway.plan(stale)
+
+        fresh_answer, stale_answer = run(main())
+        assert (fresh_answer.status, stale_answer.status) == ("miss", "miss")
+        cache = service.cache.stats_snapshot()
+        assert (cache.hits, cache.misses, cache.stale_drops) == (0, 2, 1)
+
+    def test_full_lane_answers_hits_and_rejects_misses(self, toy_model):
+        registry = _registry()
+        service = registry.service("alpha")
+        cached = service.request(toy_model, 32, options=FAST)
+        queued = service.request(toy_model, 16, options=FAST)
+        refused = service.request(toy_model, 64, options=FAST)
+
+        async def main():
+            async with PlanGateway(registry, max_queue_depth=1,
+                                   overflow="reject") as gateway:
+                first = await gateway.plan(cached)
+                # Holding the fence keeps the admitted miss (and its
+                # slot) out of a drain batch while the lock stays free.
+                lane = gateway._lane("alpha")
+                async with lane.fence:
+                    parked = asyncio.ensure_future(gateway.plan(queued))
+                    await _wait_for(lane.slots.locked)
+                    hit = await gateway.plan(cached)
+                    with pytest.raises(GatewayOverloadedError):
+                        await gateway.plan(refused)
+                return first, hit, await parked, gateway.stats.snapshot()
+
+        first, hit, parked, stats = run(main())
+        assert hit.status == "hit"
+        assert hit.result is first.result
+        assert parked.status == "miss"
+        assert (stats["rejected"], stats["batches"]) == (1, 2)
+
+
+class TestBusyService:
+    """The event loop never waits on a service lock held by a search."""
+
+    def test_hits_answer_around_a_running_search(self, monkeypatch,
+                                                 toy_model):
+        registry = _registry()
+        alpha, beta = registry.service("alpha"), registry.service("beta")
+        alpha_cached = alpha.request(toy_model, 32, options=FAST)
+        beta_cached = beta.request(toy_model, 32, options=FAST)
+        started, release = threading.Event(), threading.Event()
+        real_search = alpha._search
+
+        def gated_search(request):
+            started.set()
+            assert release.wait(timeout=10), "test forgot to release"
+            return real_search(request)
+
+        async def main():
+            async with PlanGateway(registry) as gateway:
+                for request in (alpha_cached, beta_cached):
+                    assert (await gateway.plan(request)).status == "miss"
+                monkeypatch.setattr(alpha, "_search", gated_search)
+                search = asyncio.ensure_future(gateway.plan(
+                    alpha.request(toy_model, 16, options=FAST)))
+                await _wait_for(started.is_set)
+                # Beta's hit answers while alpha's drain thread holds
+                # alpha's lock mid-search.
+                beta_hit = await gateway.plan(beta_cached)
+                assert not search.done()
+                # Alpha's hit finds the lock busy and takes the lane; the
+                # loop keeps running meanwhile.
+                alpha_hit = asyncio.ensure_future(gateway.plan(alpha_cached))
+                await asyncio.sleep(0.05)
+                assert not alpha_hit.done()
+                batches = gateway.stats.read("batches")
+                release.set()
+                return (beta_hit, await alpha_hit, await search, batches,
+                        gateway.stats.read("batches"))
+
+        beta_hit, alpha_hit, search, before, after = run(main())
+        assert beta_hit.status == "hit"
+        assert alpha_hit.status == "hit"
+        assert search.status == "miss"
+        assert after == before + 1  # the alpha hit rode one drain batch
+
+    def test_loop_hits_and_drained_misses_lose_no_counts(self, toy_model):
+        """Hits on the loop race drain threads searching new keys."""
+        registry = _registry()
+        batches = (8, 16, 32, 64)
+        waves = [[(name, registry.service(name).request(
+                      toy_model, batch, options=FAST))
+                  for name in ("alpha", "beta")
+                  for batch in batches[:wave + 1] for _ in range(3)]
+                 for wave in range(len(batches))]
+
+        async def main():
+            async with PlanGateway(registry, drain_workers=4) as gateway:
+                answers = []
+                for wave in waves:
+                    answers += await asyncio.wait_for(asyncio.gather(
+                        *(gateway.plan(request, cluster=name)
+                          for name, request in wave)), timeout=60)
+                return answers, gateway.stats.snapshot()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            answers, stats = run(main())
+        finally:
+            sys.setswitchinterval(interval)
+        asked = [pair for wave in waves for pair in wave]
+        assert stats["submitted"] + stats["coalesced"] == len(asked)
+        assert stats["answered"] == stats["submitted"]
+        results = {}
+        for (name, request), answer in zip(asked, answers):
+            results.setdefault((name, request.fingerprint()),
+                               set()).add(id(answer.result))
+        assert all(len(ids) == 1 for ids in results.values())
+        for name in ("alpha", "beta"):
+            service = registry.service(name).stats
+            assert service["cache_misses"] == len(batches)
+            assert service["cache_hits"] + service["cache_misses"] == \
+                service["requests_submitted"]
 
 
 class TestElasticFencing:

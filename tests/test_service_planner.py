@@ -6,6 +6,7 @@ one-cluster registry.
 """
 
 import asyncio
+import threading
 
 import numpy as np
 import pytest
@@ -133,6 +134,72 @@ class TestRequestLifecycle:
         service.plan(service.request(toy_model, 16, options=FAST))
         service.plan(service.request(toy_model, 32, options=FAST))
         assert service.stats["profiled_models"] == 1
+
+
+class TestLookup:
+    """``lookup``: the one cache read, which never waits on the lock."""
+
+    @staticmethod
+    def _counts(service):
+        stats = service.stats
+        return {key: stats[key] for key in (
+            "requests_submitted", "cache_entries", "cache_hits",
+            "cache_misses", "cache_stale_drops")}
+
+    def test_hit_counts_exactly_like_plan(self, service, toy_model):
+        request = service.request(toy_model, 32, options=FAST)
+        first = service.plan(request)
+        before = self._counts(service)
+        hit = service.lookup(service.request(toy_model, 32, options=FAST))
+        assert hit.status == "hit"
+        assert hit.result is first.result
+        after_lookup = self._counts(service)
+        assert service.plan(request).status == "hit"
+        after_plan = self._counts(service)
+        step = {key: after_lookup[key] - before[key] for key in before}
+        assert step == {key: after_plan[key] - after_lookup[key]
+                        for key in before}
+        assert step == {"requests_submitted": 1, "cache_entries": 0,
+                        "cache_hits": 1, "cache_misses": 0,
+                        "cache_stale_drops": 0}
+
+    def test_miss_stale_and_foreign_have_no_side_effects(
+            self, service, toy_model, tiny_cluster):
+        request = service.request(toy_model, 32, options=FAST)
+        result = service.plan(request).result
+        stale = service.request(toy_model, 16, options=FAST)
+        service.cache.put(stale.fingerprint(), "another-epoch", result)
+        foreign = PlanRequest(cluster=tiny_cluster.scaled_to(2),
+                              model=toy_model, global_batch=32, options=FAST)
+        before = self._counts(service)
+        for asked in (service.request(toy_model, 64, options=FAST), stale,
+                      foreign):
+            assert service.lookup(asked) is None
+        assert self._counts(service) == before
+        assert stale.fingerprint() in service.cache
+
+    def test_busy_lock_returns_none_without_waiting(self, service,
+                                                    toy_model):
+        request = service.request(toy_model, 32, options=FAST)
+        service.plan(request)
+        before = self._counts(service)
+        held, release = threading.Event(), threading.Event()
+
+        def hold():
+            with service._lock:
+                held.set()
+                release.wait(timeout=10)
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        try:
+            assert held.wait(timeout=10)
+            assert service.lookup(request) is None
+        finally:
+            release.set()
+            holder.join()
+        assert self._counts(service) == before
+        assert service.lookup(request).status == "hit"
 
 
 class TestDrainAccounting:
