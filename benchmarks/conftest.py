@@ -1,7 +1,9 @@
 """Shared benchmark fixtures: trained estimators, reused per session.
 
-The memory-estimator MLP takes tens of seconds to train; the paper
-trains it "for each cluster only once", so the session does too.
+The memory-estimator MLP takes about two minutes to train at the
+session's 16,000-iteration budget (130-150 s for the mid-range ladder
+on a 2-vCPU x86-64 VM); the paper trains it "for each cluster only
+once", so the session does too.
 """
 
 from __future__ import annotations

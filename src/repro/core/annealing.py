@@ -85,7 +85,9 @@ class SAOptions:
             in the paper).
         initial_temperature: starting temperature; ``None`` derives it
             from the spread of a few probe moves so acceptance starts
-            permissive regardless of the objective's scale.
+            permissive regardless of the objective's scale.  A given
+            value must be a finite number >= 0; ``0.0`` anneals as
+            greedy descent.
         moves: subset of ``{"migrate", "swap", "reverse"}`` (ablations
             disable individual moves).
         seed: integer seed of the move stream (a
@@ -113,6 +115,15 @@ class SAOptions:
             # A NaN limit would never trip ``elapsed >= limit``.
             raise ValueError(f"time_limit_s must be a finite positive "
                              f"number, got {self.time_limit_s!r}")
+        temperature = self.initial_temperature
+        if temperature is not None and (
+                isinstance(temperature, bool)
+                or not math.isfinite(temperature) or temperature < 0):
+            # NaN or a negative value would make every ``temperature >
+            # 0.0`` test false (silent greedy descent); inf would accept
+            # every move.  0.0 stays legal: that *is* greedy descent.
+            raise ValueError(f"initial_temperature must be a finite "
+                             f"non-negative number, got {temperature!r}")
         ints = {"portfolio_k": self.portfolio_k, "seed": self.seed}
         if self.max_iterations is not None:
             ints["max_iterations"] = self.max_iterations

@@ -37,10 +37,11 @@ def cluster_by_name(name: str, n_nodes: int = 16) -> ClusterSpec:
 
 
 #: Module-level cache of fitted memory estimators, keyed by
-#: (cluster name, node count, seed, iterations).  Fitting takes tens of
-#: seconds, and several experiments share one estimator per cluster —
-#: exactly like the paper, which trains the MLP "for each cluster only
-#: once".
+#: (cluster name, node count, seed, iterations).  A fit at the default
+#: 16,000-iteration budget takes about two minutes (130-150 s for the
+#: mid-range ladder on a 2-vCPU x86-64 VM), and several experiments
+#: share one estimator per cluster — exactly like the paper, which
+#: trains the MLP "for each cluster only once".
 _ESTIMATOR_CACHE: dict = {}
 
 

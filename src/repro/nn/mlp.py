@@ -64,27 +64,35 @@ class MLP:
             self._cache = cache
         return h
 
-    def backward(self, grad_out: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    def backward(self, grad_out: np.ndarray,
+                 out: tuple[list[np.ndarray], list[np.ndarray]] | None = None,
+                 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Backpropagate ``dLoss/dOutput``; returns (weight, bias) grads.
 
         Requires a preceding ``forward(..., train=True)`` call on the
-        same batch.
+        same batch.  ``out`` is an optional ``(weight grads, bias
+        grads)`` pair of arrays shaped like :attr:`weights` and
+        :attr:`biases`; the gradients are written into it and it is
+        returned.  A training loop passes the same pair on every step:
+        fresh weight-sized arrays per step cost the allocator page
+        faults, not arithmetic.
         """
         if not self._cache:
             raise RuntimeError("call forward(x, train=True) before backward()")
         grad = np.atleast_2d(np.asarray(grad_out, dtype=float))
-        grad_w = [np.zeros_like(w) for w in self.weights]
-        grad_b = [np.zeros_like(b) for b in self.biases]
+        if out is None:
+            out = ([np.empty_like(w) for w in self.weights],
+                   [np.empty_like(b) for b in self.biases])
+        grad_w, grad_b = out
         for i in range(self.n_layers - 1, -1, -1):
-            pre_activation_input = self._cache[i]
             if i < self.n_layers - 1:
                 # cache[i+1] holds the *post*-ReLU activation of layer i.
                 grad = grad * (self._cache[i + 1] > 0.0)
-            grad_w[i] = pre_activation_input.T @ grad
-            grad_b[i] = grad.sum(axis=0)
+            np.matmul(self._cache[i].T, grad, out=grad_w[i])
+            np.sum(grad, axis=0, out=grad_b[i])
             if i > 0:
                 grad = grad @ self.weights[i].T
-        return grad_w, grad_b
+        return out
 
     def parameters(self) -> list[np.ndarray]:
         """Flat list of parameter arrays (weights then biases interleaved)."""

@@ -45,7 +45,24 @@ def train_regressor(model: MLP, x: np.ndarray, y: np.ndarray,
         y: targets ``(n,)`` or ``(n, k)``.
         validation_fraction: share of rows held out for early stopping;
             0 disables early stopping.
+
+    Raises:
+        TypeError: a loop argument (``iterations``, ``batch_size``,
+            ``patience``, ``eval_every``) is not an int.
+        ValueError: a loop argument is below 1, the shapes disagree,
+            or a hyper-parameter is not finite (from :class:`Adam`).
     """
+    loop = {"iterations": iterations, "batch_size": batch_size,
+            "patience": patience, "eval_every": eval_every}
+    for name, value in loop.items():
+        # ``batch_size=0`` would train on empty batches, ``eval_every=0``
+        # divide by zero, and ``iterations=0`` return without a loss.
+        if isinstance(value, bool) \
+                or not isinstance(value, (int, np.integer)):
+            raise TypeError(
+                f"{name} must be an int, got {type(value).__name__}")
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float)
     if y.ndim == 1:
@@ -67,6 +84,10 @@ def train_regressor(model: MLP, x: np.ndarray, y: np.ndarray,
     x_val, y_val = x[val_idx], y[val_idx]
 
     optimizer = Adam(model.parameters(), lr=lr, weight_decay=weight_decay)
+    # One gradient buffer per parameter, written by every backward pass.
+    grad_w = [np.empty_like(w) for w in model.weights]
+    grad_b = [np.empty_like(b) for b in model.biases]
+    grads = [g for pair in zip(grad_w, grad_b) for g in pair]
     best_val = float("inf")
     best_state = model.state_dict()
     history: list[float] = []
@@ -79,10 +100,7 @@ def train_regressor(model: MLP, x: np.ndarray, y: np.ndarray,
         xb, yb = x_train[pick], y_train[pick]
         pred = model.forward(xb, train=True)
         grad_out = 2.0 * (pred - yb) / xb.shape[0]
-        grad_w, grad_b = model.backward(grad_out)
-        grads = []
-        for gw, gb in zip(grad_w, grad_b):
-            grads.extend((gw, gb))
+        model.backward(grad_out, out=(grad_w, grad_b))
         optimizer.step(grads)
 
         if n_val > 0 and it % eval_every == 0:

@@ -33,6 +33,7 @@ the registered names on a miss.
 
 from __future__ import annotations
 
+import functools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import ClassVar
@@ -283,15 +284,14 @@ class PipeSchedule(ABC):
         ``n_mb``); for interleaved schedules each chunk holds
         ``1/degree`` of the device's layers, so the device-stage
         equivalent is this value divided by :attr:`degree`.
+
+        The count is memoized per ``(schedule class, pp, n_mb, stage)``
+        (a schedule is a pure function of its shape), so the memory
+        ground truth and the first-principles prior walk each stream
+        once per process instead of once per configuration.
         """
-        live = peak = 0
-        for inst in self.compute_steps(stage):
-            if isinstance(inst, ForwardPass):
-                live += 1
-            elif isinstance(inst, BackwardPass):
-                live -= 1
-            peak = max(peak, live)
-        return peak
+        return _peak_activation_chunks(type(self), self.pp,
+                                       self.n_microbatches, stage)
 
     # ------------------------------------------------------------- latency
 
@@ -358,6 +358,21 @@ def pipeline_critical_time(name: str, pp: int, n_mb: int, c_tp: float,
     """Analytic critical-path time of schedule ``name`` (see
     :meth:`PipeSchedule.critical_time`)."""
     return schedule_type(name).critical_time(pp, n_mb, c_tp, t_pp)
+
+
+@functools.lru_cache(maxsize=4096)
+def _peak_activation_chunks(cls: "type[PipeSchedule]", pp: int,
+                            n_microbatches: int, stage: int) -> int:
+    """Forwards minus backwards, at their peak, along one device's
+    compute stream (see :meth:`PipeSchedule.peak_activation_chunks`)."""
+    live = peak = 0
+    for inst in cls(pp, n_microbatches).compute_steps(stage):
+        if isinstance(inst, ForwardPass):
+            live += 1
+        elif isinstance(inst, BackwardPass):
+            live -= 1
+        peak = max(peak, live)
+    return peak
 
 
 def max_in_flight(schedule: PipeSchedule, stage: int) -> int:

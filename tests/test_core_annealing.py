@@ -41,6 +41,26 @@ class TestOptionsValidation:
         with pytest.raises(ValueError, match="time_limit_s"):
             SAOptions(time_limit_s=limit, max_iterations=None)
 
+    @pytest.mark.parametrize("temperature", [float("nan"), float("inf"),
+                                             -1.0, -1e-300, True, False])
+    def test_initial_temperature_must_be_finite_and_non_negative(
+            self, temperature):
+        # NaN and negatives would silently anneal as greedy descent
+        # (``temperature > 0.0`` is false); inf would accept every move.
+        with pytest.raises(ValueError, match="initial_temperature"):
+            SAOptions(initial_temperature=temperature)
+
+    def test_initial_temperature_must_be_a_number(self):
+        with pytest.raises(TypeError):
+            SAOptions(initial_temperature="1")
+
+    @pytest.mark.parametrize("temperature", [None, 0.0, 0, 1e-3, 2,
+                                             np.float64(0.5)])
+    def test_initial_temperature_accepts_finite_non_negative(
+            self, temperature):
+        assert SAOptions(initial_temperature=temperature) \
+            .initial_temperature == temperature
+
     @pytest.mark.parametrize("field", ["max_iterations", "portfolio_k",
                                        "seed"])
     @pytest.mark.parametrize("value", [2.5, 2.0, True, "3"])

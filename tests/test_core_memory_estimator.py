@@ -90,6 +90,19 @@ class TestEstimator:
         with pytest.raises(ValueError):
             MemoryEstimator().fit(MemoryDataset(points=[]))
 
+    @pytest.mark.parametrize("hyper", [{"lr": float("nan")},
+                                       {"weight_decay": float("inf")},
+                                       {"iterations": 0}])
+    def test_fit_refuses_bad_hyper_parameters(self, dataset, hyper):
+        # A NaN learning rate used to run to early stopping and then
+        # restore the untrained weights with best loss ``inf``.
+        est = MemoryEstimator(hidden_size=8, n_hidden_layers=1)
+        with pytest.raises(ValueError):
+            est.fit(dataset, **hyper)
+        with pytest.raises(RuntimeError):
+            est.predict_bytes(get_model("gpt-toy"),
+                              ParallelConfig(1, 1, 4, 1, 8))
+
     def test_rejects_bad_margin(self):
         with pytest.raises(ValueError):
             MemoryEstimator(soft_margin=0.0)

@@ -126,6 +126,25 @@ class TestOptimizers:
         with pytest.raises(ValueError):
             SGD([np.zeros(1)], lr=-1.0)
 
+    @pytest.mark.parametrize("optimizer_cls", [Adam, SGD])
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf")])
+    def test_rejects_non_finite_lr(self, optimizer_cls, lr):
+        # ``nan <= 0`` is false, so a bare sign test lets NaN through.
+        with pytest.raises(ValueError, match="learning rate"):
+            optimizer_cls([np.zeros(1)], lr=lr)
+
+    @pytest.mark.parametrize("field", ["weight_decay", "eps"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_adam_rejects_bad_weight_decay_and_eps(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            Adam([np.zeros(1)], **{field: value})
+
+    def test_adam_rejects_nan_betas(self):
+        with pytest.raises(ValueError, match="betas"):
+            Adam([np.zeros(1)], beta1=float("nan"))
+        with pytest.raises(ValueError, match="betas"):
+            Adam([np.zeros(1)], beta2=float("nan"))
+
 
 class TestScaler:
     def test_zero_mean_unit_variance(self):
@@ -181,6 +200,41 @@ class TestTrainRegressor:
         net = MLP([2, 4, 1])
         with pytest.raises(ValueError):
             train_regressor(net, np.zeros((1, 2)), np.zeros(1))
+
+    @pytest.mark.parametrize("field", ["iterations", "batch_size",
+                                       "patience", "eval_every"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_rejects_loop_arguments_below_one(self, field, value):
+        net = MLP([2, 4, 1], seed=0)
+        before = net.state_dict()
+        with pytest.raises(ValueError, match=field):
+            train_regressor(net, np.zeros((10, 2)), np.zeros(10),
+                            **{field: value})
+        # Refused before any step: the weights are untouched.
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(net.weights, before["weights"]))
+
+    @pytest.mark.parametrize("field", ["iterations", "batch_size",
+                                       "patience", "eval_every"])
+    @pytest.mark.parametrize("value", [True, 2.0, "3"])
+    def test_rejects_non_int_loop_arguments(self, field, value):
+        with pytest.raises(TypeError, match=field):
+            train_regressor(MLP([2, 4, 1]), np.zeros((10, 2)), np.zeros(10),
+                            **{field: value})
+
+    def test_accepts_numpy_int_loop_arguments(self):
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(20, 2))
+        result = train_regressor(MLP([2, 4, 1], seed=0), x, x.sum(axis=1),
+                                 iterations=np.int64(10),
+                                 eval_every=np.int32(5))
+        assert result.iterations_run == 10 and len(result.history) == 2
+
+    def test_rejects_nan_lr_before_training(self):
+        net = MLP([2, 4, 1], seed=0)
+        with pytest.raises(ValueError, match="learning rate"):
+            train_regressor(net, np.zeros((10, 2)), np.zeros(10),
+                            lr=float("nan"))
 
     def test_deterministic(self):
         rng = np.random.default_rng(0)

@@ -136,6 +136,11 @@ class TestPinnedFingerprints:
         "defaults": "9733d9312ff5ada524cf0d11",
         "restricted": "b4ec21117e30db25c8c88771",
         "portfolio_k": "45a7ff9d2a91aa2ea0c46be8",
+        # Recorded before ``SAOptions`` validated the temperature:
+        # refusing bad values must not re-key the good ones.
+        "temperature_0.5": "8f5cf06d67df71be985088d7",
+        "temperature_0.0": "7e3d33e27543e3a5eef0dc43",
+        "temperature_int_2": "fc6a8c7c58e0e5aef3e31311",
     }
 
     @staticmethod
@@ -148,6 +153,10 @@ class TestPinnedFingerprints:
                 memory_limit_bytes=20 * GIB),
             "portfolio_k": _preset_request(options=replace(
                 options, sa=replace(options.sa, portfolio_k=5))),
+            **{f"temperature_{label}": _preset_request(options=replace(
+                options, sa=replace(options.sa, initial_temperature=value)))
+               for label, value in (("0.5", 0.5), ("0.0", 0.0),
+                                    ("int_2", 2))},
         }
 
     def test_literals_cold_and_warm(self):

@@ -287,3 +287,45 @@ class TestCriticalTime:
         # Communication-dominated: the doubled hops lose.
         assert pipeline_critical_time("interleaved_1f1b", pp, n_mb, 0.0, 0.01) \
             > pipeline_critical_time("1f1b", pp, n_mb, 0.0, 0.01)
+
+
+def _walk_peak(steps):
+    live = peak = 0
+    for inst in steps:
+        live += isinstance(inst, ForwardPass) - isinstance(inst, BackwardPass)
+        peak = max(peak, live)
+    return peak
+
+
+class TestPeakChunkMemo:
+    """``peak_activation_chunks`` is memoized; the stream stays the truth."""
+
+    @pytest.mark.parametrize("name", registered_schedules())
+    def test_memo_equals_instruction_stream_count(self, name):
+        checked = 0
+        for pp in range(1, 9):
+            for n_mb in range(1, 18):
+                if not schedule_type(name).feasible(pp, n_mb)[0]:
+                    continue
+                sched = build_schedule(name, pp, n_mb)
+                for stage in range(pp):
+                    expected = _walk_peak(sched.steps(stage))
+                    assert sched.peak_activation_chunks(stage) == expected
+                    # A second, fresh instance reads the memo.
+                    assert build_schedule(name, pp, n_mb) \
+                        .peak_activation_chunks(stage) == expected
+                    checked += 1
+        assert checked > 0
+
+    def test_warm_count_does_not_rebuild_the_stream(self, monkeypatch):
+        from repro.sim.schedule import _peak_activation_chunks
+        assert _peak_activation_chunks.cache_info().maxsize is not None
+        sched = build_schedule("gpipe", 3, 5)
+        warm = [sched.peak_activation_chunks(s) for s in range(3)]
+
+        def no_rebuild(self, stage):
+            raise AssertionError("stream rebuilt for a memoized shape")
+
+        monkeypatch.setattr(GPipeSchedule, "compute_steps", no_rebuild)
+        assert [build_schedule("gpipe", 3, 5).peak_activation_chunks(s)
+                for s in range(3)] == warm == [5, 5, 5]
