@@ -86,7 +86,7 @@ def test_ablation_hidden_critical_path(benchmark, ctx):
                 continue
             mapping = sequential_mapping(
                 WorkerGrid(config.pp, config.tp, config.dp), ctx.cluster)
-            base = dict(hidden_critical_path=True, per_link_bandwidth=True,
+            base = dict(hidden_critical_path=True,
                         collective_efficiency=0.88, dp_exposure_aware=True)
             est_with.append(latency_with_options(
                 ctx.model, config, mapping, ctx.network.bandwidth,

@@ -652,8 +652,8 @@ def pipette_kernel(model: TransformerConfig, config: ParallelConfig,
                    profile: ComputeProfile) -> LatencyKernel:
     """A kernel matching :func:`repro.core.latency_model.pipette_latency`.
 
-    Same ablation defaults (hidden critical path, per-link bandwidth,
-    profiled collective efficiency, exposure-aware DP term), so
+    Same ablation defaults (hidden critical path, profiled collective
+    efficiency, exposure-aware DP term), so
     ``pipette_kernel(...)(mapping)`` is bit-identical to
     ``pipette_latency(model, config, mapping, bandwidth, profile)``.
     """
@@ -662,6 +662,5 @@ def pipette_kernel(model: TransformerConfig, config: ParallelConfig,
     return LatencyKernel(
         model, config, cluster, bandwidth, profile,
         LatencyModelOptions(hidden_critical_path=True,
-                            per_link_bandwidth=True,
                             collective_efficiency=DEFAULT_DP_EFFICIENCY,
                             dp_exposure_aware=True))

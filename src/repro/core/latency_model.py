@@ -37,8 +37,6 @@ class LatencyModelOptions:
         hidden_critical_path: multiply the bubble term by ``n_mb/pp``
             (Pipette, Eq. 3) instead of paying inter-stage
             communication once (prior art, Eq. 1).
-        per_link_bandwidth: evaluate Eqs. (5)-(6) against the supplied
-            (profiled) matrix; prior art would hand in the nominal one.
         collective_efficiency: attained fraction of the alpha-beta
             all-reduce model for the data-parallel term.  Pipette
             profiles the collective (NCCL-tests) and therefore knows
@@ -52,10 +50,12 @@ class LatencyModelOptions:
             awareness extends the same reasoning so the annealer
             cannot "hide" slow links by moving them to stage 1's
             group.  Off reproduces the literal paper model.
+
+    The matrix Eqs. (5)-(6) read is an argument, not an option:
+    Pipette hands in the profiled matrix, prior art the nominal one.
     """
 
     hidden_critical_path: bool = True
-    per_link_bandwidth: bool = True
     collective_efficiency: float = 1.0
     dp_exposure_aware: bool = False
 
@@ -238,7 +238,6 @@ def pipette_latency(model: TransformerConfig, config: ParallelConfig,
     return latency_with_options(
         model, config, mapping, bandwidth, profile,
         LatencyModelOptions(hidden_critical_path=True,
-                            per_link_bandwidth=True,
                             collective_efficiency=DEFAULT_DP_EFFICIENCY,
                             dp_exposure_aware=True))
 
@@ -254,5 +253,4 @@ def prior_art_latency(model: TransformerConfig, config: ParallelConfig,
     """
     return latency_with_options(model, config, mapping, nominal_bandwidth,
                                 profile,
-                                LatencyModelOptions(hidden_critical_path=False,
-                                                    per_link_bandwidth=False))
+                                LatencyModelOptions(hidden_critical_path=False))

@@ -20,11 +20,15 @@ The recorder must never perturb the search itself:
   sample is dropped, so a million-iteration run still yields at most
   ``max_samples`` points with even coverage.
 
-Recorders are created inside :func:`repro.core.configurator.
-refine_unit` — in the worker process, when candidates fan out over a
-process pool — and travel home as the plain-dict
-:meth:`FlightRecorder.to_payload`, which the parent attaches to that
-candidate's ``search.candidate`` span.
+Recorders are created in exactly two places, the two anneal sites:
+
+* :func:`repro.core.configurator.refine_unit` — in the worker process,
+  when candidates fan out over a process pool — whose recorders travel
+  home as the plain-dict :meth:`FlightRecorder.to_payload`, which the
+  parent attaches to that candidate's ``search.candidate`` span;
+* :func:`repro.service.planner.polish`, the warm polish of template
+  answers and elastic re-plans, which runs inline and attaches its
+  ``"warm-start"`` payload to its caller's span directly.
 """
 
 from __future__ import annotations
@@ -40,8 +44,9 @@ class FlightRecorder:
 
     Args:
         provenance: where the starting mapping came from — ``"cold"``
-            (naive placement) or ``"warm-start"`` (elastic re-plan from
-            the incumbent).
+            (naive placement) or ``"warm-start"`` (a template's
+            placement, or the incumbent plan's, polished after an
+            elastic event).
         max_samples: stored-series bound; the stride doubles and the
             series is thinned 2:1 whenever it fills.
         stride: initial sampling stride in iterations.

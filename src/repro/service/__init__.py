@@ -9,10 +9,12 @@ a programmable service and PipeTune amortizes tuning across jobs:
   bandwidth-matrix epoch;
 * :mod:`repro.service.executor` — fans the configurator's pure
   per-candidate work units over ``concurrent.futures`` pools;
-* :mod:`repro.service.replan` — elastic re-planning after node
-  failures and bandwidth drift, warm-starting SA from the prior plan;
+* :mod:`repro.service.replan` — the vocabulary of elastic
+  re-planning: cluster events, the post-event world, drift, and warm
+  starts carried over from the prior plan;
 * :mod:`repro.service.planner` — one cluster's planner: the one
-  answering routine (cache, then search) and event handling;
+  answering routine (cache, then search), event handling, and the one
+  warm polish behind template answers and re-plans;
 * :mod:`repro.service.store` — durable JSON-lines plan persistence,
   rehydrating the cache (epochs intact) across service restarts;
 * :mod:`repro.service.registry` — a table from cluster name to
@@ -32,10 +34,10 @@ a programmable service and PipeTune amortizes tuning across jobs:
   fleet: a sha256 ring with virtual nodes, the plan-content routing
   key, and per-shard durable segment naming;
 * :mod:`repro.service.fleet` — the horizontal scale-out layer:
-  a supervisor over N worker processes (health checks, crash
-  restarts, rolling restarts through graceful drains) and the
-  front-end router (shard routing, event fan-out, aggregated
-  ``/healthz`` + ``/metrics``, per-client admission quotas);
+  a supervisor over N worker processes (health checks and crash
+  restarts) and the front-end router (shard routing, event fan-out,
+  aggregated ``/healthz`` + ``/metrics``, per-client admission
+  quotas);
 * ``python -m repro.service`` — a small CLI over all of the above
   (including the ``serve`` front ends: JSON lines over stdin/stdout,
   HTTP with ``--http PORT``, and the multi-process ``fleet``
@@ -93,13 +95,13 @@ from repro.service.replan import (
     default_warm_sa,
     drift_exceeds,
     fabric_drift_ratio,
-    replan,
     shrink_cluster,
     surviving_gpus,
 )
 from repro.service.planner import (
     PlanningService,
     PlanResponse,
+    replan,
 )
 from repro.service.registry import ClusterRegistry
 from repro.service.shard import (

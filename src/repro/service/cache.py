@@ -187,6 +187,16 @@ class PlanFields:
             kwargs["schedules"] = self.schedules
         return kwargs
 
+    def request_kwargs(self, options: PipetteOptions) -> dict:
+        """``options`` with this request's ``portfolio_k``, plus
+        :meth:`search_kwargs`: the keyword arguments of both planning
+        and template warm-up (``SAOptions`` refuses a bad depth).
+        """
+        if self.portfolio_k is not None:
+            options = replace(options, sa=replace(
+                options.sa, portfolio_k=self.portfolio_k))
+        return {"options": options, **self.search_kwargs()}
+
 
 def parse_plan_payload(payload) -> PlanFields:
     """The one reader of a plan request's wire fields.

@@ -10,8 +10,8 @@ cache-miss searches.  The fleet layer scales the serving stack across
   durable shard segments (``<cluster>.shard-<k>.jsonl``).  It
   health-checks workers over ``/healthz``, restarts crashed ones onto
   the same shard store (so the revived worker rehydrates and keeps
-  answering byte-identically), and performs rolling restarts through
-  each worker's graceful SIGTERM drain.
+  answering byte-identically), and stops the fleet through each
+  worker's graceful SIGTERM drain.
 * :class:`FleetRouter` is the thin front door.  ``POST /v1/plan``
   consistent-hashes the request's plan-determining content
   (:func:`~repro.service.shard.routing_key`) onto one worker, so the
@@ -415,27 +415,6 @@ class FleetSupervisor:
                 return False
             await asyncio.sleep(0.05)
         return True
-
-    async def rolling_restart(self,
-                              drain_timeout_s: float = 30.0) -> None:
-        """Restart workers one at a time through their graceful drain.
-
-        Each worker gets SIGTERM (finish in-flight plans, compact and
-        fsync stores, exit 0), is respawned over its shard store, and
-        must pass ``/healthz`` before the next worker is touched — at
-        most one shard is dark at any moment.
-        """
-        for index in range(self.n_workers):
-            async with self._locks[index]:
-                proc = self.procs[index]
-                if proc is not None and proc.poll() is None:
-                    proc.send_signal(signal.SIGTERM)
-                    if not await self._wait_exit(proc, drain_timeout_s):
-                        proc.kill()
-                        await self._wait_exit(proc, 5.0)
-                    self.restarts[index] += 1
-                self.spawn(index)
-                await self.wait_healthy(index)
 
     async def stop(self, graceful: bool = True,
                    timeout_s: float = 15.0) -> "list[int | None]":

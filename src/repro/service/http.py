@@ -65,7 +65,6 @@ import contextlib
 import json
 import math
 import time
-from dataclasses import replace as _replace
 from functools import partial
 
 import numpy as np
@@ -153,13 +152,7 @@ async def answer_payload(gateway: PlanGateway, options: PipetteOptions,
     """
     fields = parse_plan_payload(payload)
     model = get_model(fields.model)
-    if fields.portfolio_k is not None:
-        # Per-request portfolio depth: how many runner-up mappings the
-        # plan carries for elastic warm starts.  SAOptions validates
-        # the value (>= 1) and raises the 400-mapped ValueError.
-        options = _replace(
-            options, sa=_replace(options.sa, portfolio_k=fields.portfolio_k))
-    kwargs = {"options": options, **fields.search_kwargs()}
+    kwargs = fields.request_kwargs(options)
     registry = gateway.registry
 
     def ask(name: str):
@@ -771,7 +764,7 @@ class HttpPlanServer(HttpServerBase):
         service = self.gateway.registry.service(name)
         model = get_model(fields.model)
         global_batch = fields.global_batch
-        kwargs = {"options": self.options, **fields.search_kwargs()}
+        kwargs = fields.request_kwargs(self.options)
         for key in ("min_nodes", "max_nodes", "templates_per_count"):
             if payload.get(key) is not None:
                 kwargs[key] = payload_int(payload[key], key)

@@ -18,6 +18,9 @@ against that state:
   (:meth:`PlanningService.update_bandwidth`,
   :meth:`PlanningService.replan`).
 
+Every warm anneal — a template answer to a cache miss, and both
+branches of :func:`replan` — runs through the one :func:`polish`.
+
 Queueing and in-flight dedup of concurrent callers are the
 :class:`~repro.service.gateway.PlanGateway`'s job; the service answers
 one request at a time.
@@ -27,11 +30,11 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.cluster.fabric import BandwidthMatrix
 from repro.cluster.topology import ClusterSpec
-from repro.core.annealing import anneal_mapping
+from repro.core.annealing import SAResult, anneal_mapping
 from repro.core.configurator import (
     PipetteConfigurator,
     PipetteOptions,
@@ -48,7 +51,9 @@ from repro.core.templates import (
 )
 from repro.model.transformer import TransformerConfig
 from repro.obs.logs import get_logger
+from repro.obs.recorder import FlightRecorder
 from repro.obs.trace import TRACER, Span
+from repro.parallel.mapping import Mapping
 from repro.profiling.profile_run import ComputeProfile, profile_compute
 from repro.service.cache import PlanCache, PlanRequest
 from repro.service.executor import CandidateExecutor
@@ -56,12 +61,12 @@ from repro.service.replan import (
     DEFAULT_DRIFT_THRESHOLD,
     ClusterEvent,
     ReplanReport,
+    _warm_candidates,
     best_start,
     default_warm_sa,
     drift_exceeds,
-    replan,
-    shrink_cluster,
-    surviving_gpus,
+    post_event_world,
+    template_fits,
 )
 
 _log = get_logger("service.planner")
@@ -103,6 +108,139 @@ class PlanResponse:
     def best(self) -> RankedConfig | None:
         """Shortcut to the recommended configuration."""
         return self.result.best if self.result is not None else None
+
+
+# ------------------------------------------------------------- warm paths
+
+
+def polish(ctx: SearchContext, leader: RankedConfig,
+           starts: "list[Mapping]", seed: int,
+           span: Span) -> "tuple[RankedConfig, SAResult, int]":
+    """Anneal ``leader`` on ``ctx.sa`` from the best of ``starts``.
+
+    The start is picked in one batched kernel call
+    (:func:`~repro.service.replan.best_start`).  When ``span`` records,
+    a ``"warm-start"`` flight recorder rides the anneal and its payload
+    and exit reason land on ``span``.  Returns the refined leader, the
+    anneal's result and the index of the chosen start.
+    """
+    kernel = candidate_kernel(ctx, leader.config)
+    pick = best_start(kernel, starts)
+    recorder = FlightRecorder(provenance="warm-start") \
+        if span.recording else None
+    result = anneal_mapping(starts[pick], kernel, ctx.sa.with_seed(seed),
+                            recorder=recorder)
+    if recorder is not None:
+        span.set_attribute("flight", recorder.to_payload())
+        span.set_attribute("exit_reason", result.exit_reason)
+    return leader.refined(result), result, pick
+
+
+def replan(cluster: ClusterSpec, model: TransformerConfig,
+           bandwidth: BandwidthMatrix, profile: ComputeProfile,
+           previous: RankedConfig, event: ClusterEvent,
+           memory_estimator: MemoryEstimator | None = None,
+           options: PipetteOptions | None = None,
+           new_bandwidth: BandwidthMatrix | None = None,
+           memory_limit_bytes: float | None = None,
+           micro_batches: "list[int] | None" = None,
+           schedules: "tuple[str, ...] | list[str] | None" = None,
+           executor=None, run_cold: bool = True,
+           template: PipelineTemplate | None = None) -> ReplanReport:
+    """Re-plan after a cluster event, warm-starting from ``previous``.
+
+    :func:`polish` anneals the leader — a fitting template, else the
+    best of a naive re-rank search — from its best warm start.
+
+    Args:
+        cluster: the cluster ``previous`` was planned for.
+        bandwidth: the matrix ``previous`` was searched against.
+        previous: the plan in force when the event happened.
+        event: what changed; see
+            :func:`~repro.service.replan.post_event_world` for the
+            post-event world and ``new_bandwidth``.  The polish anneals
+            on :func:`~repro.service.replan.default_warm_sa`.
+        micro_batches: microbatch restriction of the original request,
+            honored by both the warm re-ranking and the cold search.
+        schedules: pipeline-schedule restriction of the original
+            request, honored the same way.
+        executor: optional :class:`~repro.service.executor.CandidateExecutor`
+            for both the warm re-ranking and the cold search.
+        run_cold: also run the full cold search for comparison.
+        template: precomputed pipeline template for the surviving node
+            count (a :meth:`~repro.core.templates.TemplateLibrary.lookup`
+            hit).  On a fitting node-failure template the warm path
+            skips the re-rank search entirely — the template
+            instantiates onto the survivors and only the
+            slot-assignment polish runs (``warm_source="template"``).
+            A template that does not fit the post-event world falls
+            back to the re-rank path.
+    """
+    options = options or PipetteOptions()
+    new_cluster, new_bw = post_event_world(cluster, bandwidth, event,
+                                           new_bandwidth)
+    global_batch = previous.config.global_batch
+
+    def search(search_options: PipetteOptions) -> PipetteResult:
+        return PipetteConfigurator(
+            new_cluster, model, new_bw, profile, memory_estimator,
+            options=search_options,
+        ).search(global_batch, memory_limit_bytes=memory_limit_bytes,
+                 micro_batches=micro_batches, schedules=schedules,
+                 executor=executor)
+
+    # The whole re-plan is one span tagged with the triggering event,
+    # so failure-recovery latency is directly measurable per event
+    # kind in traces and the phase-latency histogram.
+    with TRACER.span("replan", event_kind=event.kind,
+                     failed_nodes=list(event.failed_nodes),
+                     event_day=event.day) as replan_span:
+        t0 = time.perf_counter()
+        if (template is not None and event.kind == "node_failure"
+                and template_fits(template, new_cluster, global_batch)):
+            with TRACER.span("replan.template",
+                             n_nodes=template.n_nodes,
+                             schedule=template.config.schedule):
+                leader = template.instantiate(new_cluster)
+            # The previous plan's mappings are already folded into the
+            # library, so the template's own placements seed the polish.
+            candidates = [(m, "template")
+                          for m in (leader.mapping, *leader.portfolio)]
+        else:
+            with TRACER.span("replan.rerank"):
+                naive = search(replace(options, use_worker_dedication=False))
+            if naive.best is None:
+                raise RuntimeError("no feasible configuration on the "
+                                   "post-event cluster; cannot re-plan")
+            leader = naive.best
+            candidates = _warm_candidates(event, previous, leader,
+                                          new_cluster)
+        ctx = SearchContext(cluster=new_cluster, model=model,
+                            bandwidth=new_bw, profile=profile,
+                            memory_estimator=memory_estimator,
+                            sa=default_warm_sa(options.sa))
+        with TRACER.span("replan.warm_anneal") as warm_span:
+            warm, sa_result, pick = polish(
+                ctx, leader, [m for m, _ in candidates], options.seed,
+                warm_span)
+        warm_source = candidates[pick][1]
+        warm_search_s = time.perf_counter() - t0
+        report = ReplanReport(
+            event=event, cluster=new_cluster, bandwidth=new_bw,
+            previous=previous, warm=warm,
+            warm_start_latency_s=sa_result.initial_value,
+            warm_search_s=warm_search_s,
+            warm_source=warm_source,
+        )
+        if run_cold:
+            with TRACER.span("replan.cold_search"):
+                cold_result = search(options)
+            report.cold = cold_result.best
+            report.cold_search_s = cold_result.total_s
+            report.cold_result = cold_result
+        replan_span.set_attribute("warm_search_s", warm_search_s)
+        replan_span.set_attribute("warm_source", warm_source)
+        return report
 
 
 class PlanningService:
@@ -394,32 +532,26 @@ class PlanningService:
 
     def _answer_from_template(self, request: PlanRequest,
                               template: PipelineTemplate) -> PipetteResult:
-        """Instantiate a template and polish it against the live fabric.
+        """Instantiate a template and :func:`polish` it on the live fabric.
 
-        The stored placement (and its portfolio runner-ups) are
-        re-scored on the current bandwidth matrix in one batched
-        kernel call; the best seeds a quarter-budget anneal — the same
-        slot-assignment polish an elastic re-plan runs.  The result is
-        a regular :class:`PipetteResult`, cacheable under the current
-        epoch like any searched plan.
+        The stored placement and its portfolio runner-ups are the warm
+        starts.  The result is a regular :class:`PipetteResult`,
+        cacheable under the current epoch like any searched plan.
         """
         t0 = time.perf_counter()
         with TRACER.span("search.template", warm_source="template",
                          n_nodes=template.n_nodes,
                          schedule=template.config.schedule) as span:
             leader = template.instantiate(self.cluster)
-            warm_sa = default_warm_sa(request.options.sa)
             ctx = SearchContext(
                 cluster=self.cluster, model=request.model,
                 bandwidth=self.bandwidth,
                 profile=self.profile_for(request.model),
-                memory_estimator=self.memory_estimator, sa=warm_sa)
-            kernel = candidate_kernel(ctx, leader.config)
-            starts = [leader.mapping, *leader.portfolio]
-            sa_result = anneal_mapping(
-                starts[best_start(kernel, starts)], kernel,
-                warm_sa.with_seed(request.options.seed))
-            entry = leader.refined(sa_result)
+                memory_estimator=self.memory_estimator,
+                sa=default_warm_sa(request.options.sa))
+            entry, sa_result, _ = polish(
+                ctx, leader, [leader.mapping, *leader.portfolio],
+                request.options.seed, span)
             span.set_attribute("estimated_latency_s", entry.estimated_latency_s)
             return PipetteResult(
                 best=entry, ranked=[entry], rejected_oom=0,
@@ -443,9 +575,10 @@ class PlanningService:
         is stale.
         """
         with self._lock:
-            cluster = shrink_cluster(self.cluster, failed_nodes)
-            keep = surviving_gpus(self.cluster, failed_nodes)
-            return self._adopt(self.bandwidth.restrict(keep), cluster)
+            cluster, bandwidth = post_event_world(
+                self.cluster, self.bandwidth,
+                ClusterEvent.node_failure(*failed_nodes))
+            return self._adopt(bandwidth, cluster)
 
     def update_bandwidth(self, new_bandwidth: BandwidthMatrix,
                          drift_threshold: float = DEFAULT_DRIFT_THRESHOLD,
@@ -463,11 +596,8 @@ class PlanningService:
         the old fabric.  Returns the number of retired plans.
         """
         with self._lock:
-            if new_bandwidth.n_gpus != self.cluster.n_gpus:
-                raise ValueError(
-                    f"new matrix covers {new_bandwidth.n_gpus} GPUs but the "
-                    f"cluster has {self.cluster.n_gpus}"
-                )
+            post_event_world(self.cluster, self.bandwidth,
+                             ClusterEvent.bandwidth_drift(), new_bandwidth)
             if not drift_exceeds(self.bandwidth, new_bandwidth,
                                  drift_threshold):
                 return 0
@@ -493,10 +623,10 @@ class PlanningService:
         than being answered with a stale plan.
         """
         with self._lock:
-            # An invalid failure raises here, before anything is
+            # An invalid event raises here, before anything is
             # searched, cached or counted.
-            shrunk = shrink_cluster(self.cluster, event.failed_nodes) \
-                if event.kind == "node_failure" else None
+            world, _ = post_event_world(self.cluster, self.bandwidth,
+                                        event, new_bandwidth)
             previous = self.plan(request).best
             if previous is None:
                 raise RuntimeError(
@@ -504,8 +634,8 @@ class PlanningService:
             # Consult the warmed library for the surviving node count
             # first: a hit skips the re-rank search and reports
             # warm_source="template".
-            template = None if shrunk is None \
-                else self._lookup_template(request, shrunk.n_nodes)
+            template = self._lookup_template(request, world.n_nodes) \
+                if event.kind == "node_failure" else None
             report = replan(
                 self.cluster, request.model, self.bandwidth,
                 self.profile_for(request.model), previous, event,
@@ -520,8 +650,7 @@ class PlanningService:
                 run_cold=run_cold,
                 template=template,
             )
-            self._warm_sources[report.warm_source] = \
-                self._warm_sources.get(report.warm_source, 0) + 1
+            self._warm_sources[report.warm_source] += 1
             if event.kind == "node_failure":
                 self._adopt(report.bandwidth, report.cluster)
             else:

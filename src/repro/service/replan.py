@@ -1,59 +1,37 @@
-"""Elastic re-planning: warm-started answers to cluster events.
+"""The vocabulary of elastic re-planning: cluster events and warm starts.
 
 Real clusters are not static: the paper's 40-day campaign (Fig. 3,
 :mod:`repro.cluster.trace`) shows attained bandwidth drifting week to
 week, and long training campaigns lose nodes outright.  Cold-searching
 Algorithm 1 after every such event repays the full configuration
-overhead of Table II; re-planning instead *reuses* the previous answer:
-
-* the naive scoring pass re-ranks the (changed) configuration space
-  without any annealing,
-* the leader's worker mapping is warm-started from the previous plan —
-  via mapping surgery (:func:`repro.parallel.mapping.compact_mapping_after_failure`)
-  when nodes failed, or verbatim when only bandwidth drifted —
-* and a short simulated-annealing run polishes that warm start, rather
-  than re-growing a placement from the framework default.
-
-When a precomputed :class:`repro.core.templates.PipelineTemplate` for
-the surviving node count is available (a warmed
-:class:`~repro.core.templates.TemplateLibrary`), the re-rank search is
-skipped entirely: the template instantiates onto the survivors and
-only the slot-assignment polish runs — ``warm_source="template"``.
-
-:func:`replan` also runs the cold search for comparison, reporting the
-latency gap and search-time saving of the warm path.
+overhead of Table II; re-planning instead *reuses* the previous answer.
+This module holds what every warm path shares: :class:`ClusterEvent`,
+:func:`post_event_world` (the one place an event becomes a cluster and
+a matrix), drift measurement, the warm budget, the warm starts carried
+over from the previous plan (verbatim on drift, via
+:func:`repro.parallel.mapping.compact_mapping_after_failure` on a
+failure), :func:`best_start`, :func:`template_fits` and
+:class:`ReplanReport`.  :func:`repro.service.planner.replan` and the
+one warm polish, :func:`repro.service.planner.polish`, use them.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.cluster.fabric import BandwidthMatrix, Fabric
 from repro.cluster.topology import ClusterSpec
-from repro.core.annealing import SAOptions, anneal_mapping
-from repro.core.configurator import (
-    PipetteConfigurator,
-    PipetteOptions,
-    PipetteResult,
-    RankedConfig,
-    SearchContext,
-    candidate_kernel,
-)
+from repro.core.annealing import SAOptions
+from repro.core.configurator import PipetteResult, RankedConfig
 from repro.core.latency_kernel import LatencyKernel
-from repro.core.memory_estimator import MemoryEstimator
 from repro.core.templates import PipelineTemplate
-from repro.model.transformer import TransformerConfig
-from repro.obs.recorder import FlightRecorder
-from repro.obs.trace import TRACER
 from repro.parallel.mapping import (
     Mapping,
     WorkerGrid,
     compact_mapping_after_failure,
 )
-from repro.profiling.profile_run import ComputeProfile
 
 #: Relative bandwidth change beyond which cached plans are considered
 #: stale.  The Fig. 3 campaign shows day-to-day wiggle well under this
@@ -81,7 +59,7 @@ class ClusterEvent:
         if self.kind not in ("node_failure", "bandwidth_drift"):
             raise ValueError(f"unknown event kind {self.kind!r}")
         if self.kind == "node_failure" and not self.failed_nodes:
-            raise ValueError("node_failure event needs at least one node")
+            raise ValueError("a node failure needs at least one failed node")
 
     @classmethod
     def node_failure(cls, *nodes: int) -> "ClusterEvent":
@@ -171,6 +149,34 @@ def shrink_cluster(cluster: ClusterSpec, failed_nodes) -> ClusterSpec:
     if remaining < 1:
         raise ValueError("no nodes left after the failure")
     return cluster.scaled_to(remaining)
+
+
+def post_event_world(cluster: ClusterSpec, bandwidth: BandwidthMatrix,
+                     event: ClusterEvent,
+                     new_bandwidth: BandwidthMatrix | None = None,
+                     ) -> "tuple[ClusterSpec, BandwidthMatrix]":
+    """The cluster and matrix in force after ``event``; mutates nothing.
+
+    A node failure shrinks ``cluster`` and restricts ``new_bandwidth``
+    (else ``bandwidth``) to the survivors unless it covers only them
+    already.  A drift keeps the cluster and needs ``new_bandwidth``
+    over the same GPUs.  A refused event raises ``ValueError``.
+    """
+    if event.kind == "node_failure":
+        survivors = shrink_cluster(cluster, event.failed_nodes)
+        base = new_bandwidth if new_bandwidth is not None else bandwidth
+        if base.n_gpus != survivors.n_gpus:
+            base = base.restrict(surviving_gpus(cluster, event.failed_nodes))
+        return survivors, base
+    if new_bandwidth is None:
+        raise ValueError("bandwidth_drift re-planning needs the "
+                         "re-profiled matrix (new_bandwidth)")
+    if new_bandwidth.n_gpus != cluster.n_gpus:
+        raise ValueError(
+            f"new matrix covers {new_bandwidth.n_gpus} GPUs but the "
+            f"cluster has {cluster.n_gpus}"
+        )
+    return cluster, new_bandwidth
 
 
 def default_warm_sa(sa: SAOptions) -> SAOptions:
@@ -307,151 +313,3 @@ def template_fits(template: PipelineTemplate, cluster: ClusterSpec,
             and config.pp * config.tp * config.dp == cluster.n_gpus
             and cluster.gpus_per_node % config.tp == 0
             and config.global_batch == global_batch)
-
-
-def replan(cluster: ClusterSpec, model: TransformerConfig,
-           bandwidth: BandwidthMatrix, profile: ComputeProfile,
-           previous: RankedConfig, event: ClusterEvent,
-           memory_estimator: MemoryEstimator | None = None,
-           options: PipetteOptions | None = None,
-           new_bandwidth: BandwidthMatrix | None = None,
-           memory_limit_bytes: float | None = None,
-           micro_batches: "list[int] | None" = None,
-           schedules: "tuple[str, ...] | list[str] | None" = None,
-           executor=None, run_cold: bool = True,
-           template: PipelineTemplate | None = None) -> ReplanReport:
-    """Re-plan after a cluster event, warm-starting from ``previous``.
-
-    Args:
-        cluster: the cluster ``previous`` was planned for.
-        bandwidth: the matrix ``previous`` was searched against.
-        previous: the plan in force when the event happened.
-        event: what changed.  ``node_failure`` shrinks the cluster and
-            restricts the matrix to the survivors; ``bandwidth_drift``
-            keeps the cluster and requires ``new_bandwidth`` (the
-            re-profiled matrix).  The warm polish anneals on a quarter
-            of the cold budget (:func:`default_warm_sa`).
-        micro_batches: microbatch restriction of the original request,
-            honored by both the warm re-ranking and the cold search.
-        schedules: pipeline-schedule restriction of the original
-            request, honored the same way.
-        executor: optional :class:`~repro.service.executor.CandidateExecutor`
-            for both the warm re-ranking and the cold search.
-        run_cold: also run the full cold search for comparison.
-        template: precomputed pipeline template for the surviving node
-            count (a :meth:`~repro.core.templates.TemplateLibrary.lookup`
-            hit).  On a fitting node-failure template the warm path
-            skips the re-rank search entirely — the template
-            instantiates onto the survivors and only the
-            slot-assignment polish runs (``warm_source="template"``).
-            A template that does not fit the post-event world falls
-            back to the re-rank path.
-    """
-    options = options or PipetteOptions()
-    warm_sa = default_warm_sa(options.sa)
-    global_batch = previous.config.global_batch
-
-    if event.kind == "node_failure":
-        new_cluster = shrink_cluster(cluster, event.failed_nodes)
-        keep = surviving_gpus(cluster, event.failed_nodes)
-        base = new_bandwidth if new_bandwidth is not None else bandwidth
-        new_bw = base if base.n_gpus == new_cluster.n_gpus \
-            else base.restrict(keep)
-    else:
-        if new_bandwidth is None:
-            raise ValueError("bandwidth_drift re-planning needs the "
-                             "re-profiled matrix (new_bandwidth)")
-        new_cluster = cluster
-        new_bw = new_bandwidth
-
-    # The whole re-plan is one span tagged with the triggering event,
-    # so failure-recovery latency is directly measurable per event
-    # kind in traces and the phase-latency histogram.
-    with TRACER.span("replan", event_kind=event.kind,
-                     failed_nodes=list(event.failed_nodes),
-                     event_day=event.day) as replan_span:
-        # Warm path: instantiate a precomputed template when one fits
-        # the surviving node count; otherwise re-rank the configuration
-        # space with naive mappings only (no annealing).  Either way a
-        # short anneal then polishes the warm-started mapping.
-        t0 = time.perf_counter()
-        use_template = (template is not None
-                        and event.kind == "node_failure"
-                        and template_fits(template, new_cluster,
-                                          global_batch))
-        if use_template:
-            with TRACER.span("replan.template",
-                             n_nodes=template.n_nodes,
-                             schedule=template.config.schedule):
-                leader = template.instantiate(new_cluster)
-        else:
-            with TRACER.span("replan.rerank"):
-                naive = PipetteConfigurator(
-                    new_cluster, model, new_bw, profile, memory_estimator,
-                    options=replace(options, use_worker_dedication=False),
-                ).search(global_batch, memory_limit_bytes=memory_limit_bytes,
-                         micro_batches=micro_batches, schedules=schedules,
-                         executor=executor)
-            if naive.best is None:
-                raise RuntimeError("no feasible configuration on the "
-                                   "post-event cluster; cannot re-plan")
-            leader = naive.best
-        ctx = SearchContext(cluster=new_cluster, model=model,
-                            bandwidth=new_bw, profile=profile,
-                            memory_estimator=memory_estimator, sa=warm_sa)
-        # The warm polish (and the candidate selection below) runs
-        # against the compiled latency kernel — same values as the
-        # reference estimator bit for bit, so warm results remain
-        # comparable with (and cacheable alongside) cold searches.
-        kernel = candidate_kernel(ctx, leader.config)
-        if use_template:
-            # The template's stored placement (plus its portfolio
-            # runner-ups) seeds the polish; the previous plan's
-            # mappings are already folded into the library.
-            candidates = [(leader.mapping, "template")] + \
-                [(m, "template") for m in leader.portfolio]
-        else:
-            candidates = _warm_candidates(event, previous, leader,
-                                          new_cluster)
-        # A re-plan starts from the strongest member of the previous
-        # plan's portfolio, not blindly from its old best.
-        start_mapping, warm_source = candidates[
-            best_start(kernel, [m for m, _ in candidates])]
-        # The polish runs inline, so its flight recorder (provenance
-        # "warm-start") lands on the span directly rather than
-        # crossing a pool boundary.
-        recorder = FlightRecorder(provenance="warm-start") \
-            if TRACER.enabled else None
-        with TRACER.span("replan.warm_anneal") as warm_span:
-            sa_result = anneal_mapping(
-                start_mapping,
-                kernel,
-                warm_sa.with_seed(options.seed),
-                recorder=recorder,
-            )
-            if recorder is not None:
-                warm_span.set_attribute("flight", recorder.to_payload())
-                warm_span.set_attribute("exit_reason", sa_result.exit_reason)
-        warm_search_s = time.perf_counter() - t0
-        report = ReplanReport(
-            event=event, cluster=new_cluster, bandwidth=new_bw,
-            previous=previous, warm=leader.refined(sa_result),
-            warm_start_latency_s=sa_result.initial_value,
-            warm_search_s=warm_search_s,
-            warm_source=warm_source,
-        )
-        if run_cold:
-            with TRACER.span("replan.cold_search"):
-                cold_result = PipetteConfigurator(
-                    new_cluster, model, new_bw, profile, memory_estimator,
-                    options=options,
-                ).search(global_batch,
-                         memory_limit_bytes=memory_limit_bytes,
-                         micro_batches=micro_batches, schedules=schedules,
-                         executor=executor)
-            report.cold = cold_result.best
-            report.cold_search_s = cold_result.total_s
-            report.cold_result = cold_result
-        replan_span.set_attribute("warm_search_s", warm_search_s)
-        replan_span.set_attribute("warm_source", warm_source)
-        return report

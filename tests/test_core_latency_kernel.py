@@ -161,8 +161,7 @@ class TestKernelEquivalence:
         cluster, model, _, profile = world
         nominal = Fabric(cluster, seed=0).nominal_bandwidth()
         config = _config(2, 2, 4)
-        options = LatencyModelOptions(hidden_critical_path=False,
-                                      per_link_bandwidth=False)
+        options = LatencyModelOptions(hidden_critical_path=False)
         kernel = LatencyKernel(model, config, cluster, nominal, profile,
                                options)
         mapping = sequential_mapping(WorkerGrid(2, 2, 4), cluster)

@@ -289,6 +289,29 @@ class TestReplanTracing:
         warm = _find(root, "replan.warm_anneal")
         assert warm["attributes"]["flight"]["provenance"] == "warm-start"
 
+    def test_template_answer_carries_flight_recorder(self, tracing,
+                                                     tiny_cluster,
+                                                     tiny_network):
+        from repro.model import get_model
+        model = get_model("gpt-toy")
+        options = PipetteOptions(
+            sa=SAOptions(max_iterations=60, portfolio_k=2), sa_top_k=2,
+            seed=5)
+        service = PlanningService(tiny_cluster, tiny_network.bandwidth)
+        service.warm_templates(model, 16, options=options)
+        service.apply_failure(3)
+        TRACER.reset()
+        service.plan(service.request(model, 16, options=options))
+        trees = [TRACER.trace(t["trace_id"]) for t in TRACER.traces()]
+        span = next(hit for hit in (_find(t["root"], "search.template")
+                                    for t in trees) if hit is not None)
+        attributes = span["attributes"]
+        flight = attributes["flight"]
+        assert flight["provenance"] == "warm-start"
+        assert flight["iterations"] > 0
+        assert attributes["exit_reason"] == flight["exit_reason"] \
+            == "iteration_budget"
+
 
 class TestTraceCli:
     def test_trace_subcommand_pretty_prints(self, tracing, tmp_path,

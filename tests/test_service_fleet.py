@@ -673,8 +673,8 @@ class TestRouterRefusesMalformedPlans:
 
 class TestRouterDrain:
     def test_drain_finishes_inflight_and_closes_idle(self):
-        """The rolling-restart contract at the router: a request
-        already being proxied completes; idle keep-alives close."""
+        """The drain contract at the router: a request already
+        being proxied completes; idle keep-alives close."""
 
         async def slow_worker(reader, writer):
             try:

@@ -6,8 +6,8 @@ Two stories that only real processes can tell:
   shard store, and a re-sent request answers as a cache hit with the
   byte-identical plan — durability composes with supervision;
 * ``serve`` drains gracefully on SIGTERM: the in-flight request is
-  answered in full and the process exits 0 — the supervisor's rolling
-  restarts rely on exactly this.
+  answered in full and the process exits 0 — the signal the
+  supervisor's graceful stop sends every worker.
 """
 
 import json

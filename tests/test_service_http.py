@@ -16,7 +16,7 @@ from conftest import metric_value, parse_prometheus
 
 from repro.cluster import Fabric, HeterogeneityModel, NetworkProfiler
 from repro.cluster.topology import ClusterSpec, GpuSpec, LinkSpec, NodeSpec
-from repro.core import PipetteOptions
+from repro.core import PipetteOptions, SAOptions
 from repro.service import (
     ClusterRegistry,
     HttpPlanServer,
@@ -63,8 +63,10 @@ class _Server:
     """An in-process HTTP front end over a fresh gateway."""
 
     def __init__(self, registry: ClusterRegistry, *,
-                 max_body_bytes: int = 1 << 20, **gateway_kwargs) -> None:
+                 max_body_bytes: int = 1 << 20, options=FAST,
+                 **gateway_kwargs) -> None:
         self.registry = registry
+        self.options = options
         self.metrics = MetricsRegistry()
         self.registry.attach_metrics(self.metrics)
         self._gateway_kwargs = gateway_kwargs
@@ -75,7 +77,7 @@ class _Server:
         self.gateway = PlanGateway(self.registry, metrics=self.metrics,
                                    **self._gateway_kwargs)
         await self.gateway.__aenter__()
-        self.front = HttpPlanServer(self.gateway, FAST,
+        self.front = HttpPlanServer(self.gateway, self.options,
                                     metrics=self.metrics,
                                     max_body_bytes=self._max_body_bytes)
         self.server = await asyncio.start_server(
@@ -621,6 +623,33 @@ class TestEdgeCases:
             assert status == 400
             assert next(iter(fields)) in out["error"]
         assert service.template_library is None
+
+    def test_template_warm_honors_portfolio_k(self):
+        # Regression: the warm-up parsed portfolio_k and then stored the
+        # server default's runner-ups (3 per template) whatever it said.
+        options = PipetteOptions(
+            sa=SAOptions(max_iterations=60, portfolio_k=4), sa_top_k=2,
+            seed=5)
+
+        async def main():
+            depths = {}
+            async with _Server(_registry(), options=options) as server:
+                service = server.registry.service("alpha")
+                for k in (1, 2):
+                    status, _, _ = await _request(
+                        server.port, "POST", "/v1/templates/warm",
+                        {"model": "gpt-toy", "global_batch": 32,
+                         "cluster": "alpha", "portfolio_k": k})
+                    assert status == 200
+                    library = service.template_library
+                    depths[k] = [len(t.portfolio)
+                                 for n in library.covered_counts
+                                 for t in library.templates_for(n)]
+            return depths
+
+        depths = asyncio.run(main())
+        assert depths[1] and max(depths[1]) == 0
+        assert max(depths[2]) == 1
 
     def test_duplicate_header_flood_hits_the_cap(self):
         # Regression: the header cap must count parsed *lines*, not

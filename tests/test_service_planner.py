@@ -325,6 +325,29 @@ class TestServiceReplan:
                 service.cluster) == before
         assert service.stats["profiled_models"] == 1
 
+    def test_invalid_drift_refused_before_searching(self, service,
+                                                    toy_model, tiny_network):
+        """A drift re-plan with no usable matrix searches nothing.
+
+        Like an invalid node failure, it is refused before the previous
+        plan is searched, cached or counted.
+        """
+        request = service.request(toy_model, 32, options=SA_FAST)
+        epoch = service.bandwidth_fp
+        with pytest.raises(ValueError, match="new_bandwidth"):
+            service.replan(request, ClusterEvent.bandwidth_drift(),
+                           run_cold=False)
+        with pytest.raises(ValueError, match="covers 8 GPUs"):
+            service.replan(request, ClusterEvent.bandwidth_drift(),
+                           new_bandwidth=tiny_network.bandwidth.restrict(
+                               range(8)),
+                           run_cold=False)
+        stats = service.stats
+        assert stats["cache_entries"] == 0
+        assert stats["requests_submitted"] == 0
+        assert stats["cache_misses"] == 0
+        assert service.bandwidth_fp == epoch
+
     def test_stale_request_rejected_after_failure(self, service, toy_model):
         # A request built against the pre-failure cluster must not be
         # answered with a plan that maps workers onto dead GPUs.

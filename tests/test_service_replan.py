@@ -11,13 +11,13 @@ from repro.parallel import (
     compact_mapping_after_failure,
     sequential_mapping,
 )
+from repro.service.planner import replan
 from repro.service.replan import (
     ClusterEvent,
     bandwidth_drift_ratio,
     default_warm_sa,
     drift_exceeds,
     fabric_drift_ratio,
-    replan,
     shrink_cluster,
     surviving_gpus,
 )
