@@ -13,6 +13,9 @@ Three claims, matching the kernel's and the draw stream's contracts
 * the annealer's move proposals, drawn from a ``DrawStream``, land the
   same permutations as the ``Generator``-drawing reference proposal
   >= 3x faster at 16 blocks.
+
+It also prints the per-grid cost of ``evaluate_perm`` and of an
+``evaluate_batch`` row over every grid a Table-1 cold search anneals.
 """
 
 import sys
@@ -45,6 +48,7 @@ from annealing_oracle import (  # noqa: E402
     apply_move,
     propose_into,
 )
+from test_core_latency_kernel import PRESET_GRIDS  # noqa: E402
 
 #: One concrete fabric draw, like the other macro-benchmarks.
 SEED = 2
@@ -58,6 +62,9 @@ SHAPES = [
     ("mid-range", ParallelConfig(pp=16, tp=8, dp=1, micro_batch=4,
                                  global_batch=512), True),
     ("mid-range", ParallelConfig(pp=8, tp=2, dp=8, micro_batch=4,
+                                 global_batch=512), False),
+    # Two slots per node: the costliest grid of a Table-1 cold search.
+    ("mid-range", ParallelConfig(pp=4, tp=4, dp=8, micro_batch=4,
                                  global_batch=512), False),
 ]
 
@@ -171,6 +178,34 @@ def test_annealer_wall_clock_speedup():
     assert fast.value == reference.value
     assert fast.mapping == reference.mapping
     assert ref_s / fast_s >= 5.0
+
+
+def test_preset_grid_table():
+    """Per-grid cost of both evaluation paths on the 16-node presets.
+
+    Reported, not asserted: ``evaluate_perm`` per call and
+    ``evaluate_batch`` per row (64 rows per call) over every grid a
+    Table-1 cold search anneals.  Each batch row must equal its
+    ``evaluate_perm``, bitwise.
+    """
+    print(f"\n  {'preset':10s} {'grid':14s} {'perm us':>8s} "
+          f"{'batch us/row':>13s}")
+    for cluster_name in ("mid-range", "high-end"):
+        cluster, model, bandwidth, profile = _world(cluster_name)
+        for pp, tp, dp in PRESET_GRIDS:
+            config = ParallelConfig(pp=pp, tp=tp, dp=dp, micro_batch=4,
+                                    global_batch=512)
+            kernel = pipette_kernel(model, config, cluster, bandwidth,
+                                    profile)
+            rng = np.random.default_rng(SEED)
+            batch = np.stack([rng.permutation(pp * dp)
+                              for _ in range(64)]).astype(np.int64)
+            rows = kernel.evaluate_batch(batch)
+            assert [kernel.evaluate_perm(p) for p in batch] == rows.tolist()
+            perm_rate = _evals_per_sec(kernel.evaluate_perm, list(batch[:8]))
+            batch_rate = 64 * _evals_per_sec(kernel.evaluate_batch, [batch])
+            print(f"  {cluster_name:10s} pp{pp}-tp{tp}-dp{dp:<6d} "
+                  f"{1e6 / perm_rate:8.1f} {1e6 / batch_rate:13.2f}")
 
 
 def _random_moves(rng, n, count):

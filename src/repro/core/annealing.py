@@ -404,16 +404,17 @@ def anneal_mapping(initial: Mapping,
 
     iterations = accepted = 0
     exit_reason = "iteration_budget"
+    moves, max_iterations = options.moves, options.max_iterations
+    time_limit_s, alpha = options.time_limit_s, options.alpha
     while True:
-        if options.max_iterations is not None \
-                and iterations >= options.max_iterations:
+        if max_iterations is not None and iterations >= max_iterations:
             break
-        if options.time_limit_s is not None \
+        if time_limit_s is not None \
                 and iterations % TIME_CHECK_INTERVAL == 0 \
-                and time.perf_counter() - start >= options.time_limit_s:
+                and time.perf_counter() - start >= time_limit_s:
             exit_reason = "time_limit"
             break
-        move = options.moves[draws.integers(len(options.moves))]
+        move = moves[draws.integers(len(moves))]
         _propose_into(scratch, current, move, draws)
         value = evaluate(scratch)
         delta = value - current_value
@@ -432,7 +433,7 @@ def anneal_mapping(initial: Mapping,
         if recorder is not None:
             recorder.sample(iterations, temperature, best_value,
                             accepted_move, move=move)
-        temperature *= options.alpha
+        temperature *= alpha
         iterations += 1
 
     if recorder is not None:

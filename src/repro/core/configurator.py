@@ -96,6 +96,18 @@ class PipetteOptions:
     max_micro_batch: int = 8
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        # Refused here, not mid-search (after enumeration and scoring).
+        for name, low in (("sa_top_k", 0), ("max_micro_batch", 1),
+                          ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) \
+                    or not isinstance(value, (int, np.integer)):
+                raise TypeError(
+                    f"{name} must be an int, got {type(value).__name__}")
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
+
 
 @dataclass(frozen=True)
 class RankedConfig:

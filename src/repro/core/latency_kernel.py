@@ -18,35 +18,43 @@ permutation:
   one slot of ``tp`` consecutive GPUs, whichever block lands there),
 * the slot-pair bandwidth tables ``matrix[s1*tp + y, s2*tp + y]`` that
   the pipeline-chain and data-parallel terms read through,
-* the slot-GPU and node-of-slot tables and the stage-major block
-  layout (:func:`repro.parallel.mapping.slot_gpu_index`,
-  :func:`repro.parallel.mapping.slot_node_index`,
-  :meth:`repro.parallel.mapping.WorkerGrid.stage_blocks`).
+* the ring-pair positions, and integer tables fixed by the grid and
+  node size alone, memoized per shape (``score_unit`` compiles about a
+  hundred kernels per request and scores each once).
 
 :class:`LatencyKernel` hoists all of that into ``__init__`` and reduces
 one objective evaluation to a handful of NumPy gathers and reductions
 over the raw permutation array — no Python-level group loops, no
 ``Mapping`` construction.  Pair gathers read the slot-pair tables at
-``perm[src] * n_slots + perm[dst]`` through precomputed flat position
-tables (pipeline hops, ring pairs), shared by :meth:`evaluate_perm`
-and :meth:`evaluate_batch`.
+row ``perm[src] * n_slots + perm[dst]``; the tables keep the tensor
+rank as their last axis, so every reduction runs over leading axes.
 
-**Minimum first.** The TP straggler term, and on the
-one-slot-per-node path each stage's ring term, is a maximum over
-groups of ``f(bw) = a * (c / (bw * GB))`` with ``a, c >= 0``.  Each
-IEEE step of ``f`` is monotone for ``bw >= 0``, so ``f`` never rises
-with ``bw`` and ``max_i f(bw_i) == f(min_i bw_i)`` exactly.  The
-kernel reduces the gathered bandwidths first and applies ``f`` once.
-It refuses a matrix with a NaN, zero or negative entry through the
-reference's own check
+**Minimum first.** The TP straggler term and the ring phases are
+maxima over groups of ``f(bw) = a * (c / (bw * GB))`` or ``num / ((k *
+bw) * GB)`` with non-negative constants.  Each IEEE step of ``f`` is
+monotone for ``bw >= 0``, so ``f`` never rises with ``bw`` and
+``max_i f(bw_i) == f(min_i bw_i)`` exactly.  The kernel reduces the
+gathered bandwidths first and applies ``f`` once; where ``k`` is fixed
+it tabulates the denominator ``(k * bw) * GB`` itself, whose minimum
+is the minimum bandwidth's.  It refuses a matrix with a NaN, zero or
+negative entry through the reference's own check
 (:func:`~repro.core.latency_model.refuse_unusable_bandwidth`), so both
 paths answer a failed measurement or a dead link with the same
-``ValueError``.
-With ``pp <= 2`` the straggler sees every slot, so its
-term is a compile-time constant.  On 16-node Table-1 presets this
-takes a one-slot-per-node ``evaluate_perm`` from about 27 to 13-18 µs;
-the path where a node holds several slots keeps its per-tensor-rank
-phases (their maximum is over a sum) and runs 55-60 µs.
+``ValueError``.  With ``pp <= 2`` the straggler sees every slot, so its
+term is a compile-time constant; with ``pp == 1`` and whole-node slots
+the ring sees every link too, and the kernel returns the value scored
+once at compile time.
+
+**The ring term.** One routine, :meth:`LatencyKernel._ring_terms`,
+serves :meth:`~LatencyKernel.evaluate_perm`,
+:meth:`~LatencyKernel.evaluate_batch` and :class:`IncrementalEvaluator`.
+Pairs touching a *follower* — a data rank whose node already appeared
+earlier in its stage — read a +inf sentinel row, so the inter-node
+minimum spans the reference's leaders only.  On the 16-node Table-1
+presets (one core of a shared 2-vCPU VM) this took a two-slot
+``evaluate_perm`` from about 60-70 to 35-50 µs, a one-slot one from
+about 14-22 to 12-15 µs and pp1-tp8-dp16 from about 9 µs to a constant
+(``benchmarks/bench_annealing_kernel.py`` prints the per-grid table).
 
 **Equivalence guarantee.** The kernel is not merely close to the
 reference model: every floating-point expression mirrors the reference
@@ -69,15 +77,15 @@ warm-start pick, each row bit-identical to :meth:`evaluate_perm`.
 permutation:
 
 * the tensor-parallel straggler vector (stage 0 + last stage blocks),
-* one pipeline-chain sum per ``(tensor rank, data rank)`` lane,
+* one pipeline-chain sum per ``(data rank, tensor rank)`` lane,
 * one data-parallel ring term per exposure-aware stage.
 
 :class:`IncrementalEvaluator` caches those partials for a bound
 permutation and, per proposed permutation, recomputes only the touched
 components — *with the exact operation order of the full evaluation*
-(chain sums re-accumulate their whole lane sequentially; a stage's
-ring term is recomputed whole), so its value equals ``evaluate_perm``
-to the last bit.  The annealer does not use it:
+(chain sums re-accumulate their whole lane sequentially; a touched
+stage goes through the same ring routine), so its value equals
+``evaluate_perm`` to the last bit.  The annealer does not use it:
 :func:`repro.core.annealing.anneal_mapping` always re-scores in full.
 Range moves touch about a third of the permutation, so the delta form
 only pays off from roughly 128-256 blocks, while Table 1 leaders have
@@ -85,6 +93,8 @@ only pays off from roughly 128-256 blocks, while Table 1 leaders have
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -101,8 +111,6 @@ from repro.parallel.mapping import (
     Mapping,
     WorkerGrid,
     check_slot_geometry,
-    slot_gpu_index,
-    slot_node_index,
 )
 from repro.parallel.messages import (
     TP_ALLREDUCES_PER_LAYER,
@@ -112,6 +120,24 @@ from repro.parallel.messages import (
 )
 from repro.profiling.profile_run import ComputeProfile
 from repro.units import GB
+
+
+@functools.lru_cache(maxsize=256)
+def _geometry(pp: int, dp: int, slots_per_node: int, ns: int) -> tuple:
+    """Integer tables fixed by the shape alone, built once per shape.
+
+    The straggler's block positions and their mask, which slot pairs
+    share a node, the ``b < a`` mask of a stage's data ranks and the
+    stage indices.  The tables are shared: never written.
+    """
+    n = pp * dp
+    rows = np.arange(n).reshape(pp, dp)
+    tp_blocks = np.concatenate([rows[0], rows[-1]]) if pp > 1 else rows[0]
+    node = np.arange(n) // slots_per_node
+    return (tp_blocks, np.isin(np.arange(n), tp_blocks),
+            (node[:, None] == node[None, :]).ravel(),
+            (rows[0][:, None] < rows[0][None, :])[:, :, None],
+            np.arange(ns))
 
 
 class LatencyKernel:
@@ -153,7 +179,11 @@ class LatencyKernel:
         self.options = options
         self.grid = grid
         pp, tp, dp = config.pp, config.tp, config.dp
-        n_slots = grid.n_blocks
+        n = self._n_slots = grid.n_blocks
+        spn = self._slots_per_node = cluster.gpus_per_node // tp
+        ns = self._n_dp_stages = pp if options.dp_exposure_aware else 1
+        (self._tp_blocks, self._tp_touch, self._same_node, self._earlier,
+         self._stages) = _geometry(pp, dp, spn, ns)
 
         # ---- permutation-independent scalars -------------------------
         c = profile.max_stage_compute_time(pp, tp, config.micro_batch)
@@ -161,95 +191,120 @@ class LatencyKernel:
         if config.recompute:
             c *= 4.0 / 3.0
             self._tp_factor = 1.5
-        self._c = c
+        self._c = float(c)
         self._n_mb = config.n_microbatches
         self._eff = options.collective_efficiency
+        self._hidden_critical_path = options.hidden_critical_path
+        self._drain_steps = np.arange(1, ns)
         # Resolve the schedule's analytic critical-time function once;
         # ``_finish`` calls it on every objective evaluation.
         from repro.sim.schedule import schedule_type
 
         self._critical_time = schedule_type(config.schedule).critical_time
 
-        matrix = bandwidth.matrix
         refuse_unusable_bandwidth(bandwidth)
         # ``blocked[s1, y1, s2, y2] == matrix[s1*tp + y1, s2*tp + y2]``.
-        blocked = matrix.reshape(n_slots, tp, n_slots, tp)
-
-        self._n_slots = n_slots
-        rows = grid.stage_blocks()                      # (pp, dp) positions
+        blocked = bandwidth.matrix.reshape(n, tp, n, tp)
 
         # ---- tensor-parallel term (part of C + T_TP_com) -------------
         if tp > 1:
             # Slowest link inside each slot's TP group (the matrix
             # diagonal is +inf and never wins, matching
-            # ``min_over_group``), gathered through the slot-GPU table.
-            gpus = slot_gpu_index(grid, cluster)       # (n_slots, tp)
-            self._tp_min_bw = matrix[gpus[:, :, None],
-                                     gpus[:, None, :]].min(axis=(1, 2))
+            # ``min_over_group``).
+            self._tp_min_bw = blocked.diagonal(axis1=0, axis2=2) \
+                .min(axis=(0, 1))
             steps = tp - 1
-            self._tp_coef = 2.0 * (steps / tp) * tp_allreduce_bytes(
-                model, config.micro_batch)
+            self._tp_coef = float(2.0 * (steps / tp) * tp_allreduce_bytes(
+                model, config.micro_batch))
             self._tp_layers4 = stage_layer_count(model.n_layers, pp, 0) \
                 * TP_ALLREDUCES_PER_LAYER
-            # The reference model inspects stage 0 and the last stage;
-            # these are the positions of their blocks in the permutation.
-            self._tp_blocks = np.concatenate([rows[0], rows[-1]]) \
-                if pp > 1 else rows[0]
-            # Which permutation positions feed the TP straggler term —
-            # :class:`IncrementalEvaluator` skips it entirely for moves
-            # that touch neither the first nor the last stage.
-            self._tp_touch = np.zeros(n_slots, dtype=bool)
-            self._tp_touch[self._tp_blocks] = True
         # With pp <= 2 the first and last stages hold every block, so
         # the straggler sees every slot whatever the permutation: its
         # term is a constant (``None`` when it must be gathered).
         self._c_tp = None
         if tp == 1:
-            self._c_tp = c
+            self._c_tp = self._c
         elif pp <= 2:
-            self._c_tp = float(self._c_tp_at(self._tp_min_bw.min()))
+            self._c_tp = self._c_tp_at(float(self._tp_min_bw.min()))
 
-        # Flat position tables: the pair-table column of positions
-        # ``a -> b`` of a permutation is ``perm[a] * n_slots + perm[b]``.
-        # Pipeline hops join stage ``x``'s data rank ``z`` to stage
-        # ``x + 1``'s; ring pairs join two data ranks of one stage.
-        if pp > 1:
-            self._pp_src, self._pp_dst = rows[:-1], rows[1:]    # (pp-1, dp)
-
-        # ``pair_bw[y, s1, s2]``: bandwidth between tensor rank ``y``'s
-        # GPUs of slots ``s1`` and ``s2`` — the table both the pipeline
-        # chains and the data-parallel rings gather through (flattened
-        # to ``(tp, n_slots**2)`` so hot-loop gathers are single
-        # ``np.take`` calls over ``s1 * n_slots + s2`` indices).
+        # ``ring[s1 * n + s2, y]``: bandwidth between tensor rank ``y``'s
+        # GPUs of slots ``s1`` and ``s2`` — the table the pipeline
+        # chains and the data-parallel rings gather through — plus one
+        # sentinel row of +inf (see :meth:`_ring_terms`).
         if pp > 1 or dp > 1:
-            pair_bw = blocked.diagonal(axis1=1, axis2=3).transpose(2, 0, 1)
-            flat_pair = np.ascontiguousarray(pair_bw.reshape(tp, -1))
+            ring = np.empty((n * n + 1, tp))
+            ring[:-1].reshape(n, n, tp)[:] = blocked.diagonal(axis1=1,
+                                                                axis2=3)
+            ring[-1] = np.inf
+            pair = ring[:-1]
 
         # ---- pipeline-parallel term (Eq. 5) --------------------------
         if pp > 1:
             hop_num = 2.0 * pp_message_bytes(model, config.micro_batch)
-            self._pp_hop_flat = hop_num / (flat_pair * GB)
+            self._pp_hop = hop_num / (pair * GB)
 
         # ---- data-parallel term (Eq. 6) ------------------------------
         if dp > 1:
-            self._pair_flat = flat_pair
-            self._node_of_slot = slot_node_index(grid, cluster)
-            self._msg_dp = np.array([dp_message_bytes(model, pp, tp, stage=s)
-                                     for s in range(pp)])
-            self._tril = np.tril(np.ones((dp, dp), dtype=bool), -1)
-            ns = pp if options.dp_exposure_aware else 1
-            self._n_dp_stages = ns
-            self._msg_dp_col = self._msg_dp[:ns, None]
-            self._drain_steps = np.arange(1, ns)
-            self._dp_src = np.repeat(rows[:ns, :, None], dp, axis=2)
-            self._dp_dst = np.repeat(rows[:ns, None, :], dp, axis=1)
-            # When a slot is a whole node (tp == gpus_per_node, the
-            # Megatron default), every DP group has exactly one member
-            # per node: the intra-node phase vanishes and the leaders
-            # are all ``dp`` members — a much shorter evaluation.
-            self._one_slot_per_node = cluster.gpus_per_node // tp == 1
-            if self._one_slot_per_node:
-                self._inter_num_all = (2.0 * (dp - 1)) * self._msg_dp[:ns]
+            self._ring_tables(ring, [dp_message_bytes(model, pp, tp, stage=s)
+                                     for s in range(ns)])
+        # pp == 1 with whole-node slots: one stage holding every slot,
+        # whose ring and straggler see every link whatever the order —
+        # the value is a constant, scored once here.
+        self._constant = None
+        if pp == 1 and spn == 1:
+            self._constant = self.evaluate_perm(np.arange(n))
+
+    def _ring_tables(self, ring: np.ndarray, msg: "list") -> None:
+        """The gather tables of the ring term (see :meth:`_ring_terms`).
+
+        Numerators are looked up by population: ``_inter_num[k * ns +
+        x]`` is stage ``x``'s inter-node numerator for ``k`` leaders
+        and ``_intra_num`` likewise for a node of ``k`` members, each
+        the reference's own ``(c * (k - 1)) * msg`` product.  Where the
+        population is fixed (``dp`` leaders of whole-node slots, two
+        members of a two-slot node) the denominator ``(k * bw) * GB``
+        is tabulated instead of the bandwidth: it is monotone in
+        ``bw``, so its minimum is the minimum bandwidth's.
+        """
+        dp, ns, n = self.grid.dp, self._n_dp_stages, self._n_slots
+        spn = self._slots_per_node
+        # Ring pair positions ``a -> b`` of the first ``ns`` stages in
+        # the ``(b, a, x)`` layout (peer, data rank, stage), so that
+        # ring reductions run over leading axes.  Built per kernel: a
+        # memo would keep the large-``dp`` ones alive.
+        pos = np.arange(ns * dp).reshape(ns, dp).T              # (dp, ns)
+        self._ring_src = np.broadcast_to(pos[None], (dp, dp, ns)).copy()
+        self._ring_dst = np.broadcast_to(pos[:, None], (dp, dp, ns)).copy()
+        pair = ring[:-1]
+        msg = np.asarray(msg)
+        k = np.arange(max(dp, spn) + 1)[:, None]
+        self._inter_num = ((2.0 * (k - 1)) * msg).ravel()
+        self._intra_num = ((4.0 * (k - 1)) * msg).ravel()
+        if spn == 1:
+            # Whole-node slots: no intra phase, every member leads, and
+            # the worst tensor rank has the slowest pair — reduce the
+            # table over tensor ranks up front.
+            self._dp_num = self._inter_num[dp * ns:(dp + 1) * ns]
+            self._ring_den = (dp * pair.min(axis=1)) * GB
+            return
+        # Pairs touching a follower are redirected to the sentinel row.
+        self._sentinel = n * n
+        self._ring_bw = ring
+        if spn == 2:
+            # A two-slot node has a member population of 2 exactly when
+            # its second member is a follower.  The node's bandwidth —
+            # the minimum of its 2 x 2 block, diagonal included, as
+            # ``min_over_group`` reads it — sits on the followers'
+            # diagonal cells ``s * (n + 1)``.
+            node_bw = pair.reshape(n // 2, 2, n // 2, 2, -1).diagonal(
+                axis1=0, axis2=2).min(axis=(0, 1))          # (tp, nodes)
+            self._intra_den = np.full_like(ring, np.inf)
+            self._intra_den[np.arange(n) * (n + 1)] = \
+                ((2 * node_bw) * GB).T.repeat(2, axis=0)
+            self._pair_num = self._intra_num[2 * ns:3 * ns]
+        else:
+            self._intra_bw = np.where(self._same_node[:, None], pair,
+                                      np.inf)
 
     # ------------------------------------------------------------- evaluation
 
@@ -268,41 +323,37 @@ class LatencyKernel:
         the annealing loop guarantee that by construction (the move set
         preserves permutations), so no per-call check is paid.
         """
+        if self._constant is not None:
+            return self._constant
         pp, dp = self.grid.pp, self.grid.dp
         perm = np.asarray(perm)
-        if pp > 1 or dp > 1:
-            scaled = perm * self._n_slots
 
         # C + T_TP_com: the straggler TP group sets the pace — the
-        # slowest slot, since the term falls as bandwidth rises.
+        # slowest slot, since the term falls as bandwidth rises.  Short
+        # vectors like this one reduce faster as Python floats.
         c_tp = self._c_tp
         if c_tp is None:
-            c_tp = float(self._c_tp_at(
-                self._tp_min_bw.take(perm.take(self._tp_blocks)).min()))
+            c_tp = self._c_tp_at(min(
+                self._tp_min_bw.take(perm.take(self._tp_blocks)).tolist()))
 
         # Eq. (5): slowest end-to-end pipeline communication path.  The
         # running ``add.accumulate`` visits hops in chain order, so the
         # floating-point sum matches the reference's sequential
         # accumulation exactly (unlike ``np.sum``'s pairwise blocking).
-        t_pp = 0.0
+        scaled = perm * self._n_slots
+        t_pp = t_dp = 0.0
         if pp > 1:
-            hop = self._pp_hop_flat.take(scaled.take(self._pp_src)
-                                         + perm.take(self._pp_dst), axis=1)
-            t_pp = float(np.add.accumulate(hop, axis=1)[:, -1].max())
+            hop = self._pp_hop.take(scaled[:-dp] + perm[dp:], axis=0)
+            t_pp = max(np.add.accumulate(
+                hop.reshape(pp - 1, -1))[-1].tolist())
 
         # Eq. (6): hierarchical-ring all-reduce per stage, worst tensor
         # rank; later stages net of their drain slack when
         # ``dp_exposure_aware``.
-        t_dp = 0.0
         if dp > 1:
-            pair = self._pair_flat.take(scaled.take(self._dp_src)
-                                        + perm.take(self._dp_dst), axis=1)
-            if self._one_slot_per_node:
-                stage_t = self._one_slot_stage_terms(
-                    pair.min(axis=(0, 2, 3)))
-            else:
-                stage_t = self._ring_stage_terms(
-                    pair, perm.reshape(pp, dp)[:self._n_dp_stages])
+            stage_t = self._ring_terms(
+                scaled.take(self._ring_src) + perm.take(self._ring_dst),
+                self._stages)
             t_dp = self._exposed_dp(stage_t.tolist(), c_tp)
         return self._finish(pp, c_tp, t_pp, t_dp)
 
@@ -311,8 +362,8 @@ class LatencyKernel:
 
         ``perms`` is a ``(K, n_blocks)`` array whose rows are
         permutations of ``[0, n_blocks)``.  Every gather and reduction
-        of :meth:`evaluate_perm` generalizes with a leading K axis, and
-        the reductions stay per-row independent (the chain
+        of :meth:`evaluate_perm` generalizes with a K axis, and the
+        reductions stay per-row independent (the chain
         ``add.accumulate`` runs along the hop axis, so each lane's sum
         order is untouched) — row ``k`` of the result is therefore
         *bit-identical* to ``evaluate_perm(perms[k])``.  The point is
@@ -327,42 +378,32 @@ class LatencyKernel:
                 f"permutations, got shape {perms.shape}"
             )
         n = perms.shape[0]
-        if pp > 1 or dp > 1:
-            scaled = perms * self._n_slots
+        if self._constant is not None:
+            return np.full(n, self._constant)
 
         if self._c_tp is not None:
-            c_tp = [self._c_tp] * n
+            c_tp = np.full(n, self._c_tp)
         else:
             c_tp = self._c_tp_at(self._tp_min_bw.take(
-                perms.take(self._tp_blocks, axis=1)).min(axis=1)).tolist()
+                perms.take(self._tp_blocks, axis=1)).min(axis=1))
 
-        t_pp = [0.0] * n
+        t_pp = 0.0
         if pp > 1:
-            hop = self._pp_hop_flat.take(scaled[:, self._pp_src]
-                                         + perms[:, self._pp_dst], axis=1)
-            t_pp = np.add.accumulate(hop, axis=2)[:, :, -1] \
-                .max(axis=(0, 2)).tolist()
+            chains = (perms[:, :-dp] * self._n_slots + perms[:, dp:]) \
+                .reshape(n, pp - 1, dp)
+            hop = self._pp_hop.take(chains, axis=0)
+            t_pp = np.add.accumulate(hop, axis=1)[:, -1].max(axis=(1, 2))
 
-        stage_t = None
+        t_dp = 0.0
         if dp > 1:
-            pair = self._pair_flat.take(scaled[:, self._dp_src]
-                                        + perms[:, self._dp_dst], axis=1)
-            if self._one_slot_per_node:
-                stage_t = self._one_slot_stage_terms(
-                    pair.min(axis=(0, 3, 4)))
-            else:
-                stage_t = self._ring_stage_terms(
-                    pair, perms.reshape(n, pp, dp)[:, :self._n_dp_stages])
-            stage_t = stage_t.tolist()
-
-        # Combine per row with the scalar epilogue of ``evaluate_perm``
-        # (same expressions on the same floats).
-        out = np.empty(n)
-        for i in range(n):
-            t_dp = 0.0 if stage_t is None \
-                else self._exposed_dp(stage_t[i], c_tp[i])
-            out[i] = self._finish(pp, c_tp[i], t_pp[i], t_dp)
-        return out
+            ns = self._n_dp_stages
+            rows = perms[:, :ns * dp].reshape(n * ns, dp)
+            t_dp = self._exposed_dp_rows(self._ring_terms(
+                self._row_pairs(rows), np.tile(self._stages, n))
+                .reshape(n, ns), c_tp)
+        # The scalar epilogue of ``evaluate_perm``, elementwise: the
+        # same expressions on the same floats.
+        return self._finish(pp, c_tp, t_pp, t_dp)
 
     # ------------------------------------------------------------- terms
 
@@ -373,56 +414,59 @@ class LatencyKernel:
         ``bw`` (each IEEE operation is monotone), so its maximum over
         the straggler candidates is its value at their minimum
         bandwidth: taking the minimum first is exact, and computes the
-        transform once instead of per group.  ``bw`` is one NumPy
-        scalar or an array of them (one per batch row).
+        transform once instead of per group.  ``bw`` is one float or
+        an array of them (one per batch row).
         """
         return self._c + self._tp_factor * (
             self._tp_layers4 * (self._tp_coef / (bw * GB)))
 
-    def _one_slot_stage_terms(self, bw: np.ndarray) -> np.ndarray:
-        """Per-stage ring terms when every slot is a whole node.
+    def _row_pairs(self, rows: np.ndarray) -> np.ndarray:
+        """Pair columns ``(b, a, x)`` of the ``(m, dp)`` slot rows."""
+        cols = rows.T
+        return (cols * self._n_slots)[None] + cols[:, None]
 
-        One member per node: no intra phase, every member is its
-        node's leader, and the term ``num / ((dp * bw) * GB)`` never
-        rises with ``bw`` — so the worst tensor rank is the one with
-        the slowest pair, and ``bw`` is each stage's minimum over all
-        of its pairs and tensor ranks (the +inf diagonal never wins).
+    def _ring_terms(self, pairs: np.ndarray,
+                    stages: np.ndarray) -> np.ndarray:
+        """Ring terms of ``m`` stage rows, shape ``(m,)``.
+
+        ``pairs[b, a, x]`` is the pair-table row from data rank ``a``
+        to data rank ``b`` of stage row ``x``, and ``stages[x]`` that
+        row's pipeline stage (its message size).  Every reduction is a
+        minimum or maximum, exact in any order, and every term
+        ``num / ((k * bw) * GB)`` never rises with ``bw``, so each is
+        applied to its minimum bandwidth.
         """
-        return self._inter_num_all / ((self.grid.dp * bw) * GB)
-
-    def _ring_stage_terms(self, pair: np.ndarray,
-                          slots: np.ndarray) -> np.ndarray:
-        """Per-stage ring terms when a node holds several slots.
-
-        ``slots`` holds the ``(..., ns, dp)`` slots of the
-        exposure-aware stages and ``pair[y, ..., x, a, b]`` tensor rank
-        ``y``'s bandwidth between data ranks ``a`` and ``b`` of stage
-        ``x``; the leading ``...`` is the batch axis, if any.
-        """
-        nodes = np.take(self._node_of_slot, slots)            # (..., ns, dp)
-        same = nodes[..., :, None] == nodes[..., None, :]     # (..., ns, dp, dp)
-
-        # Intra-node phase: per data rank, the slowest link to a
-        # same-node peer; the member attaining the node minimum
-        # reproduces the reference's per-node term, the rest are
-        # dominated.  A data rank's node population is its row sum
-        # of ``same``.  Excluded pairs are masked to +inf, so the
-        # min ranges over exactly the reference's candidate set.
-        rowmin = np.where(same[None], pair, np.inf).min(axis=-1)
-        k = same.sum(axis=-1)                                 # (..., ns, dp)
-        intra_num = (4.0 * (k - 1)) * self._msg_dp_col
-        intra = (intra_num[None] / ((k[None] * rowmin) * GB)).max(axis=-1)
-
-        # Inter-node phase: leaders are each node's first member in
-        # data-rank order (no earlier same-node occurrence).
-        leader = ~((same & self._tril).any(axis=-1))          # (..., ns, dp)
-        kn = leader.sum(axis=-1)                              # (..., ns)
-        pairmask = leader[..., :, None] & leader[..., None, :]
-        masked = np.where(pairmask[None], pair, np.inf)
-        inter_bw = masked.min(axis=(-2, -1))                  # (tp, ..., ns)
-        inter_num = (2.0 * (kn - 1)) * self._msg_dp[:self._n_dp_stages]
-        inter = inter_num[None] / ((kn[None] * inter_bw) * GB)
-        return (intra + inter).max(axis=0)                    # (..., ns)
+        dp, ns = self.grid.dp, self._n_dp_stages
+        if self._slots_per_node == 1:
+            # One member per node: no intra phase, every member leads.
+            return self._dp_num.take(stages) \
+                / self._ring_den.take(pairs).min(axis=(0, 1))
+        same = self._same_node.take(pairs)                  # (b, a, m)
+        # Leaders are each node's first member in data-rank order; a
+        # follower (an earlier same-node peer exists) reads the
+        # sentinel, so the minimum ranges over leader pairs only.
+        follower = (same & self._earlier).any(axis=0)       # (a, m)
+        if self._slots_per_node == 2:
+            # Each follower's diagonal cell holds its node's term.
+            cells = np.where(follower.T, pairs.diagonal(), self._sentinel)
+            intra = self._pair_num.take(stages)[:, None] \
+                / self._intra_den.take(cells, axis=0).min(axis=1)
+        else:
+            # Per data rank: its node's population ``k`` and slowest
+            # link to a same-node peer; the member attaining the node
+            # minimum reproduces the reference's per-node term.
+            k = same.sum(axis=0)                            # (a, m)
+            rowmin = self._intra_bw.take(pairs, axis=0).min(axis=0)
+            intra = (self._intra_num.take(k * ns + stages)[..., None]
+                     / ((k[..., None] * rowmin) * GB)).max(axis=0)
+        lead = np.where(follower[None] | follower[:, None],
+                        self._sentinel, pairs)
+        # Two one-axis minima: faster than one over both at dp >= 16.
+        bw = self._ring_bw.take(lead, axis=0).min(axis=0).min(axis=0)
+        kn = dp - follower.sum(axis=0)                      # (m,)
+        inter = self._inter_num.take(kn * ns + stages)[:, None] \
+            / ((kn[:, None] * bw) * GB)
+        return (intra + inter).max(axis=1)
 
     def _exposed_dp(self, stage_t: "list[float]", c_tp: float) -> float:
         """T_DP: the first stage's ring term, or a later stage's net of
@@ -435,9 +479,19 @@ class LatencyKernel:
             exposed = max(exposed, max(adj))
         return exposed / self._eff
 
+    def _exposed_dp_rows(self, stage_t: np.ndarray, c_tp) -> np.ndarray:
+        """:meth:`_exposed_dp` over rows of ``(..., ns)`` stage terms."""
+        exposed = stage_t[..., 0]
+        if self._n_dp_stages > 1:
+            backward_slack = 2.0 * np.asarray(c_tp) / 3.0
+            adj = stage_t[..., 1:] \
+                - self._drain_steps * backward_slack[..., None]
+            exposed = np.maximum(exposed, adj.max(axis=-1))
+        return exposed / self._eff
+
     def _finish(self, pp: int, c_tp: float, t_pp: float,
                 t_dp: float) -> float:
-        if self.options.hidden_critical_path:
+        if self._hidden_critical_path:
             # Schedule-aware Eq. (3)-(4): the schedule's analytic
             # critical time plus T_DP.  For 1F1B the resolved function
             # computes ``T_bubble * (n_mb / pp) + T_straggler``
@@ -457,7 +511,7 @@ class IncrementalEvaluator:
     * ``t_tp`` — the TP straggler vector over the stage-0/last-stage
       block positions (``None`` when ``tp == 1``);
     * ``chain_tot`` — the accumulated pipeline-chain sum per
-      ``(tensor rank, data rank)`` lane, shape ``(tp, dp)`` (``None``
+      ``(data rank, tensor rank)`` lane, shape ``(dp, tp)`` (``None``
       when ``pp == 1``);
     * ``stage_t`` — the data-parallel ring term per exposure-aware
       stage, shape ``(ns,)`` (``None`` when ``dp == 1``).
@@ -510,8 +564,8 @@ class IncrementalEvaluator:
         slots = perm.reshape(pp, dp)
         self._chain_tot = self._chain_lanes(slots, slice(None)) \
             if pp > 1 else None
-        self._stage_t = self._dp_stage_terms(
-            slots, np.arange(k._n_dp_stages)) if dp > 1 else None
+        self._stage_t = k._ring_terms(k._row_pairs(slots[k._stages]),
+                                      k._stages) if dp > 1 else None
         self.value = self._combine(self._t_tp, self._chain_tot,
                                    self._stage_t)
         return self.value
@@ -542,17 +596,18 @@ class IncrementalEvaluator:
         slots = perm.reshape(pp, dp)
         chain_tot = self._chain_tot
         if chain_tot is not None:
-            cols = np.unique(touched % dp)
+            cols = np.flatnonzero(np.bincount(touched % dp, minlength=dp))
             chain_tot = chain_tot.copy()
-            chain_tot[:, cols] = self._chain_lanes(slots, cols)
+            chain_tot[cols] = self._chain_lanes(slots, cols)
 
         stage_t = self._stage_t
         if stage_t is not None:
-            stages = np.unique(touched // dp)
-            stages = stages[stages < k._n_dp_stages]
+            stages = np.flatnonzero(np.bincount(
+                touched // dp, minlength=pp)[:k._n_dp_stages])
             if stages.size:
                 stage_t = stage_t.copy()
-                stage_t[stages] = self._dp_stage_terms(slots, stages)
+                stage_t[stages] = k._ring_terms(
+                    k._row_pairs(slots[stages]), stages)
 
         value = self._combine(t_tp, chain_tot, stage_t)
         self._cand = (t_tp, chain_tot, stage_t, value)
@@ -586,45 +641,8 @@ class IncrementalEvaluator:
         """
         k = self._k
         sub = slots[:, cols]
-        hop = np.take(k._pp_hop_flat,
-                      sub[:-1] * k._n_slots + sub[1:], axis=1)
-        return np.add.accumulate(hop, axis=1)[:, -1]
-
-    def _dp_stage_terms(self, slots: np.ndarray,
-                        stage_idx: np.ndarray) -> np.ndarray:
-        """Ring terms of the selected stages — the full path, sliced.
-
-        A stage's term reads only that stage's ``dp`` slots, and every
-        reduction in :meth:`LatencyKernel.evaluate_perm`'s DP section
-        is per-stage independent, so evaluating a stage subset yields
-        the identical floats.
-        """
-        k = self._k
-        tp, dp = k.grid.tp, k.grid.dp
-        m = len(stage_idx)
-        sub = slots[stage_idx]                                # (m, dp)
-        pair = np.take(k._pair_flat,
-                       (sub * k._n_slots)[:, :, None] + sub[:, None, :],
-                       axis=1)                                # (tp, m, dp, dp)
-        if k._one_slot_per_node:
-            inter_bw = pair.reshape(tp, m, -1).min(axis=2)
-            inter = k._inter_num_all[stage_idx][None] \
-                / ((dp * inter_bw) * GB)
-            return inter.max(axis=0)
-        nodes = np.take(k._node_of_slot, sub)                 # (m, dp)
-        same = nodes[:, :, None] == nodes[:, None, :]
-        rowmin = np.where(same[None], pair, np.inf).min(axis=3)
-        kk = same.sum(axis=2)                                 # (m, dp)
-        intra_num = (4.0 * (kk - 1)) * k._msg_dp[stage_idx, None]
-        intra = (intra_num[None] / ((kk[None] * rowmin) * GB)).max(axis=2)
-        leader = ~((same & k._tril).any(axis=2))              # (m, dp)
-        kn = leader.sum(axis=1)                               # (m,)
-        pairmask = leader[:, :, None] & leader[:, None, :]
-        masked = np.where(pairmask[None], pair, np.inf)
-        inter_bw = masked.reshape(tp, m, -1).min(axis=2)
-        inter_num = (2.0 * (kn - 1)) * k._msg_dp[stage_idx]
-        inter = inter_num[None] / ((kn[None] * inter_bw) * GB)
-        return (intra + inter).max(axis=0)
+        hop = np.take(k._pp_hop, sub[:-1] * k._n_slots + sub[1:], axis=0)
+        return np.add.accumulate(hop, axis=0)[-1]
 
     def _combine(self, t_tp, chain_tot, stage_t) -> float:
         """The scalar epilogue over cached partials — the spec's, verbatim."""
@@ -638,12 +656,7 @@ class IncrementalEvaluator:
             t_pp = float(chain_tot.max())
         t_dp = 0.0
         if stage_t is not None:
-            exposed = float(stage_t[0])
-            if k._n_dp_stages > 1:
-                backward_slack = 2.0 * c_tp / 3.0
-                adj = stage_t[1:] - k._drain_steps * backward_slack
-                exposed = max(exposed, float(adj.max()))
-            t_dp = exposed / k._eff
+            t_dp = k._exposed_dp(stage_t.tolist(), c_tp)
         return k._finish(pp, c_tp, t_pp, t_dp)
 
 

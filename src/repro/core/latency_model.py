@@ -15,6 +15,7 @@ exactly the ways the paper diagnoses (§II-B, §V):
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,15 @@ class LatencyModelOptions:
     hidden_critical_path: bool = True
     collective_efficiency: float = 1.0
     dp_exposure_aware: bool = False
+
+    def __post_init__(self) -> None:
+        # The DP term is divided by it: NaN, 0, negatives and inf
+        # would poison, crash, subtract or erase that term.
+        eff = self.collective_efficiency
+        if isinstance(eff, bool) or not isinstance(eff, numbers.Real) \
+                or not 0.0 < eff <= 1.0:
+            raise ValueError(f"collective_efficiency must be a number in "
+                             f"(0, 1], got {eff!r}")
 
 
 def refuse_unusable_bandwidth(bandwidth: BandwidthMatrix) -> None:

@@ -76,10 +76,7 @@ class WorkerGrid:
         Row ``x`` of the returned ``(pp, dp)`` array holds the TP-group
         blocks of pipeline stage ``x`` — so for any block permutation
         ``perm``, ``perm.reshape(pp, dp)`` (equivalently
-        ``perm[grid.stage_blocks()]``) yields the slots by stage.  The
-        vectorized latency kernel
-        (:mod:`repro.core.latency_kernel`) leans on this layout to turn
-        group loops into reshapes.
+        ``perm[grid.stage_blocks()]``) yields the slots by stage.
         """
         return np.arange(self.n_blocks).reshape(self.pp, self.dp)
 
@@ -225,9 +222,8 @@ def slot_node_index(grid: WorkerGrid, cluster: ClusterSpec) -> np.ndarray:
     """Node hosting each block slot: ``out[s]`` for slots ``0..n_slots-1``.
 
     Blocks never straddle nodes (``tp`` divides ``gpus_per_node``), so
-    the node of a slot is a permutation-independent fact — the "node-of
-    table" the latency kernel gathers through instead of calling
-    :meth:`ClusterSpec.node_of` per GPU.
+    the node of a slot is a permutation-independent fact, gathered
+    instead of calling :meth:`ClusterSpec.node_of` per GPU.
     """
     check_slot_geometry(grid, cluster)
     n_slots = cluster.n_gpus // grid.tp

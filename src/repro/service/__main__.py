@@ -146,6 +146,7 @@ def _print_plan(response) -> None:
 
 def cmd_plan(args) -> int:
     """Answer one planning request and print the top of the ranking."""
+    options = _options(args)
     service = _build_service(args)
     model = get_model(args.model)
     print(f"model:   {model.name}, global batch {args.global_batch}\n")
@@ -153,7 +154,7 @@ def cmd_plan(args) -> int:
     if args.schedule:
         kwargs["schedules"] = tuple(args.schedule)
     response = service.plan(service.request(
-        model, args.global_batch, options=_options(args), **kwargs))
+        model, args.global_batch, options=options, **kwargs))
     _print_plan(response)
     if response.best is not None:
         print(f"\nschedule: {response.best.config.schedule}")
@@ -162,8 +163,8 @@ def cmd_plan(args) -> int:
 
 def cmd_demo(args) -> int:
     """Answer a repeated workload (cache showcase)."""
-    service = _build_service(args)
     options = _options(args)
+    service = _build_service(args)
     models = [get_model(name) for name in args.models]
     print(f"workload: {args.repeats} rounds over "
           f"{[m.name for m in models]}, batch {args.global_batch}\n")

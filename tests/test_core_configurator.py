@@ -40,6 +40,50 @@ def configurator(tiny_cluster, toy_model, tiny_network, toy_profile):
         options=PipetteOptions(use_worker_dedication=False))
 
 
+class TestOptionsValidation:
+    """``PipetteOptions`` refuses bad knobs at construction.
+
+    Unchecked, ``sa_top_k=-1`` annealed all but one candidate, a float
+    top-k raised after enumeration and scoring, a float seed was
+    truncated per leader, a negative seed failed only at refinement
+    and ``max_micro_batch=0`` swept nothing.
+    """
+
+    @pytest.mark.parametrize("kwargs", [
+        {"sa_top_k": 2.5}, {"sa_top_k": True}, {"seed": 1.5},
+        {"seed": False}, {"max_micro_batch": 8.0},
+        {"max_micro_batch": None}, {"seed": "3"},
+    ])
+    def test_non_int_knobs_are_refused(self, kwargs):
+        with pytest.raises(TypeError, match="must be an int"):
+            PipetteOptions(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"sa_top_k": -1}, {"seed": -3}, {"max_micro_batch": 0},
+    ])
+    def test_out_of_range_knobs_are_refused(self, kwargs):
+        with pytest.raises(ValueError, match=">="):
+            PipetteOptions(**kwargs)
+
+    def test_legal_knobs_keep_their_fingerprints(self):
+        import hashlib
+
+        import numpy as np
+
+        from repro.service.cache import canonical_json
+
+        def digest(options):
+            return hashlib.sha256(
+                canonical_json(options).encode()).hexdigest()
+
+        assert PipetteOptions(seed=np.int64(3)).seed == 3
+        assert digest(PipetteOptions()) == \
+            "6663f958c130d9bebaa4801e78d234c4d2bdff1a90c3a8cf080376ff18fd1816"
+        assert digest(PipetteOptions(sa_top_k=0, max_micro_batch=1,
+                                     seed=3)) == \
+            "4bfea1d881379df74e5f57640cee8339df52cd32c04aae3b33e6aeeb7164951c"
+
+
 class TestSearchBasics:
     def test_returns_feasible_best(self, configurator, tiny_cluster,
                                    toy_model):

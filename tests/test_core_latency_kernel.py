@@ -16,6 +16,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from annealing_oracle import anneal_mapping_reference
 from repro.cluster import Fabric, HeterogeneityModel
@@ -23,7 +25,11 @@ from repro.cluster.fabric import BandwidthMatrix
 from repro.cluster.presets import high_end_cluster, mid_range_cluster
 from repro.core.annealing import SAOptions, anneal_mapping
 from repro.core.configurator import SearchContext, candidate_kernel
-from repro.core.latency_kernel import LatencyKernel, pipette_kernel
+from repro.core.latency_kernel import (
+    IncrementalEvaluator,
+    LatencyKernel,
+    pipette_kernel,
+)
 from repro.core.latency_model import (
     LatencyModelOptions,
     latency_with_options,
@@ -31,6 +37,7 @@ from repro.core.latency_model import (
 )
 from repro.model import get_model
 from repro.parallel import (
+    Mapping,
     ParallelConfig,
     WorkerGrid,
     random_block_mapping,
@@ -38,6 +45,7 @@ from repro.parallel import (
 )
 from repro.profiling import profile_compute
 from repro.sim.schedule import registered_schedules
+from repro.utils.validation import divisors
 
 #: Every (pp, tp, dp) factorization of the 16-GPU tiny cluster whose TP
 #: groups fit a 4-GPU node and whose stages fit the toy model's
@@ -213,6 +221,86 @@ class TestPresetSweep:
                         model, config, mapping, bw, profile, options)
                 assert kernel.evaluate_perm(mapping.block_to_slot) == ref
                 assert row == ref
+
+
+@st.composite
+def differential_cases(draw):
+    """A random cluster shape, grid, bandwidth matrix and model options.
+
+    Nodes of 2, 4 or 8 GPUs, 2-6 of them, every ``tp`` dividing the
+    node (1-8 slots per node) and every ``(pp, dp)`` factorization of
+    the block count.  The matrix is asymmetric, its entries drawn from
+    a set of one to three values so that ties are common; its diagonal
+    is +inf or drawn from the same set.
+    """
+    gpus_per_node = draw(st.sampled_from([2, 4, 8]))
+    n_nodes = draw(st.integers(min_value=2, max_value=6))
+    tp = draw(st.sampled_from([t for t in (1, 2, 4, 8)
+                               if gpus_per_node % t == 0]))
+    n_blocks = n_nodes * gpus_per_node // tp
+    pp = draw(st.sampled_from([p for p in divisors(n_blocks) if p <= 24]))
+    micro_batch = draw(st.sampled_from([1, 2]))
+    config = ParallelConfig(
+        pp=pp, tp=tp, dp=n_blocks // pp, micro_batch=micro_batch,
+        global_batch=micro_batch * (n_blocks // pp) * 2 * pp,
+        recompute=draw(st.booleans()),
+        schedule=draw(st.sampled_from(registered_schedules())))
+    values = draw(st.lists(st.sampled_from([1.5, 12.5, 25.0, 100.0, 300.0]),
+                           min_size=1, max_size=3, unique=True))
+    return (gpus_per_node, n_nodes, config, values, draw(st.booleans()),
+            draw(st.sampled_from(OPTION_DRAWS)),
+            draw(st.integers(min_value=0, max_value=2**32 - 1)))
+
+
+class TestDifferential:
+    """Every evaluation path equals the reference, bit for bit."""
+
+    @given(differential_cases())
+    @settings(max_examples=120, deadline=None)
+    def test_all_paths_match_reference(self, case):
+        from repro.cluster.topology import (
+            ClusterSpec,
+            GpuSpec,
+            LinkSpec,
+            NodeSpec,
+        )
+        from repro.units import GIB
+
+        gpus_per_node, n_nodes, config, values, finite_diag, options, \
+            seed = case
+        node = NodeSpec(gpus_per_node=gpus_per_node,
+                        gpu=GpuSpec("G", memory_bytes=4 * GIB,
+                                    peak_flops=10e12),
+                        intra_link=LinkSpec("L", 100.0))
+        cluster = ClusterSpec(name="prop", n_nodes=n_nodes, node=node,
+                              inter_link=LinkSpec("I", 10.0))
+        rng = np.random.default_rng(seed)
+        matrix = rng.choice(values, size=(cluster.n_gpus, cluster.n_gpus))
+        if not finite_diag:
+            np.fill_diagonal(matrix, np.inf)
+        bw = BandwidthMatrix(matrix, np.zeros_like(matrix))
+        model = get_model("gpt-1.1b")
+        profile = profile_compute(model, cluster, seed=seed % 7)
+        kernel = LatencyKernel(model, config, cluster, bw, profile, options)
+        grid = kernel.grid
+
+        perms = np.stack([rng.permutation(grid.n_blocks) for _ in range(3)])
+        # One small move off the bound permutation, so the evaluator
+        # recomputes only some of its components.
+        moved = perms[0].copy()
+        i, j = rng.choice(grid.n_blocks, size=2, replace=False)
+        moved[[i, j]] = moved[[j, i]]
+        perms = np.vstack([perms, moved])
+        batch = kernel.evaluate_batch(perms)
+        inc = IncrementalEvaluator(kernel)
+        inc.bind(perms[0])
+        for perm, row in zip(perms, batch):
+            ref = latency_with_options(model, config,
+                                       Mapping(grid, cluster, perm), bw,
+                                       profile, options)
+            assert kernel.evaluate_perm(perm) == ref
+            assert row == ref
+            assert inc.propose(perm) == ref
 
 
 class TestKernelValidation:

@@ -184,6 +184,21 @@ class TestDpTerm:
             LatencyModelOptions(collective_efficiency=0.5))
         assert slow > fast
 
+    @pytest.mark.parametrize("eff", [float("nan"), 0.0, -0.5,
+                                     float("inf"), 1.5, True, "0.9",
+                                     None])
+    def test_unusable_collective_efficiency_is_refused(self, eff):
+        """The DP term is divided by it: NaN poisoned the search, 0
+        divided by zero, -0.5 subtracted the term, inf erased it."""
+        with pytest.raises(ValueError, match="collective_efficiency"):
+            LatencyModelOptions(collective_efficiency=eff)
+
+    @pytest.mark.parametrize("eff", [1.0, 0.88, 0.7, 0.5, 1,
+                                     np.float64(0.88)])
+    def test_usable_collective_efficiency_is_kept(self, eff):
+        assert LatencyModelOptions(
+            collective_efficiency=eff).collective_efficiency == eff
+
     def test_exposure_aware_at_least_stage0(self, toy_model, tiny_cluster,
                                             tiny_network, toy_profile):
         config = ParallelConfig(pp=2, tp=1, dp=8, micro_batch=1,

@@ -15,6 +15,7 @@ import hashlib
 import json
 
 import numpy as np
+import pytest
 
 from repro.cluster import NetworkProfiler, make_fabric
 from repro.cluster.fabric import BandwidthMatrix
@@ -23,7 +24,12 @@ from repro.core import PipetteOptions, SAOptions
 from repro.core.annealing import anneal_mapping
 from repro.core.latency_kernel import pipette_kernel
 from repro.model import get_model
-from repro.parallel import ParallelConfig, WorkerGrid, sequential_mapping
+from repro.parallel import (
+    ParallelConfig,
+    WorkerGrid,
+    random_block_mapping,
+    sequential_mapping,
+)
 from repro.profiling import profile_compute
 from repro.service import ClusterEvent, PlanningService
 
@@ -145,3 +151,93 @@ def test_drift_replan(tiny_cluster, tiny_network, toy_model):
     assert report.warm_source == "best"
     assert _report_digest(report) == \
         "0aa8e7dfab01673615774417282616d265fd622a07452ec599fed54d2b4efeb7"
+
+
+# ------------------------------------------------------- Table-1 anneals
+#
+# Seeded 3,000-iteration anneals on the 16-node mid-range preset, one
+# per slot layout the kernel distinguishes: two slots per node
+# (pp4-tp4-dp8, the costliest cold-search grid), four (a tp2 grid) and
+# one slot per node with pp == 1, whose value is the same for every
+# permutation but whose accepted count and portfolio still follow the
+# trajectory.  ``runners`` are the portfolio entries after the best.
+
+TABLE1_ANNEALS = [
+    {"grid": (1, 8, 16),
+     "seed": 13,
+     "block_to_slot": [7, 1, 2, 15, 8, 0, 4, 6, 5, 11, 3, 10, 13, 14, 9, 12],
+     "value": "0x1.6d3be6ac5de80p+0",
+     "accepted": 3000,
+     "history": 1,
+     "runners": [[[0, 1, 5, 11, 6, 10, 3, 8, 7, 9, 12, 13, 15, 2, 4, 14],
+                  "0x1.6d3be6ac5de80p+0"],
+                 [[0, 1, 5, 11, 6, 10, 3, 8, 7, 12, 2, 13, 15, 9, 4, 14],
+                  "0x1.6d3be6ac5de80p+0"]]},
+    {"grid": (4, 4, 8),
+     "seed": 11,
+     "block_to_slot": [12, 21, 24, 13, 25, 0, 20, 1, 23, 8, 10, 22, 26, 19,
+                       17, 2, 27, 7, 14, 15, 3, 4, 31, 16, 29, 18, 30, 11, 5,
+                       9, 28, 6],
+     "value": "0x1.346154a9b40b8p+0",
+     "accepted": 921,
+     "history": 40,
+     "runners": [[[12, 21, 24, 13, 25, 0, 20, 1, 23, 8, 10, 22, 26, 18, 17, 2,
+                   27, 7, 14, 15, 3, 4, 31, 16, 29, 19, 30, 11, 5, 9, 28, 6],
+                  "0x1.346f16be181b4p+0"],
+                 [[12, 21, 24, 13, 25, 0, 20, 1, 23, 8, 10, 22, 26, 9, 17, 2,
+                   27, 7, 14, 15, 3, 4, 31, 16, 29, 18, 30, 11, 5, 19, 28,
+                   6],
+                  "0x1.34ac2444373e4p+0"]]},
+    {"grid": (4, 2, 16),
+     "seed": 12,
+     "block_to_slot": [24, 25, 26, 20, 36, 41, 38, 23, 40, 5, 43, 42, 22, 37,
+                       4, 7, 56, 17, 34, 48, 2, 12, 54, 11, 18, 31, 32, 6, 15,
+                       52, 16, 27, 51, 9, 46, 49, 58, 33, 13, 62, 57, 3, 35,
+                       53, 47, 8, 0, 1, 60, 55, 45, 19, 14, 21, 61, 10, 59,
+                       50, 44, 39, 30, 63, 28, 29],
+     "value": "0x1.8cff069d13ff8p+0",
+     "accepted": 1008,
+     "history": 43,
+     "runners": [[[24, 25, 26, 20, 36, 41, 38, 23, 40, 5, 43, 42, 22, 37, 4,
+                   7, 56, 17, 34, 48, 2, 12, 44, 9, 18, 31, 32, 6, 15, 52, 16,
+                   27, 51, 11, 46, 49, 58, 33, 13, 62, 57, 3, 35, 53, 47, 8,
+                   0, 1, 39, 60, 54, 19, 61, 21, 14, 10, 59, 50, 45, 55, 30,
+                   63, 28, 29],
+                  "0x1.8cff069d13ff8p+0"],
+                 [[24, 25, 26, 20, 36, 41, 38, 23, 40, 5, 43, 42, 22, 37, 4,
+                   7, 56, 17, 34, 48, 2, 12, 44, 11, 18, 31, 32, 6, 15, 52,
+                   16, 27, 51, 9, 46, 49, 58, 33, 13, 62, 57, 3, 35, 53, 47,
+                   8, 0, 1, 39, 60, 54, 19, 61, 21, 14, 10, 59, 50, 45, 55,
+                   30, 63, 28, 29],
+                  "0x1.8cff069d13ff8p+0"]]},
+]
+
+
+@pytest.fixture(scope="module")
+def table1_world():
+    cluster = mid_range_cluster(16)
+    network = NetworkProfiler().profile(make_fabric(cluster, seed=0), seed=0)
+    model = get_model("gpt-1.1b")
+    return cluster, network.bandwidth, model, profile_compute(model, cluster,
+                                                              seed=0)
+
+
+@pytest.mark.parametrize("pin", TABLE1_ANNEALS,
+                         ids=lambda pin: "pp{}-tp{}-dp{}".format(*pin["grid"]))
+def test_seeded_table1_anneal(table1_world, pin):
+    cluster, bandwidth, model, profile = table1_world
+    pp, tp, dp = pin["grid"]
+    config = ParallelConfig(pp=pp, tp=tp, dp=dp, micro_batch=2,
+                            global_batch=256)
+    kernel = pipette_kernel(model, config, cluster, bandwidth, profile)
+    grid = WorkerGrid(pp, tp, dp)
+    result = anneal_mapping(
+        random_block_mapping(grid, cluster, seed=pin["seed"]), kernel,
+        SAOptions(max_iterations=3000, seed=pin["seed"], portfolio_k=3))
+    assert result.mapping.block_to_slot.tolist() == pin["block_to_slot"]
+    assert result.value.hex() == pin["value"]
+    assert result.accepted == pin["accepted"]
+    assert len(result.history) == pin["history"]
+    assert [[m.block_to_slot.tolist(), v.hex()]
+            for m, v in result.portfolio] == \
+        [[pin["block_to_slot"], pin["value"]], *pin["runners"]]

@@ -139,7 +139,7 @@ class TestRandomAndMutation:
 
 
 class TestGroupIndexTables:
-    """The precomputed index arrays the latency kernel gathers through."""
+    """Precomputed index arrays over a grid's blocks and slots."""
 
     def test_stage_blocks_matches_block_index(self, grid):
         table = grid.stage_blocks()
