@@ -54,8 +54,9 @@ from test_core_latency_kernel import PRESET_GRIDS  # noqa: E402
 SEED = 2
 
 #: 128-GPU parallelizations of the Table 1 clusters.  The first is the
-#: canonical Megatron shape (full-node TP groups) the >= 10x bound is
-#: asserted on; the others are reported for coverage of skinnier TP.
+#: canonical Megatron shape (full-node TP groups); shapes flagged
+#: ``True`` assert the >= 10x bound and the 3x batch floor, the others
+#: (skinnier TP) >= 5x.
 SHAPES = [
     ("high-end", ParallelConfig(pp=4, tp=8, dp=4, micro_batch=4,
                                 global_batch=512), True),
@@ -66,6 +67,9 @@ SHAPES = [
     # Two slots per node: the costliest grid of a Table-1 cold search.
     ("mid-range", ParallelConfig(pp=4, tp=4, dp=8, micro_batch=4,
                                  global_batch=512), False),
+    # Single-hop chains: the grid the elastic polish anneals.
+    ("high-end", ParallelConfig(pp=2, tp=8, dp=8, micro_batch=4,
+                                global_batch=512), True),
 ]
 
 _CLUSTERS = {"high-end": high_end_cluster, "mid-range": mid_range_cluster}

@@ -56,6 +56,21 @@ presets (one core of a shared 2-vCPU VM) this took a two-slot
 about 14-22 to 12-15 µs and pp1-tp8-dp16 from about 9 µs to a constant
 (``benchmarks/bench_annealing_kernel.py`` prints the per-grid table).
 
+**Single-hop chains.** With ``pp == 2`` every pipeline chain of
+Eq. (5) is one hop: a lane's sum is its hop, and ``t_pp`` is the
+largest hop over the data and tensor ranks.  A max of maxima is the
+max, so the kernel reduces the hop table over tensor ranks at compile
+time, and :meth:`~LatencyKernel.evaluate_perm` and
+:meth:`~LatencyKernel.evaluate_batch` both gather ``dp`` entries and
+take their maximum — no ``(dp, tp)`` gather, no ``add.accumulate``.
+Whole-node slots also lay each stage's ring pairs out as one row (see
+:meth:`~LatencyKernel._row_pairs`), so the ring minimum is a row
+reduction.  On high-end pp2-tp8-dp8, the grid the elastic polish
+anneals, the chain term fell from about 8.5 to 4 µs and
+``evaluate_perm`` from about 14 to 9 µs (one core of a shared 2-vCPU
+VM; ``benchmarks/bench_annealing_kernel.py`` prints the per-grid
+table).
+
 **Equivalence guarantee.** The kernel is not merely close to the
 reference model: every floating-point expression mirrors the reference
 implementation's operation order (same products, same quotients, same
@@ -77,7 +92,8 @@ warm-start pick, each row bit-identical to :meth:`evaluate_perm`.
 permutation:
 
 * the tensor-parallel straggler vector (stage 0 + last stage blocks),
-* one pipeline-chain sum per ``(data rank, tensor rank)`` lane,
+* one pipeline-chain sum per ``(data rank, tensor rank)`` lane (per
+  data rank when ``pp == 2``),
 * one data-parallel ring term per exposure-aware stage.
 
 :class:`IncrementalEvaluator` caches those partials for a bound
@@ -242,6 +258,10 @@ class LatencyKernel:
         if pp > 1:
             hop_num = 2.0 * pp_message_bytes(model, config.micro_batch)
             self._pp_hop = hop_num / (pair * GB)
+            if pp == 2:
+                # Single-hop chains: ``t_pp`` is the largest hop, and a
+                # max of maxima is the max — reduce the tensor ranks.
+                self._pp_hop = self._pp_hop.max(axis=1)
 
         # ---- data-parallel term (Eq. 6) ------------------------------
         if dp > 1:
@@ -269,12 +289,12 @@ class LatencyKernel:
         dp, ns, n = self.grid.dp, self._n_dp_stages, self._n_slots
         spn = self._slots_per_node
         # Ring pair positions ``a -> b`` of the first ``ns`` stages in
-        # the ``(b, a, x)`` layout (peer, data rank, stage), so that
-        # ring reductions run over leading axes.  Built per kernel: a
-        # memo would keep the large-``dp`` ones alive.
-        pos = np.arange(ns * dp).reshape(ns, dp).T              # (dp, ns)
-        self._ring_src = np.broadcast_to(pos[None], (dp, dp, ns)).copy()
-        self._ring_dst = np.broadcast_to(pos[:, None], (dp, dp, ns)).copy()
+        # the layout of :meth:`_row_pairs`: the pair rows of the
+        # positions themselves (each below ``n``), split back into
+        # source and peer.  Built per kernel: a memo would keep the
+        # large-``dp`` ones alive.
+        self._ring_src, self._ring_dst = np.divmod(
+            self._row_pairs(np.arange(ns * dp).reshape(ns, dp)), n)
         pair = ring[:-1]
         msg = np.asarray(msg)
         k = np.arange(max(dp, spn) + 1)[:, None]
@@ -340,12 +360,15 @@ class LatencyKernel:
         # running ``add.accumulate`` visits hops in chain order, so the
         # floating-point sum matches the reference's sequential
         # accumulation exactly (unlike ``np.sum``'s pairwise blocking).
+        # A single-hop chain (``pp == 2``) is its hop: one gather of
+        # ``dp`` entries of the reduced table, no sum.
         scaled = perm * self._n_slots
         t_pp = t_dp = 0.0
         if pp > 1:
             hop = self._pp_hop.take(scaled[:-dp] + perm[dp:], axis=0)
-            t_pp = max(np.add.accumulate(
-                hop.reshape(pp - 1, -1))[-1].tolist())
+            if pp > 2:
+                hop = np.add.accumulate(hop.reshape(pp - 1, -1))[-1]
+            t_pp = max(hop.tolist())
 
         # Eq. (6): hierarchical-ring all-reduce per stage, worst tensor
         # rank; later stages net of their drain slack when
@@ -392,7 +415,9 @@ class LatencyKernel:
             chains = (perms[:, :-dp] * self._n_slots + perms[:, dp:]) \
                 .reshape(n, pp - 1, dp)
             hop = self._pp_hop.take(chains, axis=0)
-            t_pp = np.add.accumulate(hop, axis=1)[:, -1].max(axis=(1, 2))
+            if pp > 2:
+                hop = np.add.accumulate(hop, axis=1)
+            t_pp = hop[:, -1].reshape(n, -1).max(axis=1)
 
         t_dp = 0.0
         if dp > 1:
@@ -421,7 +446,16 @@ class LatencyKernel:
             self._tp_layers4 * (self._tp_coef / (bw * GB)))
 
     def _row_pairs(self, rows: np.ndarray) -> np.ndarray:
-        """Pair columns ``(b, a, x)`` of the ``(m, dp)`` slot rows."""
+        """Pair-table rows of every ring pair of the ``(m, dp)`` rows.
+
+        Whole-node slots lay each row's pairs out contiguously, ``(x, a
+        * dp + b)``, so that their minimum is a row reduction; the
+        other layouts keep ``(b, a, x)`` (peer, data rank, row) and
+        reduce over leading axes.
+        """
+        if self._slots_per_node == 1:
+            return ((rows * self._n_slots)[:, :, None]
+                    + rows[:, None]).reshape(len(rows), -1)
         cols = rows.T
         return (cols * self._n_slots)[None] + cols[:, None]
 
@@ -429,9 +463,10 @@ class LatencyKernel:
                     stages: np.ndarray) -> np.ndarray:
         """Ring terms of ``m`` stage rows, shape ``(m,)``.
 
-        ``pairs[b, a, x]`` is the pair-table row from data rank ``a``
-        to data rank ``b`` of stage row ``x``, and ``stages[x]`` that
-        row's pipeline stage (its message size).  Every reduction is a
+        ``pairs[b, a, x]`` (whole-node slots: ``pairs[x, a * dp + b]``,
+        see :meth:`_row_pairs`) is the pair-table row from data rank
+        ``a`` to data rank ``b`` of stage row ``x``, and ``stages[x]``
+        that row's pipeline stage (its message size).  Every reduction is a
         minimum or maximum, exact in any order, and every term
         ``num / ((k * bw) * GB)`` never rises with ``bw``, so each is
         applied to its minimum bandwidth.
@@ -440,7 +475,7 @@ class LatencyKernel:
         if self._slots_per_node == 1:
             # One member per node: no intra phase, every member leads.
             return self._dp_num.take(stages) \
-                / self._ring_den.take(pairs).min(axis=(0, 1))
+                / self._ring_den.take(pairs).min(axis=1)
         same = self._same_node.take(pairs)                  # (b, a, m)
         # Leaders are each node's first member in data-rank order; a
         # follower (an earlier same-node peer exists) reads the
@@ -511,8 +546,9 @@ class IncrementalEvaluator:
     * ``t_tp`` — the TP straggler vector over the stage-0/last-stage
       block positions (``None`` when ``tp == 1``);
     * ``chain_tot`` — the accumulated pipeline-chain sum per
-      ``(data rank, tensor rank)`` lane, shape ``(dp, tp)`` (``None``
-      when ``pp == 1``);
+      ``(data rank, tensor rank)`` lane, shape ``(dp, tp)`` (``(dp,)``
+      when ``pp == 2``, whose hop table is reduced over tensor ranks;
+      ``None`` when ``pp == 1``);
     * ``stage_t`` — the data-parallel ring term per exposure-aware
       stage, shape ``(ns,)`` (``None`` when ``dp == 1``).
 

@@ -8,8 +8,6 @@ from repro.parallel.mapping import (
     random_block_mapping,
     compact_mapping_after_failure,
     check_slot_geometry,
-    slot_gpu_index,
-    slot_node_index,
 )
 from repro.parallel.collectives import (
     p2p_time,
@@ -33,8 +31,6 @@ __all__ = [
     "random_block_mapping",
     "compact_mapping_after_failure",
     "check_slot_geometry",
-    "slot_gpu_index",
-    "slot_node_index",
     "p2p_time",
     "ring_allreduce_time",
     "hierarchical_allreduce_time",

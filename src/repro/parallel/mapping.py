@@ -70,16 +70,6 @@ class WorkerGrid:
                 f"[{self.pp}] x [{self.tp}] x [{self.dp}]"
             )
 
-    def stage_blocks(self) -> np.ndarray:
-        """Block indices arranged by stage: ``out[x, z] == block_index(x, z)``.
-
-        Row ``x`` of the returned ``(pp, dp)`` array holds the TP-group
-        blocks of pipeline stage ``x`` — so for any block permutation
-        ``perm``, ``perm.reshape(pp, dp)`` (equivalently
-        ``perm[grid.stage_blocks()]``) yields the slots by stage.
-        """
-        return np.arange(self.n_blocks).reshape(self.pp, self.dp)
-
     def to_payload(self) -> dict:
         """JSON-serializable form (see :mod:`repro.service.store`)."""
         return {"pp": self.pp, "tp": self.tp, "dp": self.dp}
@@ -203,32 +193,6 @@ def check_slot_geometry(grid: WorkerGrid, cluster: ClusterSpec) -> None:
             f"tp={grid.tp} does not divide gpus_per_node="
             f"{cluster.gpus_per_node}; TP groups would straddle nodes"
         )
-
-
-def slot_gpu_index(grid: WorkerGrid, cluster: ClusterSpec) -> np.ndarray:
-    """GPU ids of every block slot: ``out[s, y]`` is GPU ``s*tp + y``.
-
-    A slot is ``tp`` consecutive GPUs (the home of one TP group); the
-    ``(n_slots, tp)`` table enumerates them all.  Precomputing it once
-    lets permutation-dependent group lookups become NumPy gathers
-    instead of per-worker arithmetic.
-    """
-    check_slot_geometry(grid, cluster)
-    n_slots = cluster.n_gpus // grid.tp
-    return np.arange(n_slots * grid.tp).reshape(n_slots, grid.tp)
-
-
-def slot_node_index(grid: WorkerGrid, cluster: ClusterSpec) -> np.ndarray:
-    """Node hosting each block slot: ``out[s]`` for slots ``0..n_slots-1``.
-
-    Blocks never straddle nodes (``tp`` divides ``gpus_per_node``), so
-    the node of a slot is a permutation-independent fact, gathered
-    instead of calling :meth:`ClusterSpec.node_of` per GPU.
-    """
-    check_slot_geometry(grid, cluster)
-    n_slots = cluster.n_gpus // grid.tp
-    slots_per_node = cluster.gpus_per_node // grid.tp
-    return np.arange(n_slots) // slots_per_node
 
 
 def sequential_mapping(grid: WorkerGrid, cluster: ClusterSpec) -> Mapping:

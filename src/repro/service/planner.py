@@ -251,7 +251,9 @@ class PlanningService:
         bandwidth: its profiled matrix (Algorithm 1, line 1).
         memory_estimator: fitted estimator shared by all requests
             (the paper trains it once per cluster); ``None`` disables
-            the memory check.
+            the memory check, and a request carrying a memory limit is
+            then refused with ``ValueError`` rather than answered
+            unchecked.
         executor: candidate executor for parallel search; ``None``
             searches serially.
         cache: plan store; defaults to a fresh 128-entry LRU.
@@ -318,8 +320,21 @@ class PlanningService:
     def request(self, model: TransformerConfig, global_batch: int,
                 **kwargs) -> PlanRequest:
         """Convenience constructor bound to this service's cluster."""
+        self._check_memory_limit(kwargs.get("memory_limit_bytes"))
         return PlanRequest(cluster=self.cluster, model=model,
                            global_batch=global_batch, **kwargs)
+
+    def _check_memory_limit(self, memory_limit_bytes) -> None:
+        """Refuse a memory limit this service cannot check.
+
+        Without an estimator every candidate passes the memory check
+        (Algorithm 1, line 7), so a limit would be silently ignored.
+        """
+        if memory_limit_bytes is not None and self.memory_estimator is None:
+            raise ValueError(
+                "memory_limit_bytes needs a memory estimator, but this "
+                f"service for cluster {self.cluster.name!r} has none; "
+                "the limit cannot be checked")
 
     def plan(self, request: PlanRequest,
              trace: "Span | None" = None) -> PlanResponse:
@@ -329,8 +344,11 @@ class PlanningService:
         :class:`ClusterMismatchError`, and a failed search its own
         ``ValueError``/``RuntimeError``.  ``trace`` optionally parents
         the answer's spans to a caller's span — the gateway answers on
-        a pool thread, where context-local parenting cannot follow.
+        a pool thread, where context-local parenting cannot follow.  A
+        memory limit on a service without an estimator raises
+        ``ValueError`` before anything is counted, cached or searched.
         """
+        self._check_memory_limit(request.memory_limit_bytes)
         with self._lock:
             response = self.lookup(request, trace)
             if response is not None:
@@ -368,14 +386,17 @@ class PlanningService:
         It only tries the service lock.  A same-epoch hit is answered
         and counted exactly as :meth:`plan` counts one, with one
         ``plan.cache_lookup`` span.  A miss, a stale entry, a request
-        for another cluster spec or a lock held by a running search or
-        event returns ``None`` with no side effect; :meth:`plan` then
-        does the accounting.
+        for another cluster spec, a memory limit this service cannot
+        check or a lock held by a running search or event returns
+        ``None`` with no side effect; :meth:`plan` then does the
+        accounting, or refuses the request.
         """
         if not self._lock.acquire(blocking=False):
             return None
         try:
-            if request.cluster != self.cluster:
+            if request.cluster != self.cluster or (
+                    request.memory_limit_bytes is not None
+                    and self.memory_estimator is None):
                 return None
             t0 = time.perf_counter()
             fingerprint = request.fingerprint()
@@ -479,8 +500,10 @@ class PlanningService:
         of the cluster state, so plan requests keep being answered while
         the library fills (the :class:`~repro.service.warmer.TemplateWarmer`
         calls this from a background thread).  Only the final install
-        retakes the lock.
+        retakes the lock.  A memory limit needs an estimator, as in
+        :meth:`plan`.
         """
+        self._check_memory_limit(memory_limit_bytes)
         with self._lock:
             cluster = self.cluster
             bandwidth = self.bandwidth

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from annealing_oracle import anneal_mapping_reference
@@ -252,11 +252,33 @@ def differential_cases(draw):
             draw(st.integers(min_value=0, max_value=2**32 - 1)))
 
 
+def _single_hop_case(gpus_per_node, n_nodes, tp, recompute, schedule,
+                     options, seed):
+    """A ``pp == 2`` case — every pipeline chain is one hop — with a
+    finite diagonal and an asymmetric three-valued matrix."""
+    dp = n_nodes * gpus_per_node // tp // 2
+    config = ParallelConfig(pp=2, tp=tp, dp=dp, micro_batch=2,
+                            global_batch=2 * dp * 2 * 2, recompute=recompute,
+                            schedule=schedule)
+    return (gpus_per_node, n_nodes, config, [1.5, 25.0, 300.0], True,
+            options, seed)
+
+
 class TestDifferential:
     """Every evaluation path equals the reference, bit for bit."""
 
     @given(differential_cases())
     @settings(max_examples=120, deadline=None)
+    # Single-hop chains: whole-node slots, two-slot nodes and four-slot
+    # nodes, so the ``pp == 2`` hop table is read on every ring layout,
+    # and one data rank (no ring at all).
+    @example(_single_hop_case(8, 6, 8, True, "1f1b", OPTION_DRAWS[2], 3))
+    @example(_single_hop_case(4, 6, 4, False, "gpipe", OPTION_DRAWS[3], 8))
+    @example(_single_hop_case(8, 4, 4, True, "1f1b", OPTION_DRAWS[1], 5))
+    @example(_single_hop_case(4, 3, 2, False, "interleaved_1f1b",
+                              OPTION_DRAWS[4], 21))
+    @example(_single_hop_case(4, 4, 1, False, "1f1b", OPTION_DRAWS[2], 17))
+    @example(_single_hop_case(2, 2, 2, True, "1f1b", OPTION_DRAWS[0], 4))
     def test_all_paths_match_reference(self, case):
         from repro.cluster.topology import (
             ClusterSpec,

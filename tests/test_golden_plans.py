@@ -19,7 +19,7 @@ import pytest
 
 from repro.cluster import NetworkProfiler, make_fabric
 from repro.cluster.fabric import BandwidthMatrix
-from repro.cluster.presets import mid_range_cluster
+from repro.cluster.presets import high_end_cluster, mid_range_cluster
 from repro.core import PipetteOptions, SAOptions
 from repro.core.annealing import anneal_mapping
 from repro.core.latency_kernel import pipette_kernel
@@ -160,7 +160,8 @@ def test_drift_replan(tiny_cluster, tiny_network, toy_model):
 # (pp4-tp4-dp8, the costliest cold-search grid), four (a tp2 grid) and
 # one slot per node with pp == 1, whose value is the same for every
 # permutation but whose accepted count and portfolio still follow the
-# trajectory.  ``runners`` are the portfolio entries after the best.
+# trajectory; pp2-tp4-dp16 reads its pipeline chains as single hops.
+# ``runners`` are the portfolio entries after the best.
 
 TABLE1_ANNEALS = [
     {"grid": (1, 8, 16),
@@ -210,22 +211,54 @@ TABLE1_ANNEALS = [
                    8, 0, 1, 39, 60, 54, 19, 61, 21, 14, 10, 59, 50, 45, 55,
                    30, 63, 28, 29],
                   "0x1.8cff069d13ff8p+0"]]},
+    {"grid": (2, 4, 16),
+     "seed": 15,
+     "block_to_slot": [22, 16, 4, 17, 26, 12, 13, 9, 8, 10, 23, 15, 5, 11,
+                       14, 27, 19, 2, 6, 3, 25, 24, 30, 29, 28, 20, 7, 0, 18,
+                       21, 31, 1],
+     "value": "0x1.5de9ad7c088b4p+0",
+     "accepted": 881,
+     "history": 19,
+     "runners": [[[22, 16, 4, 17, 26, 12, 13, 9, 8, 10, 23, 15, 5, 11, 14,
+                   27, 19, 2, 6, 3, 25, 24, 30, 7, 28, 20, 29, 0, 18, 21, 31,
+                   1],
+                  "0x1.5de9ad7c088b4p+0"],
+                 [[11, 22, 23, 4, 10, 15, 12, 5, 26, 13, 8, 17, 16, 9, 27, 14,
+                   21, 18, 29, 19, 25, 30, 0, 24, 28, 2, 7, 3, 31, 20, 1, 6],
+                  "0x1.5deb3cd0312b1p+0"]]},
 ]
 
+#: The elastic polish's shape: the quarter-budget (750-iteration) anneal
+#: on high-end pp2-tp8-dp8, whole-node slots with single-hop chains.
+HIGH_END_POLISH = {
+    "grid": (2, 8, 8),
+    "seed": 14,
+    "block_to_slot": [2, 9, 14, 0, 13, 12, 4, 5, 7, 8, 6, 1, 11, 15, 3, 10],
+    "value": "0x1.1849392399344p-1",
+    "accepted": 414,
+    "history": 10,
+    "runners": [[[2, 9, 14, 4, 13, 5, 12, 0, 7, 8, 6, 1, 11, 15, 3, 10],
+                 "0x1.185353442b743p-1"],
+                [[2, 9, 14, 4, 13, 12, 0, 5, 7, 8, 6, 1, 11, 15, 3, 10],
+                 "0x1.185353442b743p-1"],
+                [[2, 9, 14, 4, 13, 12, 5, 0, 7, 8, 6, 1, 11, 15, 3, 10],
+                 "0x1.185353442b743p-1"]]}
 
-@pytest.fixture(scope="module")
-def table1_world():
-    cluster = mid_range_cluster(16)
+
+def _world(cluster):
     network = NetworkProfiler().profile(make_fabric(cluster, seed=0), seed=0)
     model = get_model("gpt-1.1b")
     return cluster, network.bandwidth, model, profile_compute(model, cluster,
                                                               seed=0)
 
 
-@pytest.mark.parametrize("pin", TABLE1_ANNEALS,
-                         ids=lambda pin: "pp{}-tp{}-dp{}".format(*pin["grid"]))
-def test_seeded_table1_anneal(table1_world, pin):
-    cluster, bandwidth, model, profile = table1_world
+@pytest.fixture(scope="module")
+def table1_world():
+    return _world(mid_range_cluster(16))
+
+
+def _check_anneal(world, pin, iterations, portfolio_k):
+    cluster, bandwidth, model, profile = world
     pp, tp, dp = pin["grid"]
     config = ParallelConfig(pp=pp, tp=tp, dp=dp, micro_batch=2,
                             global_batch=256)
@@ -233,7 +266,8 @@ def test_seeded_table1_anneal(table1_world, pin):
     grid = WorkerGrid(pp, tp, dp)
     result = anneal_mapping(
         random_block_mapping(grid, cluster, seed=pin["seed"]), kernel,
-        SAOptions(max_iterations=3000, seed=pin["seed"], portfolio_k=3))
+        SAOptions(max_iterations=iterations, seed=pin["seed"],
+                  portfolio_k=portfolio_k))
     assert result.mapping.block_to_slot.tolist() == pin["block_to_slot"]
     assert result.value.hex() == pin["value"]
     assert result.accepted == pin["accepted"]
@@ -241,3 +275,14 @@ def test_seeded_table1_anneal(table1_world, pin):
     assert [[m.block_to_slot.tolist(), v.hex()]
             for m, v in result.portfolio] == \
         [[pin["block_to_slot"], pin["value"]], *pin["runners"]]
+
+
+@pytest.mark.parametrize("pin", TABLE1_ANNEALS,
+                         ids=lambda pin: "pp{}-tp{}-dp{}".format(*pin["grid"]))
+def test_seeded_table1_anneal(table1_world, pin):
+    _check_anneal(table1_world, pin, iterations=3000, portfolio_k=3)
+
+
+def test_seeded_high_end_polish_anneal():
+    _check_anneal(_world(high_end_cluster(16)), HIGH_END_POLISH,
+                  iterations=750, portfolio_k=4)

@@ -6,10 +6,9 @@ import pytest
 from repro.parallel import (
     Mapping,
     WorkerGrid,
+    check_slot_geometry,
     random_block_mapping,
     sequential_mapping,
-    slot_gpu_index,
-    slot_node_index,
 )
 
 
@@ -138,45 +137,16 @@ class TestRandomAndMutation:
                 assert len(nodes) == 1
 
 
-class TestGroupIndexTables:
-    """Precomputed index arrays over a grid's blocks and slots."""
-
-    def test_stage_blocks_matches_block_index(self, grid):
-        table = grid.stage_blocks()
-        assert table.shape == (grid.pp, grid.dp)
-        for x in range(grid.pp):
-            for z in range(grid.dp):
-                assert table[x, z] == grid.block_index(x, z)
-
-    def test_stage_blocks_reshape_identity(self, grid, tiny_cluster):
-        """``perm.reshape(pp, dp)`` is the slots-by-stage view."""
-        m = random_block_mapping(grid, tiny_cluster, seed=7)
-        by_stage = m.block_to_slot.reshape(grid.pp, grid.dp)
-        assert np.array_equal(by_stage, m.block_to_slot[grid.stage_blocks()])
-
-    def test_slot_gpu_index_matches_mapping_gpu(self, grid, tiny_cluster):
-        table = slot_gpu_index(grid, tiny_cluster)
-        m = random_block_mapping(grid, tiny_cluster, seed=3)
-        for x in range(grid.pp):
-            for z in range(grid.dp):
-                slot = m.block_to_slot[grid.block_index(x, z)]
-                assert table[slot].tolist() == m.tp_group(x, z)
-
-    def test_slot_node_index_matches_node_of_block(self, grid, tiny_cluster):
-        table = slot_node_index(grid, tiny_cluster)
-        m = random_block_mapping(grid, tiny_cluster, seed=5)
-        for x in range(grid.pp):
-            for z in range(grid.dp):
-                slot = m.block_to_slot[grid.block_index(x, z)]
-                assert table[slot] == m.node_of_block(x, z)
+class TestSlotGeometry:
+    """``check_slot_geometry``: the grid must tile the cluster's nodes."""
 
     def test_rejects_mismatched_cluster(self, tiny_cluster):
         too_big = WorkerGrid(pp=4, tp=4, dp=4)
         with pytest.raises(ValueError, match="workers"):
-            slot_node_index(too_big, tiny_cluster)
+            check_slot_geometry(too_big, tiny_cluster)
 
     def test_rejects_straddling_tp(self, tiny_cluster):
         # tp=8 would straddle the 4-GPU nodes even though counts match.
         grid = WorkerGrid(pp=1, tp=8, dp=2)
         with pytest.raises(ValueError, match="straddle"):
-            slot_gpu_index(grid, tiny_cluster)
+            check_slot_geometry(grid, tiny_cluster)

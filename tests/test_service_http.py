@@ -602,6 +602,27 @@ class TestEdgeCases:
             assert next(iter(fields)) in out["error"]
         assert stats["cache_misses"] == 0  # nothing was planned
 
+    def test_memory_limit_without_estimator_is_400(self):
+        # These clusters have no memory estimator: a limit would be
+        # silently ignored, so it is refused, pinned or fanned out.
+        async def main():
+            async with _Server(_registry()) as server:
+                answers = []
+                for pin in ({"cluster": "alpha"}, {}):
+                    status, _, body = await _request(
+                        server.port, "POST", "/v1/plan",
+                        {"model": "gpt-toy", "global_batch": 32,
+                         "memory_limit_gib": 12, **pin})
+                    answers.append((status, _json(body)))
+                return answers, server.registry.stats
+
+        answers, stats = asyncio.run(main())
+        for status, out in answers:
+            assert status == 400
+            assert "memory estimator" in out["error"]
+        assert all(s["cache_misses"] == 0 and s["requests_submitted"] == 0
+                   for s in stats.values())
+
     def test_mistyped_template_warm_fields_are_400(self):
         bad = [{"min_nodes": "1"}, {"max_nodes": 1.5},
                {"templates_per_count": True}, {"wait": "no"},

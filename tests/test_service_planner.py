@@ -13,6 +13,8 @@ import pytest
 
 from repro.cluster.fabric import BandwidthMatrix
 from repro.core import PipetteOptions, SAOptions
+from repro.core.memory_dataset import build_memory_dataset
+from repro.core.memory_estimator import MemoryEstimator
 from repro.model import get_model
 from repro.service import (
     CandidateExecutor,
@@ -22,6 +24,7 @@ from repro.service import (
     PlanningService,
     PlanRequest,
 )
+from repro.units import GIB
 
 
 FAST = PipetteOptions(use_worker_dedication=False)
@@ -134,6 +137,49 @@ class TestRequestLifecycle:
         service.plan(service.request(toy_model, 16, options=FAST))
         service.plan(service.request(toy_model, 32, options=FAST))
         assert service.stats["profiled_models"] == 1
+
+
+class TestMemoryLimit:
+    """A memory limit needs an estimator to check it against."""
+
+    def test_request_refuses_limit_without_estimator(self, service,
+                                                     toy_model):
+        with pytest.raises(ValueError, match="memory estimator"):
+            service.request(toy_model, 32, memory_limit_bytes=GIB)
+
+    def test_plan_refuses_before_counting_or_searching(self, service,
+                                                       toy_model,
+                                                       monkeypatch):
+        limited = PlanRequest(cluster=service.cluster, model=toy_model,
+                              global_batch=32, memory_limit_bytes=GIB,
+                              options=FAST)
+        # Even a cached answer under the limited fingerprint (a shared
+        # or rehydrated store) is not served.
+        plain = service.plan(service.request(toy_model, 32, options=FAST))
+        service.cache.put(limited.fingerprint(), service.bandwidth_fp,
+                          plain.result)
+        before = service.stats
+        monkeypatch.setattr(service, "_search", lambda request: pytest.fail(
+            "a refused request must not be searched"))
+        assert service.lookup(limited) is None
+        with pytest.raises(ValueError, match="memory estimator"):
+            service.plan(limited)
+        assert service.stats == before
+
+    def test_limit_is_checked_with_an_estimator(self, tiny_cluster,
+                                                tiny_network, toy_model):
+        estimator = MemoryEstimator(hidden_size=16, n_hidden_layers=1,
+                                    seed=0)
+        estimator.fit(build_memory_dataset(
+            tiny_cluster, [toy_model], global_batches=[16, 32],
+            node_counts=[1, 2], seed=0), iterations=50)
+        service = PlanningService(tiny_cluster, tiny_network.bandwidth,
+                                  memory_estimator=estimator)
+        response = service.plan(service.request(
+            toy_model, 32, memory_limit_bytes=1.0, options=FAST))
+        # Every candidate is over the limit: nothing is ranked as fitting.
+        assert response.result.rejected_oom > 0
+        assert all(not entry.memory_ok for entry in response.result.ranked)
 
 
 class TestLookup:
