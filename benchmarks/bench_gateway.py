@@ -98,8 +98,7 @@ def test_concurrent_distinct_requests_vs_serial(benchmark):
                 for name, *_ in world]
 
             async def storm():
-                async with PlanGateway(registry,
-                                       drain_workers=N_CLUSTERS) as gateway:
+                async with PlanGateway(registry) as gateway:
                     t0 = time.perf_counter()
                     answers = await asyncio.gather(
                         *(gateway.plan(request, cluster=name)

@@ -21,8 +21,9 @@ a programmable service and PipeTune amortizes tuning across jobs:
   service, plus spec-match routing of unpinned requests;
 * :mod:`repro.service.gateway` — the asyncio front door and the only
   queue: concurrent clients, in-flight coalescing, bounded
-  per-cluster backpressure, weighted-fair per-client lanes, batches
-  answered off the event loop, elastic events fenced between batches;
+  per-cluster backpressure, weighted-fair per-client lanes, misses
+  answered one at a time off the event loop, elastic events fenced
+  between drains;
 * :mod:`repro.service.metrics` — stdlib Prometheus-text-format
   counters/gauges/histograms, pull-bound to the live stats objects so
   ``/metrics`` and in-process stats can never disagree;

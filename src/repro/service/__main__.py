@@ -458,8 +458,7 @@ async def _serve_async(args, registry: ClusterRegistry,
     TRACER.attach_metrics(metrics)
     warmers = _build_warmers(args, registry)
     async with PlanGateway(registry, max_queue_depth=args.max_queue_depth,
-                           overflow=args.overflow, fairness=args.fairness,
-                           max_batch=args.max_batch,
+                           overflow=args.overflow,
                            client_weights=_parse_client_weights(
                                args.client_weight),
                            metrics=metrics) as gateway:
@@ -493,8 +492,7 @@ async def _serve_async(args, registry: ClusterRegistry,
         stats = gateway.stats
         print(f"gateway: {stats.submitted} submitted, "
               f"{stats.coalesced} coalesced, {stats.rejected} rejected, "
-              f"{stats.batches} drain batches "
-              f"(largest {stats.max_batch})", file=sys.stderr, flush=True)
+              f"{stats.batches} drained", file=sys.stderr, flush=True)
     # The gateway context has answered every in-flight future, so the
     # durable logs are final: leave each store compacted (live entries
     # only, fsynced) for the next process over this shard.
@@ -659,6 +657,8 @@ def _print_span(span: dict, depth: int) -> None:
 
 def cmd_trace(args) -> int:
     """Pretty-print a span dump as indented per-trace timing trees."""
+    if args.limit < 1:
+        raise ValueError(f"--limit must be >= 1, got {args.limit}")
     spans = _load_span_dump(args.path)
     if not spans:
         print(f"no spans in {args.path}", file=sys.stderr)
@@ -879,14 +879,6 @@ def build_parser() -> argparse.ArgumentParser:
                      default="wait",
                      help="over-limit callers wait for a slot or get "
                           "an immediate error")
-    srv.add_argument("--fairness", choices=("fair", "fifo"),
-                     default="fair",
-                     help="drain lanes by weighted round-robin over "
-                          "client_id (default) or strict arrival order")
-    srv.add_argument("--max-batch", type=int, default=16,
-                     help="most requests per drain batch; smaller "
-                          "bounds a quiet client's wait behind a "
-                          "chatty one (default 16)")
     srv.add_argument("--client-weight", action="append", default=None,
                      metavar="NAME=WEIGHT",
                      help="round-robin weight for a client_id "

@@ -556,8 +556,8 @@ class FleetRouter(HttpServerBase):
         Elastic events must reach *all* workers — each models every
         cluster, and a worker that missed a failure event would keep
         serving plans for dead nodes.  The per-worker epoch fencing is
-        untouched (each gateway rolls its epoch between its own drain
-        batches), and because the epoch fingerprint is deterministic
+        untouched (each gateway rolls its epoch between its own
+        drains), and because the epoch fingerprint is deterministic
         in the event's content, all workers land on the same epoch —
         checked here, reported as per-worker ``epochs`` if they ever
         diverge.  ``retired`` sums across shards: each worker retires

@@ -32,24 +32,25 @@ that absorbs that concurrency without serializing the fleet:
   or rejected by a full lane.  Everything else — misses, and hits on a
   cluster whose lock is busy with a search or an event — takes the
   lane below;
-* **non-blocking drains** — for those misses, a drain batch calls the
-  synchronous :meth:`~repro.service.planner.PlanningService.plan` once
-  per item, in one ``run_in_executor`` hop onto a thread pool, so the
-  event loop keeps accepting clients (and coalescing their requests)
-  while searches run.  Inside each search the shared
+* **one request per drain** — each lane drains its misses one at a
+  time on its own thread, through the synchronous
+  :meth:`~repro.service.planner.PlanningService.plan`, so the event
+  loop keeps accepting clients (and coalescing their requests) while
+  searches run, and each caller is answered the moment its own search
+  returns.  Lanes share no thread, so busy clusters never wait on
+  each other.  Inside each search the shared
   :class:`~repro.service.executor.CandidateExecutor` still fans
   candidate work over its own pool;
 * **fenced elastic events** — :meth:`PlanGateway.update_bandwidth` and
   :meth:`PlanGateway.fail_nodes` acquire the lane's fence, so an
-  epoch roll lands *between* drain batches, never under one, and the
+  epoch roll lands *between* drains, never under one, and the
   service's own lock makes the adoption atomic;
 * **per-client fairness** — each lane's queue is a weighted
-  round-robin over per-client sub-queues (:class:`_FairQueue`), and
-  drain batches are bounded by ``max_batch``: a chatty client that
-  floods a lane with distinct requests fills *its own* sub-queue, and
-  every batch still interleaves the other clients' work at their
-  weights, so a quiet client's tail latency is bounded by a couple of
-  batch times instead of the chatty client's whole backlog (see
+  round-robin over per-client sub-queues (:class:`_FairQueue`): a
+  chatty client that floods a lane with distinct requests fills *its
+  own* sub-queue, and the drain still interleaves the other clients'
+  work at their weights, so a quiet client waits for a couple of
+  searches instead of the chatty client's whole backlog (see
   ``benchmarks/bench_http.py`` for the measured bound);
 * **metrics** — constructed with a
   :class:`~repro.service.metrics.MetricsRegistry`, the gateway exports
@@ -107,12 +108,12 @@ class GatewayStats:
         coalesced: requests answered by joining an identical in-flight
             request instead of enqueueing their own.
         rejected: requests refused by the ``reject`` overflow policy.
-        batches: drain batches run on the executor threads; a hit
-            answered on the loop forms no batch.
-        answered: requests answered on the loop or by those batches.
-        max_batch: largest single drain batch.
+        batches: drains run on the lane threads, one per request
+            answered through a lane; a hit answered on the loop runs
+            none.
+        answered: requests answered on the loop or by those drains.
 
-    Mutations go through :meth:`bump`/:meth:`record_batch` and reads
+    Mutations go through :meth:`bump` and reads
     through :meth:`read`/:meth:`snapshot`, all under one lock: the
     counters move on the event loop while ``/metrics`` scrapes and
     ``/healthz`` render them from other contexts, and a multi-field
@@ -124,24 +125,16 @@ class GatewayStats:
     rejected: int = 0
     batches: int = 0
     answered: int = 0
-    max_batch: int = 0
     _lock: threading.Lock = field(default_factory=threading.Lock,
                                   repr=False, compare=False)
 
     #: Fields carried by :meth:`snapshot`, in declaration order.
-    FIELDS = ("submitted", "coalesced", "rejected", "batches", "answered",
-              "max_batch")
+    FIELDS = ("submitted", "coalesced", "rejected", "batches", "answered")
 
     def bump(self, name: str, n: int = 1) -> None:
         """Add ``n`` to counter ``name`` atomically."""
         with self._lock:
             setattr(self, name, getattr(self, name) + n)
-
-    def record_batch(self, size: int) -> None:
-        """Count one drain batch of ``size`` requests."""
-        with self._lock:
-            self.batches += 1
-            self.max_batch = max(self.max_batch, size)
 
     def read(self, name: str) -> int:
         """One counter, read under the lock (metrics pull bindings)."""
@@ -203,18 +196,14 @@ class _FairQueue:
     Items enqueue under a client id; :meth:`get_nowait` serves clients
     in rotation, each getting up to its weight of consecutive items
     per visit before the rotation moves on.  Within one client, order
-    stays FIFO.  With ``fairness="fifo"`` every item lands in a single
-    sub-queue and the structure degenerates to a plain FIFO — the
-    pre-fairness gateway behaviour, kept selectable so the two
-    policies can be A/B'd under the same load.
+    stays FIFO, so callers that share one client id (or give none)
+    are served in strict arrival order.
 
     Single-event-loop use only (the gateway's); no internal locking.
     """
 
-    def __init__(self, weights: "dict[str, int] | None" = None,
-                 fairness: str = "fair") -> None:
+    def __init__(self, weights: "dict[str, int] | None" = None) -> None:
         self._weights = {str(k): int(v) for k, v in (weights or {}).items()}
-        self._fair = fairness == "fair"
         self._queues: "OrderedDict[str, deque]" = OrderedDict()
         self._rotation: "deque[str]" = deque()
         self._credit = 0
@@ -230,8 +219,6 @@ class _FairQueue:
 
     def put_nowait(self, item, client: str = "") -> None:
         """Enqueue ``item`` under ``client``'s sub-queue."""
-        if not self._fair:
-            client = ""
         queue = self._queues.get(client)
         if queue is None:
             queue = deque()
@@ -306,16 +293,27 @@ class _Inflight:
 
 
 class _Lane:
-    """Per-cluster queue, admission bound, fence, and drain task."""
+    """Per-cluster queue, admission bound, fence, drain task and thread.
+
+    The lane's drains and its fenced events run on its one ``thread``,
+    so a search on one cluster never waits for a thread another
+    cluster's search holds.
+    """
 
     def __init__(self, name: str, max_depth: int,
-                 weights: "dict[str, int] | None" = None,
-                 fairness: str = "fair") -> None:
+                 weights: "dict[str, int] | None" = None) -> None:
         self.name = name
-        self.queue = _FairQueue(weights, fairness)
+        self.queue = _FairQueue(weights)
         self.slots = asyncio.Semaphore(max_depth)
         self.fence = asyncio.Lock()
         self.task: "asyncio.Task | None" = None
+        self.thread = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix=f"pipette-lane-{name}")
+
+    async def run(self, fn):
+        """Run blocking service work on this lane's thread."""
+        return await asyncio.get_running_loop().run_in_executor(
+            self.thread, fn)
 
 
 class _GatewayInstruments:
@@ -341,8 +339,8 @@ class _GatewayInstruments:
             ("cluster",))
         self.queue_depth = metrics.gauge(
             "pipette_lane_queue_depth",
-            "Requests queued on the cluster's lane, not yet in a "
-            "drain batch.",
+            "Requests queued on the cluster's lane, not yet being "
+            "drained.",
             ("cluster",))
         self.events = metrics.counter(
             "pipette_events_total",
@@ -371,18 +369,6 @@ class PlanGateway:
         overflow: ``"wait"`` parks over-limit callers until a slot
             frees (backpressure), ``"reject"`` fails them fast with
             :class:`GatewayOverloadedError` (load shedding).
-        drain_workers: threads for running synchronous drains; at
-            least one per concurrently-busy cluster to keep lanes
-            independent.  Defaults to 8.
-        fairness: ``"fair"`` (default) drains each lane by weighted
-            round-robin over ``client_id``\\ s, so one chatty client
-            cannot starve a lane; ``"fifo"`` restores strict arrival
-            order.
-        max_batch: most requests a single drain batch may carry.
-            Smaller batches answer sooner and interleave clients more
-            finely (fairness bites *between* batches — every future in
-            a batch resolves when the whole batch's drain returns);
-            larger batches amortize drain overhead.
         client_weights: round-robin weight per ``client_id`` (default
             1 each); a weight-3 client gets up to three consecutive
             items per rotation visit.
@@ -392,8 +378,6 @@ class PlanGateway:
 
     def __init__(self, registry: ClusterRegistry, *,
                  max_queue_depth: int = 64, overflow: str = "wait",
-                 drain_workers: int | None = None, fairness: str = "fair",
-                 max_batch: int = 16,
                  client_weights: "dict[str, int] | None" = None,
                  metrics: MetricsRegistry | None = None) -> None:
         if overflow not in ("wait", "reject"):
@@ -402,11 +386,6 @@ class PlanGateway:
         if max_queue_depth < 1:
             raise ValueError(
                 f"max_queue_depth must be >= 1, got {max_queue_depth}")
-        if fairness not in ("fair", "fifo"):
-            raise ValueError(f"unknown fairness policy {fairness!r}; "
-                             "choose 'fair' or 'fifo'")
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         for client, weight in (client_weights or {}).items():
             if int(weight) < 1:
                 raise ValueError(
@@ -415,17 +394,13 @@ class PlanGateway:
         self.registry = registry
         self.max_queue_depth = int(max_queue_depth)
         self.overflow = overflow
-        self.fairness = fairness
-        self.max_batch = int(max_batch)
         self.client_weights = dict(client_weights or {})
         self.stats = GatewayStats()
         self.metrics = metrics
         self._instruments = None if metrics is None else \
             _GatewayInstruments(metrics, self.stats)
-        self._drain_workers = drain_workers
         self._lanes: "dict[str, _Lane]" = {}
         self._inflight: "dict[tuple[str, str, str], _Inflight]" = {}
-        self._pool: ThreadPoolExecutor | None = None
         self._closed = False
 
     # ------------------------------------------------------------ planning
@@ -443,8 +418,8 @@ class PlanGateway:
         answered before either, on the event loop, unless the
         cluster's service is busy.
         Otherwise the request is enqueued on its cluster's lane,
-        subject to the overflow policy, and answered by the lane's
-        next drain batch.  A request built for a cluster that has since
+        subject to the overflow policy, and answered as soon as the
+        lane has drained it.  A request built for a cluster that has since
         shrunk raises :class:`~repro.service.planner.ClusterMismatchError`
         here, like :meth:`PlanningService.plan`; a search that fails
         with ``ValueError``/``RuntimeError`` comes back as an
@@ -579,14 +554,15 @@ class PlanGateway:
                                DEFAULT_DRIFT_THRESHOLD) -> int:
         """Adopt a re-profiled matrix on one cluster, fenced.
 
-        Waits for the named lane's in-flight drain batch to finish,
-        then rolls the epoch before the next batch starts — so every
+        Waits for the named lane's in-flight drain to finish, then
+        rolls the epoch before the next drain starts — so every
         response handed out was searched against a matrix its epoch
         actually trusted.  Returns the number of retired plans.
         """
         with TRACER.span("event.bandwidth", cluster=name) as span:
-            async with self._lane(name).fence:
-                retired = await self._run(partial(
+            lane = self._lane(name)
+            async with lane.fence:
+                retired = await lane.run(partial(
                     self.registry.service(name).update_bandwidth,
                     new_bandwidth, drift_threshold=drift_threshold))
             span.set_attribute("retired", retired)
@@ -605,8 +581,9 @@ class PlanGateway:
         """
         with TRACER.span("event.failure", cluster=name,
                          failed_nodes=list(failed_nodes)) as span:
-            async with self._lane(name).fence:
-                retired = await self._run(partial(
+            lane = self._lane(name)
+            async with lane.fence:
+                retired = await lane.run(partial(
                     self.registry.service(name).apply_failure,
                     *failed_nodes))
             span.set_attribute("retired", retired)
@@ -635,7 +612,7 @@ class PlanGateway:
         return len(self._inflight)
 
     async def aclose(self) -> None:
-        """Answer everything in flight, then stop the lanes and pool."""
+        """Answer everything in flight, then stop the lanes."""
         if self._closed:
             return
         self._closed = True
@@ -650,9 +627,8 @@ class PlanGateway:
                  if lane.task is not None]
         if tasks:
             await asyncio.gather(*tasks, return_exceptions=True)
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        for lane in self._lanes.values():
+            lane.thread.shutdown(wait=True)
 
     async def __aenter__(self) -> "PlanGateway":
         return self
@@ -667,8 +643,7 @@ class PlanGateway:
         lane = self._lanes.get(name)
         if lane is None:
             lane = _Lane(name, self.max_queue_depth,
-                         weights=self.client_weights,
-                         fairness=self.fairness)
+                         weights=self.client_weights)
             lane.task = asyncio.get_running_loop().create_task(
                 self._drain_lane(lane))
             self._lanes[name] = lane
@@ -677,86 +652,47 @@ class PlanGateway:
                     cluster=name).set_function(lane.queue.qsize)
         return lane
 
-    def _drain_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            workers = self._drain_workers if self._drain_workers is not None \
-                else 8
-            self._pool = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="pipette-gateway")
-        return self._pool
-
-    async def _run(self, fn):
-        """Run blocking registry/service work off the event loop."""
-        return await asyncio.get_running_loop().run_in_executor(
-            self._drain_pool(), fn)
-
     async def _drain_lane(self, lane: _Lane) -> None:
-        """One cluster's drain loop: batch, fence, drain, resolve.
+        """One cluster's drain loop: one request per step, fenced.
 
-        Batches are formed by the lane queue's weighted round-robin
-        and bounded by ``max_batch`` — both matter for fairness: every
-        future in a batch resolves only when the whole batch's drain
-        returns, so a bounded batch is what keeps one client's backlog
-        from riding along with (and delaying) everyone else's answers.
+        Each step takes the next item in the lane queue's weighted
+        round-robin order, holds the fence while that request's
+        :meth:`PlanningService.plan` runs on the lane's thread, and
+        answers its caller at once.
 
-        The loop must outlive any single batch: whatever goes wrong
-        mid-batch is delivered to that batch's futures, and the lane
-        keeps draining — a dead lane would strand every later request
-        on this cluster in an unanswerable queue.  Only cancellation
+        The loop must outlive any single request: whatever goes wrong
+        is delivered to that request's caller, and the lane keeps
+        draining — a dead lane would strand every later request on
+        this cluster in an unanswerable queue.  Only cancellation
         (gateway shutdown) ends the loop.
         """
         while True:
-            items = [await lane.queue.get()]
-            while len(items) < self.max_batch:
-                try:
-                    items.append(lane.queue.get_nowait())
-                except asyncio.QueueEmpty:
-                    break
+            request, key, future, qspan, parent = await lane.queue.get()
             try:
                 async with lane.fence:
-                    await self._drain_batch(lane, items)
-            except asyncio.CancelledError:
-                raise
-            except BaseException as exc:
-                for _, key, future, qspan, _parent in items:
+                    # Queue wait ends here: the rest of the request's
+                    # life is the service's spans, which parent to the
+                    # caller's gateway span explicitly.
                     qspan.end()
-                    self._resolve(lane, key, future, exc=exc)
-
-    async def _drain_batch(self, lane: _Lane, items: list) -> None:
-        service = self.registry.service(lane.name)
-        for *_, qspan, _parent in items:
-            # Queue wait ends here: the drain has picked the item up
-            # and the rest of its life is the service's spans, which
-            # parent to the caller's gateway span explicitly.
-            qspan.end()
-        self.stats.record_batch(len(items))
-        try:
-            answers = await self._run(partial(_answer_batch, service, items))
-        except asyncio.CancelledError:
-            raise  # gateway shutdown: aclose already waited for futures
-        except BaseException as exc:
-            # An unexpected failure (e.g. a durable cache whose disk
-            # filled mid-batch) answers this batch with the error; the
-            # lane itself must survive to serve the next batch.
-            for _, key, future, _qspan, _parent in items:
+                    self.stats.bump("batches")
+                    response = await lane.run(partial(
+                        _answer, self.registry.service(lane.name),
+                        request, parent))
+            except asyncio.CancelledError:
+                raise  # gateway shutdown: aclose already waited for futures
+            except BaseException as exc:
+                # A stale request (ClusterMismatchError), or an
+                # unexpected failure such as a durable cache whose disk
+                # filled, fails only this caller.
                 self._resolve(lane, key, future, exc=exc)
-            return
-        for (_, key, future, _qspan, _parent), answer in zip(items, answers):
-            if isinstance(answer, PlanResponse):
-                self._resolve(lane, key, future, response=answer)
-                self.stats.bump("answered")
             else:
-                self._resolve(lane, key, future, exc=answer)
+                self._resolve(lane, key, future, response=response)
+                self.stats.bump("answered")
 
     def _resolve(self, lane: _Lane, key, future,
                  response: PlanResponse | None = None,
                  exc: BaseException | None = None) -> None:
-        """Answer one enqueued item (idempotent).
-
-        The lane loop's defensive catch may re-deliver a batch that
-        :meth:`_drain_batch` already resolved; the ``done()`` guard
-        keeps the slot release exactly-once per enqueued item.
-        """
+        """Answer one enqueued item and free its lane slot (once)."""
         entry = self._inflight.get(key)
         if entry is not None and entry.future is future:
             del self._inflight[key]
@@ -769,25 +705,23 @@ class PlanGateway:
             future.set_result(response)
 
 
-def _answer_batch(service: PlanningService, items: list) -> list:
-    """One drain batch, run on a pool thread: one answer per item.
+def _answer(service: PlanningService, request: PlanRequest,
+            parent) -> PlanResponse:
+    """One drained request, run on its lane's thread.
 
-    Items are answered by :meth:`PlanningService.plan` in queue order.
-    A stale request (:class:`ClusterMismatchError`) becomes that
-    caller's exception; a failed search becomes an ``"error"``
-    response.  Anything else propagates and fails the whole batch.
+    A failed search (``ValueError``/``RuntimeError``) becomes an
+    ``"error"`` response; a stale request's
+    :class:`ClusterMismatchError`, and anything else, raises to the
+    caller.
     """
-    answers: list = []
-    for request, (_, fingerprint, _epoch), _future, _qspan, parent in items:
-        t0 = time.perf_counter()
-        try:
-            answers.append(service.plan(
-                request, trace=parent if parent.recording else None))
-        except ClusterMismatchError as exc:
-            answers.append(exc)
-        except (ValueError, RuntimeError) as exc:
-            answers.append(PlanResponse(
-                request=request, fingerprint=fingerprint, result=None,
-                status="error", elapsed_s=time.perf_counter() - t0,
-                error=str(exc)))
-    return answers
+    t0 = time.perf_counter()
+    try:
+        return service.plan(request,
+                            trace=parent if parent.recording else None)
+    except ClusterMismatchError:
+        raise
+    except (ValueError, RuntimeError) as exc:
+        return PlanResponse(
+            request=request, fingerprint=request.fingerprint(), result=None,
+            status="error", elapsed_s=time.perf_counter() - t0,
+            error=str(exc))

@@ -192,7 +192,7 @@ class TestCascadingFailures:
 
 
 class TestFailureDuringReplan:
-    def test_event_is_fenced_between_drain_batches(self, world):
+    def test_event_is_fenced_between_drains(self, world):
         """A failure landing mid-traffic never tears an answer.
 
         The in-flight request either answered before the event (a

@@ -162,3 +162,35 @@ class TestServeProtocol:
         # (not even as a prefix of --portfolio-k).
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--port", "7070"])
+        # Lanes drain one request at a time in client round-robin
+        # order: there is no batch size or queue policy to pick.
+        for flag in (["--max-batch", "4"], ["--fairness", "fifo"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["serve", *flag])
+
+
+class TestTraceLimit:
+    """``trace --limit N`` prints the last N traces; N < 1 is refused."""
+
+    def _dump(self, tmp_path):
+        path = tmp_path / "trace-1.jsonl"
+        path.write_text("".join(
+            json.dumps({"trace_id": trace_id, "span_id": f"{trace_id}-root",
+                        "parent_id": None, "name": "http.request",
+                        "start_ts": float(i), "duration_ms": 1.0}) + "\n"
+            for i, trace_id in enumerate(("older", "newer"))))
+        return path
+
+    def test_limit_one_prints_the_newest_trace(self, tmp_path, capsys):
+        assert main(["trace", str(self._dump(tmp_path)), "--limit", "1"]) == 0
+        headers = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("trace ")]
+        assert headers == ["trace newer  (1 spans)"]
+
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_limit_below_one_is_an_error(self, tmp_path, capsys, limit):
+        assert main(["trace", str(self._dump(tmp_path)),
+                     "--limit", limit]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --limit must be >= 1")

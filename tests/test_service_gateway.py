@@ -328,7 +328,7 @@ class TestHitsOnTheLoop:
         assert hit.result is miss.result
         assert {key: after[key] - before[key] for key in after} == {
             "submitted": 1, "coalesced": 0, "rejected": 0, "batches": 0,
-            "answered": 1, "max_batch": 0}
+            "answered": 1}
         samples = parse_prometheus(metrics.render())
         assert metric_value(samples, "pipette_requests_total",
                             cluster="alpha", outcome="hit") == 1
@@ -400,7 +400,7 @@ class TestHitsOnTheLoop:
                                    overflow="reject") as gateway:
                 first = await gateway.plan(cached)
                 # Holding the fence keeps the admitted miss (and its
-                # slot) out of a drain batch while the lock stays free.
+                # slot) out of a drain while the lock stays free.
                 lane = gateway._lane("alpha")
                 async with lane.fence:
                     parked = asyncio.ensure_future(gateway.plan(queued))
@@ -460,7 +460,7 @@ class TestBusyService:
         assert beta_hit.status == "hit"
         assert alpha_hit.status == "hit"
         assert search.status == "miss"
-        assert after == before + 1  # the alpha hit rode one drain batch
+        assert after == before + 1  # the alpha hit rode one drain
 
     def test_loop_hits_and_drained_misses_lose_no_counts(self, toy_model):
         """Hits on the loop race drain threads searching new keys."""
@@ -473,7 +473,7 @@ class TestBusyService:
                  for wave in range(len(batches))]
 
         async def main():
-            async with PlanGateway(registry, drain_workers=4) as gateway:
+            async with PlanGateway(registry) as gateway:
                 answers = []
                 for wave in waves:
                     answers += await asyncio.wait_for(asyncio.gather(
@@ -500,6 +500,82 @@ class TestBusyService:
             assert service["cache_misses"] == len(batches)
             assert service["cache_hits"] + service["cache_misses"] == \
                 service["requests_submitted"]
+
+
+class TestOneRequestPerDrain:
+    """A lane answers each caller as soon as its own search returns."""
+
+    def test_first_caller_answered_while_next_search_runs(self, monkeypatch,
+                                                          toy_model):
+        registry = _registry()
+        service = registry.service("alpha")
+        first = service.request(toy_model, 16, options=FAST)
+        second = service.request(toy_model, 32, options=FAST)
+        second_started, release = threading.Event(), threading.Event()
+        real_search = service._search
+
+        def gated_search(request):
+            if request is second:
+                second_started.set()
+                assert release.wait(timeout=10), "test forgot to release"
+            return real_search(request)
+
+        monkeypatch.setattr(service, "_search", gated_search)
+
+        async def main():
+            async with PlanGateway(registry) as gateway:
+                # Both distinct misses are queued on the lane before
+                # its drain task takes its first step.
+                leader = asyncio.ensure_future(gateway.plan(first))
+                blocked = asyncio.ensure_future(gateway.plan(second))
+                try:
+                    await _wait_for(second_started.is_set)
+                    answer = await asyncio.wait_for(asyncio.shield(leader),
+                                                    timeout=5)
+                    still_blocked = not blocked.done()
+                finally:
+                    release.set()
+                return answer, still_blocked, await blocked
+
+        answer, still_blocked, later = run(main())
+        assert answer.status == "miss" and answer.best is not None
+        assert still_blocked
+        assert later.status == "miss"
+
+    def test_lanes_stay_independent_past_eight_busy_clusters(self,
+                                                             toy_model):
+        # Nine clusters with one spec and one matrix: every search
+        # waits until all nine are running at once, which only holds
+        # if no lane waits for a thread another lane holds.
+        cluster = _cluster("alpha")
+        bandwidth = _bandwidth(cluster, 1)
+        reference = PlanningService(cluster, bandwidth)
+        result = reference.plan(reference.request(toy_model, 32,
+                                                  options=FAST)).result
+        names = [f"lane-{i}" for i in range(9)]
+        barrier = threading.Barrier(len(names), timeout=10)
+
+        def stub_search(request):
+            barrier.wait()
+            return result
+
+        registry = ClusterRegistry()
+        for name in names:
+            registry.add_cluster(name, cluster, bandwidth)._search = \
+                stub_search
+
+        async def main():
+            async with PlanGateway(registry) as gateway:
+                return await asyncio.gather(*(
+                    gateway.plan(registry.service(name).request(
+                        toy_model, 32, options=FAST), cluster=name)
+                    for name in names))
+
+        answers = run(main())
+        assert [a.cluster_name for a in answers] == names
+        assert all(a.status == "miss" for a in answers), \
+            [(a.status, a.response.error) for a in answers]
+        assert all(a.result is result for a in answers)
 
 
 class TestElasticFencing:
@@ -531,7 +607,7 @@ class TestElasticFencing:
                 event = asyncio.ensure_future(
                     gateway.update_bandwidth("alpha", moved))
                 await asyncio.sleep(0.05)
-                # The fence holds the event out of the running batch.
+                # The fence holds the event out of the running drain.
                 assert not event.done()
                 release.set()
                 answer = await leader
@@ -679,10 +755,10 @@ class TestErrorPaths:
 class TestResilience:
     def test_lane_survives_unexpected_drain_failure(self, monkeypatch,
                                                     toy_model):
-        # Regression: an exception escaping a drain batch (e.g. a
-        # durable store whose disk filled) used to kill the lane's
-        # drain task — every later request on that cluster then hung
-        # forever.  The failing batch gets the error; the lane lives.
+        # Regression: an exception escaping a drain (e.g. a durable
+        # store whose disk filled) used to kill the lane's drain task —
+        # every later request on that cluster then hung forever.  The
+        # failing request gets the error; the lane lives.
         registry = _registry()
         service = registry.service("alpha")
         real_plan = service.plan
@@ -789,15 +865,16 @@ class TestFairQueue:
         assert self._drain(queue) == [
             "v0", "v1", "p0", "v2", "v3", "p1", "p2", "p3"]
 
-    def test_fifo_mode_keeps_arrival_order(self):
+    def test_shared_client_id_keeps_arrival_order(self):
+        # Strict FIFO is this queue with one client id for every item.
         from repro.service.gateway import _FairQueue
 
-        queue = _FairQueue(fairness="fifo")
-        queue.put_nowait("a0", "a")
-        queue.put_nowait("a1", "a")
-        queue.put_nowait("b0", "b")
-        queue.put_nowait("a2", "a")
-        assert self._drain(queue) == ["a0", "a1", "b0", "a2"]
+        queue = _FairQueue()
+        for item in ("a0", "a1", "b0"):
+            queue.put_nowait(item, "")
+        assert queue.get_nowait() == "a0"
+        queue.put_nowait("a2", "")
+        assert self._drain(queue) == ["a1", "b0", "a2"]
 
     def test_idle_client_leaves_rotation_and_rejoins_at_back(self):
         from repro.service.gateway import _FairQueue
@@ -845,17 +922,16 @@ class TestFairness:
     def test_quiet_client_not_starved_by_chatty_one(self, toy_model):
         # A chatty client floods the lane with 12 distinct requests;
         # a quiet client then asks one question.  Under weighted
-        # round-robin with bounded batches the quiet request rides one
-        # of the next two batches instead of waiting for the whole
-        # hostile backlog — so strictly fewer batches run before its
-        # answer than under FIFO.
-        def scenario(fairness):
+        # round-robin the quiet request is drained within the next
+        # couple of searches instead of waiting for the whole hostile
+        # backlog — so strictly fewer answers precede it than when it
+        # shares the chatty client's id (one FIFO sub-queue).
+        def scenario(quiet_id):
             registry, service = self._stubbed_registry(toy_model)
             answered_before = []
 
             async def main():
-                async with PlanGateway(registry, fairness=fairness,
-                                       max_batch=2) as gateway:
+                async with PlanGateway(registry) as gateway:
                     chatty = [
                         asyncio.ensure_future(gateway.plan(
                             service.request(toy_model, 16 + 8 * i,
@@ -869,7 +945,7 @@ class TestFairness:
                         lambda: gateway.stats.read("submitted") == 12)
                     quiet = await gateway.plan(
                         service.request(toy_model, 2048, options=FAST),
-                        client_id="quiet")
+                        client_id=quiet_id)
                     answered_before.append(gateway.stats.answered)
                     await asyncio.gather(*chatty)
                     assert quiet.best is not None
@@ -879,39 +955,35 @@ class TestFairness:
             assert stats.answered == 13  # everyone got a real answer
             return answered_before[0]
 
-        fair_position = scenario("fair")
-        fifo_position = scenario("fifo")
+        fair_position = scenario("quiet")
+        fifo_position = scenario("chatty")
         # FIFO answers (nearly) the whole flood first; fair answers the
-        # quiet client within roughly two bounded batches of joining.
+        # quiet client within a couple of searches of joining.
         assert fifo_position >= 12
         assert fair_position <= 6
         assert fair_position < fifo_position
 
     def test_fair_and_fifo_answer_identically(self, toy_model):
         # Fairness reorders *when* answers arrive, never *what* they
-        # are: both policies must produce byte-identical plans.
-        def collect(fairness):
+        # are: distinct client ids and one shared id (strict FIFO) must
+        # produce byte-identical plans.
+        def collect(client_ids):
             registry = _registry()
             requests = [registry.service("alpha").request(
                 toy_model, batch, options=FAST) for batch in (16, 32, 64)]
 
             async def main():
-                async with PlanGateway(registry, fairness=fairness,
-                                       max_batch=2) as gateway:
+                async with PlanGateway(registry) as gateway:
                     return await asyncio.gather(*(
-                        gateway.plan(request, client_id=f"c{i}")
-                        for i, request in enumerate(requests)))
+                        gateway.plan(request, client_id=client_id)
+                        for client_id, request in zip(client_ids, requests)))
 
             return [_payload_bytes(a.result) for a in run(main())]
 
-        assert collect("fair") == collect("fifo")
+        assert collect(["c0", "c1", "c2"]) == collect(["c", "c", "c"])
 
     def test_invalid_fairness_configuration_rejected(self):
         registry = _registry()
-        with pytest.raises(ValueError, match="fairness"):
-            PlanGateway(registry, fairness="random")
-        with pytest.raises(ValueError, match="max_batch"):
-            PlanGateway(registry, max_batch=0)
         with pytest.raises(ValueError, match="client weight"):
             PlanGateway(registry, client_weights={"a": 0})
 

@@ -87,7 +87,7 @@ class TestRequestLifecycle:
 
     def test_responses_in_submission_order(self, service, toy_model,
                                            monkeypatch):
-        # One drain batch answers its requests in queue order, and each
+        # The lane answers its requests in queue order, and each
         # caller gets the response to its own request.
         searched = []
         real_search = service._search

@@ -257,7 +257,7 @@ class TestRegistryQueueing:
 
         async def main():
             async with PlanGateway(registry) as gateway:
-                # Holding the lane's fence parks its next drain batch,
+                # Holding the lane's fence parks its next drain,
                 # so the request is queued when the failure lands.
                 async with gateway._lane("slow").fence:
                     pending = asyncio.ensure_future(gateway.plan(stale))
