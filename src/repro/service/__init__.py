@@ -53,7 +53,6 @@ from repro.service.cache import (
     CacheStats,
     PlanCache,
     PlanRequest,
-    canonical_value,
 )
 from repro.service.executor import (
     CandidateExecutor,
@@ -123,7 +122,6 @@ __all__ = [
     "CacheStats",
     "PlanCache",
     "PlanRequest",
-    "canonical_value",
     "CandidateExecutor",
     "ExecutorStats",
     "available_workers",

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import numbers
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field, fields, is_dataclass, replace
@@ -32,79 +34,101 @@ from repro.model.transformer import TransformerConfig
 from repro.units import GIB
 
 
-#: Instance-``__dict__`` key of a frozen dataclass's memoised
-#: ``(canonical value, canonical JSON text)`` pair.
+#: Instance-``__dict__`` key of a deeply frozen dataclass's memoised
+#: canonical JSON text.
 _CANONICAL = "_canonical_memo"
 
-
-def canonical_value(obj):
-    """Recursively reduce ``obj`` to JSON-serializable primitives.
-
-    Dataclasses become ``{class name, field values}`` mappings (fields
-    excluded from comparison, like :attr:`ClusterSpec.description`,
-    are skipped — cosmetic text must not split cache keys); tuples and
-    lists become lists.  The reduction is deliberately type-tagged so
-    two different dataclasses with equal field values never collide.
-
-    Memoised, frozen-only: a frozen dataclass whose fields are all
-    frozen too (frozen dataclasses, tuples, scalars — no list, no
-    mutable dataclass) keeps its reduction on the instance, so a
-    long-lived :class:`ClusterSpec`, :class:`TransformerConfig` or
-    :class:`PipetteOptions` is reduced once per object, not once per
-    request.  The memo is keyed by identity, never by equality
-    (``1 == 1.0`` and ``0.0 == -0.0`` encode differently), and a
-    frozen object cannot change under it.  The returned structure may
-    therefore be shared: treat it as read-only.
-    """
-    return _reduce(obj)[0]
+#: Per dataclass type: ``(steps, tail, frozen)``.  ``steps`` pairs each
+#: compared field's name with the constant text written before its
+#: value (separator, ``json.dumps(key) + ": "``, and the class tag when
+#: it sorts first); ``tail`` closes the object; ``frozen`` is the
+#: type's own ``frozen`` flag.
+_LAYOUTS: "dict[type, tuple]" = {}
 
 
 def canonical_json(obj) -> str:
-    """``json.dumps(canonical_value(obj), sort_keys=True)``, memoised.
+    """The canonical JSON text of ``obj``: the request-hashing encoder.
 
-    Built from the same per-instance memo as :func:`canonical_value`:
-    a memoised part contributes its stored text verbatim, so encoding
-    a fresh request re-encodes only its own scalar fields.
+    Dataclasses encode as ``{"__class__": class name, field: value}``
+    objects, keys sorted (fields excluded from comparison, like
+    :attr:`ClusterSpec.description`, are skipped: cosmetic text must
+    not split cache keys); tuples and lists encode as arrays; ``str``,
+    ``int``, ``float``, ``bool`` and ``None`` as JSON leaves.  The text
+    is what ``json.dumps(value, sort_keys=True)`` (default separators,
+    ASCII) renders for that type-tagged reduction, so two different
+    dataclasses with equal field values never collide.  Any other type
+    raises ``TypeError``.
+
+    Memoised, frozen-only: a frozen dataclass whose fields are all
+    frozen too (frozen dataclasses, tuples, scalars; no list, no
+    mutable dataclass) keeps its text on the instance, so a long-lived
+    :class:`ClusterSpec`, :class:`TransformerConfig` or
+    :class:`PipetteOptions` is encoded once per object and a fresh
+    request encodes only its own fields.  The memo is keyed by
+    identity, never by equality (``1 == 1.0`` and ``0.0 == -0.0``
+    encode differently), and a frozen object cannot change under it.
     """
-    return _reduce(obj)[1]
+    return _encode(obj)[0]
 
 
-def _reduce(obj) -> "tuple[object, str, bool]":
-    """``(canonical value, canonical JSON text, deeply frozen)`` of ``obj``.
-
-    The text is what ``json.dumps(value, sort_keys=True)`` renders
-    (default separators, ASCII): leaves go through ``json.dumps`` and
-    containers join their members' texts, keys sorted.
-    """
-    if is_dataclass(obj) and not isinstance(obj, type):
+def _encode(obj) -> "tuple[str, bool]":
+    """``(canonical JSON text, deeply frozen)`` of ``obj``."""
+    cls = type(obj)
+    if cls is int:
+        return int.__repr__(obj), True
+    if obj is None:
+        return "null", True
+    if cls is bool:
+        return ("true" if obj else "false"), True
+    layout = _LAYOUTS.get(cls)
+    if layout is None and is_dataclass(cls):
+        layout = _LAYOUTS[cls] = _layout(cls)
+    if layout is not None:
         state = getattr(obj, "__dict__", None)
-        memo = None if state is None else state.get(_CANONICAL)
-        if memo is not None:
-            return memo[0], memo[1], True
-        payload = {"__class__": type(obj).__name__}
-        texts = {"__class__": json.dumps(type(obj).__name__)}
-        frozen = type(obj).__dataclass_params__.frozen
-        for f in fields(obj):
-            if not f.compare:
-                continue
-            value, text, member_frozen = _reduce(getattr(obj, f.name))
-            payload[f.name] = value
-            texts[f.name] = text
+        if state is not None:
+            text = state.get(_CANONICAL)
+            if text is not None:
+                return text, True
+        steps, tail, frozen = layout
+        parts = []
+        for prefix, name in steps:
+            text, member_frozen = _encode(getattr(obj, name))
+            parts.append(prefix)
+            parts.append(text)
             frozen = frozen and member_frozen
-        text = "{" + ", ".join(f"{json.dumps(key)}: {texts[key]}"
-                               for key in sorted(texts)) + "}"
+        parts.append(tail)
+        text = "".join(parts)
         if frozen and state is not None:
-            state[_CANONICAL] = (payload, text)
-        return payload, text, frozen
+            state[_CANONICAL] = text
+        return text, frozen
     if isinstance(obj, (list, tuple)):
-        members = [_reduce(v) for v in obj]
-        return ([value for value, _, _ in members],
-                "[" + ", ".join(text for _, text, _ in members) + "]",
-                isinstance(obj, tuple)
-                and all(frozen for _, _, frozen in members))
-    if isinstance(obj, (str, int, float, bool)) or obj is None:
-        return obj, json.dumps(obj), True
-    raise TypeError(f"cannot canonicalize {type(obj).__name__} for hashing")
+        frozen = isinstance(obj, tuple)
+        texts = []
+        for member in obj:
+            text, member_frozen = _encode(member)
+            texts.append(text)
+            frozen = frozen and member_frozen
+        return "[" + ", ".join(texts) + "]", frozen
+    if isinstance(obj, (str, int, float)):
+        return json.dumps(obj), True
+    raise TypeError(f"cannot canonicalize {cls.__name__} for hashing")
+
+
+def _layout(cls: type) -> tuple:
+    """The dataclass ``cls``'s key layout (see :data:`_LAYOUTS`)."""
+    class_tag = f"{json.dumps('__class__')}: {json.dumps(cls.__name__)}"
+    keys = sorted(["__class__"] + [f.name for f in fields(cls) if f.compare])
+    steps = []
+    pending = "{"
+    for index, key in enumerate(keys):
+        if index:
+            pending += ", "
+        if key == "__class__":
+            pending += class_tag
+        else:
+            steps.append((pending + json.dumps(key) + ": ", key))
+            pending = ""
+    return tuple(steps), pending + "}", cls.__dataclass_params__.frozen
 
 
 def sorted_unique(values) -> tuple:
@@ -121,16 +145,36 @@ def sorted_unique(values) -> tuple:
 def payload_int(value, name: str) -> int:
     """``value`` read as an integer field of a JSON payload.
 
-    An integer is a JSON number with an integral value (``32`` or
-    ``32.0``).  A bool, a string or a fraction raises ``ValueError``
-    instead of being coerced: ``"16"`` must not sweep micro-batches 1
-    and 6, and ``true`` must not plan for global batch 1.
+    An integer is a number with an integral value (``32``, ``32.0`` or
+    a NumPy integer), returned as a plain ``int``.  A bool, a string or
+    a fraction raises ``ValueError`` instead of being coerced: ``"16"``
+    must not sweep micro-batches 1 and 6, and ``true`` must not plan
+    for global batch 1.  :class:`PlanRequest` reads its integers
+    through here too, so ``64`` and ``64.0`` share one fingerprint.
     """
     if isinstance(value, int) and not isinstance(value, bool):
-        return value
+        return int(value)
     if isinstance(value, float) and value.is_integer():
         return int(value)
+    # NumPy integers; checked last, as an ABC check is the slow one.
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
     raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def check_memory_limit(memory_limit_bytes) -> None:
+    """Refuse a memory limit that is not a finite, positive number.
+
+    ``None`` (the GPU's physical memory) passes.  An infinite limit
+    would pass every candidate's memory check while still counting as
+    a checked limit, and NaN compares false with everything.
+    """
+    if memory_limit_bytes is not None \
+            and not 0 < memory_limit_bytes < math.inf:  # NaN fails too
+        raise ValueError(
+            f"memory_limit_bytes must be finite and positive, got "
+            f"{memory_limit_bytes}"
+        )
 
 
 def payload_number(value, name: str) -> float:
@@ -205,11 +249,12 @@ def parse_plan_payload(payload) -> PlanFields:
     ``POST /v1/plan`` and stdin lines, ``POST /v1/templates/warm``,
     and the fleet router's shard key.  ``global_batch`` defaults to 64
     when absent; every other field may be absent or ``null``.
-    Integers follow :func:`payload_int`, list fields must be JSON
-    arrays, names must be strings, ``"schedule"`` is one name or an
-    array of names, and ``"detail"`` is ``true`` or ``false`` (it
-    shapes the answer, not the plan, so only the transports read it).
-    A bad field raises ``ValueError``.
+    Integers follow :func:`payload_int`, ``memory_limit_gib`` is a
+    finite number > 0, list fields must be JSON arrays, names must be
+    strings, ``"schedule"`` is one name or an array of names, and
+    ``"detail"`` is ``true`` or ``false`` (it shapes the answer, not
+    the plan, so only the transports read it).  A bad field raises
+    ``ValueError``.
     """
     if not isinstance(payload, dict):
         raise ValueError("plan payload must be a JSON object")
@@ -226,6 +271,9 @@ def parse_plan_payload(payload) -> PlanFields:
     memory = payload.get("memory_limit_gib")
     if memory is not None:
         memory = payload_number(memory, "memory_limit_gib")
+        if not 0 < memory < math.inf:
+            raise ValueError(f"memory_limit_gib must be a finite number "
+                             f"> 0, got {memory!r}")
     schedules = payload.get("schedule")
     if schedules is not None:
         if isinstance(schedules, str):
@@ -284,16 +332,14 @@ class PlanRequest:
     schedules: "tuple[str, ...] | None" = None
 
     def __post_init__(self) -> None:
-        if self.global_batch < 1:
-            raise ValueError(f"global_batch must be >= 1, got {self.global_batch}")
-        if self.memory_limit_bytes is not None \
-                and not self.memory_limit_bytes > 0:  # NaN fails this too
-            raise ValueError(
-                f"memory_limit_bytes must be positive, got "
-                f"{self.memory_limit_bytes}"
-            )
+        global_batch = payload_int(self.global_batch, "global_batch")
+        if global_batch < 1:
+            raise ValueError(f"global_batch must be >= 1, got {global_batch}")
+        object.__setattr__(self, "global_batch", global_batch)
+        check_memory_limit(self.memory_limit_bytes)
         if self.micro_batches is not None:
-            normalized = sorted_unique(int(m) for m in self.micro_batches)
+            normalized = sorted_unique(payload_int(m, "micro_batches entry")
+                                       for m in self.micro_batches)
             if not normalized:
                 raise ValueError(
                     "micro_batches must not be empty; pass None to sweep "

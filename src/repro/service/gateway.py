@@ -69,6 +69,7 @@ Use as an async context manager::
 from __future__ import annotations
 
 import asyncio
+import logging
 import threading
 import time
 from collections import OrderedDict, deque
@@ -528,9 +529,10 @@ class PlanGateway:
         outcome = "coalesced" if coalesced else response.status
         self._record(name, outcome, t0)
         elapsed = time.perf_counter() - t0
-        _log.debug("plan answered", extra={
-            "cluster": name, "outcome": outcome,
-            "elapsed_ms": round(elapsed * 1000, 3)})
+        if _log.isEnabledFor(logging.DEBUG):
+            _log.debug("plan answered", extra={
+                "cluster": name, "outcome": outcome,
+                "elapsed_ms": round(elapsed * 1000, 3)})
         return GatewayResponse(cluster_name=name, response=response,
                                coalesced=coalesced, elapsed_s=elapsed,
                                trace_id=trace_id)

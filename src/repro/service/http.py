@@ -63,6 +63,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import logging
 import math
 import time
 from functools import partial
@@ -464,10 +465,11 @@ class HttpServerBase:
                         await self._dispatch(method, path, body)
                     # Logged while the span is still active so the
                     # record carries this request's trace/span ids.
-                    _log.debug("request", extra={
-                        "method": method, "route": route, "code": status,
-                        "duration_ms":
-                            round((time.monotonic() - t0) * 1000, 3)})
+                    if _log.isEnabledFor(logging.DEBUG):
+                        _log.debug("request", extra={
+                            "method": method, "route": route,
+                            "code": status, "duration_ms":
+                                round((time.monotonic() - t0) * 1000, 3)})
                 finally:
                     if token is not None:
                         TRACER.deactivate(token)

@@ -28,6 +28,7 @@ one request at a time.
 
 from __future__ import annotations
 
+import logging
 import threading
 import time
 from dataclasses import dataclass, replace
@@ -55,7 +56,7 @@ from repro.obs.recorder import FlightRecorder
 from repro.obs.trace import TRACER, Span
 from repro.parallel.mapping import Mapping
 from repro.profiling.profile_run import ComputeProfile, profile_compute
-from repro.service.cache import PlanCache, PlanRequest
+from repro.service.cache import PlanCache, PlanRequest, check_memory_limit
 from repro.service.executor import CandidateExecutor
 from repro.service.replan import (
     DEFAULT_DRIFT_THRESHOLD,
@@ -329,7 +330,9 @@ class PlanningService:
 
         Without an estimator every candidate passes the memory check
         (Algorithm 1, line 7), so a limit would be silently ignored.
+        A limit that is not finite and positive is refused as well.
         """
+        check_memory_limit(memory_limit_bytes)
         if memory_limit_bytes is not None and self.memory_estimator is None:
             raise ValueError(
                 "memory_limit_bytes needs a memory estimator, but this "
@@ -416,13 +419,15 @@ class PlanningService:
                   result: PipetteResult, status: str, t0: float,
                   trace: "Span | None") -> PlanResponse:
         """Log one answer and wrap it as a :class:`PlanResponse`."""
-        # A pool thread has no context-local span, so the join key is
-        # spelled out from the caller's own trace.
-        extra = {"cluster": self.cluster.name, "status": status,
-                 "elapsed_ms": round((time.perf_counter() - t0) * 1000, 3)}
-        if trace is not None and trace.recording:
-            extra["trace_id"] = trace.trace_id
-        _log.debug("request answered", extra=extra)
+        if _log.isEnabledFor(logging.DEBUG):
+            # A pool thread has no context-local span, so the join key
+            # is spelled out from the caller's own trace.
+            extra = {"cluster": self.cluster.name, "status": status,
+                     "elapsed_ms":
+                         round((time.perf_counter() - t0) * 1000, 3)}
+            if trace is not None and trace.recording:
+                extra["trace_id"] = trace.trace_id
+            _log.debug("request answered", extra=extra)
         return PlanResponse(request=request, fingerprint=fingerprint,
                             result=result, status=status,
                             elapsed_s=time.perf_counter() - t0)

@@ -10,6 +10,7 @@ with it off, responses must not change shape.
 
 import asyncio
 import json
+import logging
 
 import pytest
 from test_service_http import _Server, _json, _registry, _request
@@ -268,6 +269,75 @@ class TestHttpTracing:
             assert span["attributes"]["coalesced"] is True
             leader = span["attributes"]["leader_trace_id"]
             assert leader in trace_ids and leader != answer.trace_id
+
+
+class TestAnswerLogs:
+    """The three per-answer DEBUG records, and their cost at INFO."""
+
+    #: ``(logger, message)`` -> the ``extra`` fields of its record.
+    RECORDS = {
+        ("repro.service.http", "request"):
+            {"method", "route", "code", "duration_ms"},
+        ("repro.service.gateway", "plan answered"):
+            {"cluster", "outcome", "elapsed_ms"},
+        ("repro.service.planner", "request answered"):
+            {"cluster", "status", "elapsed_ms"},
+    }
+
+    @staticmethod
+    def _miss_then_hit() -> "list[int]":
+        async def main():
+            async with _Server(_registry()) as server:
+                return [(await _request(
+                    server.port, "POST", "/v1/plan",
+                    {"model": "gpt-toy", "cluster": "alpha",
+                     "global_batch": 8}))[0] for _ in range(2)]
+
+        return asyncio.run(main())
+
+    @pytest.fixture
+    def repro_records(self, caplog, monkeypatch):
+        # ``configure_logging`` stops the ``repro`` tree propagating to
+        # the root logger, where caplog listens.
+        monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
+        return caplog
+
+    def test_debug_records_and_fields(self, repro_records):
+        repro_records.set_level(logging.DEBUG, logger="repro")
+        assert self._miss_then_hit() == [200, 200]
+        base = set(vars(logging.makeLogRecord({})))
+        seen: dict = {}
+        for record in repro_records.records:
+            key = (record.name, record.getMessage())
+            if key in self.RECORDS:
+                assert record.levelno == logging.DEBUG
+                seen.setdefault(key, []).append(
+                    {name: value for name, value in vars(record).items()
+                     if name not in base and name != "message"})
+        assert set(seen) == set(self.RECORDS)
+        for key, rows in seen.items():
+            assert len(rows) == 2, key  # one per answer
+            for row in rows:
+                assert set(row) == self.RECORDS[key], key
+        http, gateway, planner = (seen[key] for key in self.RECORDS)
+        assert [(r["method"], r["route"], r["code"]) for r in http] == \
+            [("POST", "/v1/plan", 200)] * 2
+        assert [r["outcome"] for r in gateway] == ["miss", "hit"]
+        assert [r["status"] for r in planner] == ["miss", "hit"]
+        for row in gateway + planner:
+            assert row["cluster"] == "alpha"
+            assert isinstance(row["elapsed_ms"], float)
+        assert all(isinstance(r["duration_ms"], float) for r in http)
+
+    def test_info_level_builds_no_debug_record(self, repro_records,
+                                               monkeypatch):
+        from repro.service import gateway, http, planner
+
+        repro_records.set_level(logging.INFO, logger="repro")
+        for module in (http, gateway, planner):
+            monkeypatch.setattr(module._log, "debug", lambda *a, **k:
+                                pytest.fail("DEBUG record built at INFO"))
+        assert self._miss_then_hit() == [200, 200]
 
 
 class TestReplanTracing:

@@ -3,10 +3,13 @@
 import gc
 import json
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
+from canonical_oracle import canonical_value
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.fabric import BandwidthMatrix
 from repro.cluster.presets import mid_range_cluster
@@ -18,7 +21,6 @@ from repro.service.cache import (
     PlanFields,
     PlanRequest,
     canonical_json,
-    canonical_value,
     parse_plan_payload,
 )
 from repro.units import GIB
@@ -75,7 +77,7 @@ class TestFingerprint:
 
     def test_canonical_rejects_exotic_values(self):
         with pytest.raises(TypeError):
-            canonical_value(object())
+            canonical_json(object())
 
     def test_nonpositive_micro_batches_rejected(self, tiny_cluster,
                                                 toy_model):
@@ -88,10 +90,46 @@ class TestFingerprint:
 
     def test_nonpositive_memory_limit_rejected(self, tiny_cluster,
                                                toy_model):
-        for bad in (0, -1.0, float("nan")):
+        # An infinite limit passed every candidate's memory check, so
+        # an over-memory plan was flagged memory_ok.
+        for bad in (0, -1.0, float("nan"), float("inf"), np.float64("inf")):
             with pytest.raises(ValueError, match="memory_limit_bytes"):
                 PlanRequest(cluster=tiny_cluster, model=toy_model,
                             global_batch=32, memory_limit_bytes=bad)
+
+    def test_integral_values_are_ints_with_one_fingerprint(
+            self, tiny_cluster, toy_model, request_a):
+        # Regression: 32.0 keyed a second cache entry (and a second
+        # search), and np.int64 failed late in the encoder.
+        for twin in (32.0, np.int64(32), np.int32(32), np.float64(32)):
+            other = PlanRequest(cluster=tiny_cluster, model=toy_model,
+                                global_batch=twin)
+            assert type(other.global_batch) is int
+            assert other.fingerprint() == request_a.fingerprint()
+        mixed = PlanRequest(cluster=tiny_cluster, model=toy_model,
+                            global_batch=32,
+                            micro_batches=[np.int64(4), 2.0, 1])
+        assert mixed.micro_batches == (1, 2, 4)
+        assert all(type(m) is int for m in mixed.micro_batches)
+        assert mixed.fingerprint() == PlanRequest(
+            cluster=tiny_cluster, model=toy_model, global_batch=32,
+            micro_batches=(1, 2, 4)).fingerprint()
+
+    def test_bools_fractions_and_strings_are_not_integers(self, tiny_cluster,
+                                                          toy_model):
+        # Regression: True planned for batch 1, [2.5] became (2,) and
+        # "16" swept micro-batches 1 and 6.
+        bad = [("global_batch", {"global_batch": True}),
+               ("global_batch", {"global_batch": np.bool_(True)}),
+               ("global_batch", {"global_batch": 32.5}),
+               ("global_batch", {"global_batch": "32"}),
+               ("micro_batches", {"micro_batches": [2.5]}),
+               ("micro_batches", {"micro_batches": [True, 2]}),
+               ("micro_batches", {"micro_batches": "16"})]
+        for name, kwargs in bad:
+            with pytest.raises(ValueError, match=name):
+                PlanRequest(**{"cluster": tiny_cluster, "model": toy_model,
+                               "global_batch": 32, **kwargs})
 
     def test_empty_micro_batches_rejected(self, tiny_cluster, toy_model):
         # An empty restriction enumerates zero configurations and
@@ -117,6 +155,22 @@ class _Holder:
 @dataclass
 class _Mutable:
     x: float
+
+
+@dataclass(frozen=True)
+class _Keys:
+    """Keys that sort before ``"__class__"``, and a cosmetic field."""
+
+    Upper: object
+    lower: object = None
+    note: str = field(default="", compare=False)
+
+
+@dataclass(frozen=True)
+class _Empty:
+    """No compared field: the class tag is the whole object."""
+
+    note: str = field(default="", compare=False)
 
 
 def _preset_request(**kwargs) -> PlanRequest:
@@ -167,6 +221,11 @@ class TestPinnedFingerprints:
         for name, request in self._requests().items():
             assert request.fingerprint() == self.PINNED[name], name
 
+    def test_integral_twins_hash_to_the_int_literal(self):
+        for twin in (64.0, np.int64(64)):
+            request = replace(_preset_request(), global_batch=twin)
+            assert request.fingerprint() == self.PINNED["defaults"]
+
     def test_memo_is_per_instance_and_never_splits_a_key(self):
         warm = _preset_request()
         key = warm.fingerprint()
@@ -182,8 +241,8 @@ class TestPinnedFingerprints:
             options, sa=replace(options.sa, max_iterations=2999)))
         first = (a.fingerprint(), b.fingerprint())
         assert first[0] != first[1]
-        canonical_value(options)
-        canonical_value(b.options)
+        canonical_json(options)
+        canonical_json(b.options)
         assert (_preset_request(options=options).fingerprint(),
                 _preset_request(options=b.options).fingerprint()) == first
 
@@ -217,15 +276,87 @@ class TestCanonicalMemo:
 
     def test_only_deeply_frozen_objects_are_memoised(self):
         holder = _Holder([1, 2])
-        assert canonical_value(holder)["items"] == [1, 2]
+        assert '"items": [1, 2]' in canonical_json(holder)
         holder.items.append(3)  # frozen binding, mutable contents
-        assert canonical_value(holder)["items"] == [1, 2, 3]
+        assert '"items": [1, 2, 3]' in canonical_json(holder)
+        assert "_canonical_memo" not in holder.__dict__
         mutable = _Mutable(1.0)
         canonical_json(mutable)
         mutable.x = 2.0
-        assert canonical_value(mutable)["x"] == 2.0
+        assert '"x": 2.0' in canonical_json(mutable)
         point = _Point(1.0, (2, 3))
-        assert canonical_value(point) is canonical_value(point)
+        assert canonical_json(point) is canonical_json(point)
+        assert point.__dict__["_canonical_memo"] == canonical_json(point)
+
+
+_EDGE_FLOATS = (-0.0, 0.0, 5e-324, 1e16, 1e-7, float("inf"),
+                -float("inf"), float("nan"))
+_EDGE_CHARS = "\"\\/\x00\x1f\x7f\t\n\u00e9\u2028\u20ac\U0001f600\ud800"
+
+_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2 ** 200), max_value=2 ** 200)
+    | st.sampled_from(_EDGE_FLOATS)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(alphabet=st.sampled_from(_EDGE_CHARS) | st.characters(),
+              max_size=8)
+)
+
+
+def _extend(children):
+    return (st.lists(children, max_size=4)
+            | st.lists(children, max_size=4).map(tuple)
+            | st.builds(_Point, children, children)
+            | st.builds(_Holder, st.lists(children, max_size=3))
+            | st.builds(_Mutable, children)
+            | st.builds(_Keys, children, children, st.text(max_size=3))
+            | st.builds(_Empty, st.text(max_size=3)))
+
+
+_CANONICAL_VALUES = st.recursive(_LEAVES, _extend, max_leaves=12)
+
+
+def _oracle_json(obj) -> str:
+    return json.dumps(canonical_value(obj), sort_keys=True)
+
+
+class TestCanonicalDifferential:
+    """``canonical_json`` against the unmemoised oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_CANONICAL_VALUES)
+    def test_matches_oracle_cold_and_memoised(self, obj):
+        expected = _oracle_json(obj)
+        assert canonical_json(obj) == expected
+        # Warm memos answer for themselves and inside a new container.
+        assert canonical_json(obj) == expected
+        assert canonical_json((obj, [obj])) == _oracle_json((obj, [obj]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_CANONICAL_VALUES, _CANONICAL_VALUES)
+    def test_mutable_parts_re_encode_after_mutation(self, before, after):
+        mutable = _Mutable(before)
+        holder = _Holder([mutable])
+        plain = _Holder([1, "a"])  # frozen, but its list is not
+        point = _Point(1, (mutable,))
+        parts = (mutable, holder, plain, point)
+        for obj in parts:
+            assert canonical_json(obj) == _oracle_json(obj)
+        mutable.x = after
+        holder.items.append(after)
+        plain.items.append(after)
+        for obj in parts:
+            assert canonical_json(obj) == _oracle_json(obj)
+
+    @pytest.mark.parametrize("bad", [{"a": 1}, b"bytes", {1}, np.int64(3)],
+                             ids=["dict", "bytes", "set", "int64"])
+    def test_non_json_types_raise_on_both_sides(self, bad):
+        for obj in (bad, (1, bad), _Point(0.5, ("x", bad)), _Keys(bad)):
+            with pytest.raises(TypeError):
+                canonical_json(obj)
+            with pytest.raises(TypeError):
+                canonical_value(obj)
 
 
 class TestPlanCache:
@@ -459,6 +590,10 @@ class TestParsePlanPayload:
         ("portfolio_k", False),
         ("memory_limit_gib", "12"),
         ("memory_limit_gib", True),
+        ("memory_limit_gib", float("inf")),
+        ("memory_limit_gib", float("nan")),
+        ("memory_limit_gib", 0),
+        ("memory_limit_gib", -1.5),
         ("schedule", 1),
         ("schedule", ["1f1b", 2]),
         ("model", 7),

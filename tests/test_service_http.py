@@ -17,6 +17,9 @@ from conftest import metric_value, parse_prometheus
 from repro.cluster import Fabric, HeterogeneityModel, NetworkProfiler
 from repro.cluster.topology import ClusterSpec, GpuSpec, LinkSpec, NodeSpec
 from repro.core import PipetteOptions, SAOptions
+from repro.core.memory_dataset import build_memory_dataset
+from repro.core.memory_estimator import MemoryEstimator
+from repro.model import get_model
 from repro.service import (
     ClusterRegistry,
     HttpPlanServer,
@@ -622,6 +625,36 @@ class TestEdgeCases:
             assert "memory estimator" in out["error"]
         assert all(s["cache_misses"] == 0 and s["requests_submitted"] == 0
                    for s in stats.values())
+
+    def test_infinite_memory_limit_is_400(self):
+        # Regression: Python's json reads the Infinity token, and with
+        # an estimator an infinite limit kept every candidate, so an
+        # over-memory plan was answered 200 and flagged memory_ok.
+        cluster = _cluster("alpha")
+        estimator = MemoryEstimator(hidden_size=16, n_hidden_layers=1,
+                                    seed=0)
+        estimator.fit(build_memory_dataset(
+            cluster, [get_model("gpt-toy")], global_batches=[16, 32],
+            node_counts=[1, 2], seed=0), iterations=20)
+        registry = ClusterRegistry()
+        bandwidth = NetworkProfiler(n_rounds=2).profile(
+            Fabric(cluster, heterogeneity=HeterogeneityModel(), seed=1),
+            seed=1).bandwidth
+        registry.add_cluster("alpha", cluster, bandwidth,
+                             memory_estimator=estimator)
+        body = (b'{"model": "gpt-toy", "global_batch": 32, '
+                b'"cluster": "alpha", "memory_limit_gib": Infinity}')
+
+        async def main():
+            async with _Server(registry) as server:
+                answer = await _request(server.port, "POST", "/v1/plan",
+                                        raw_body=body)
+                return answer, server.registry.stats["alpha"]
+
+        (status, _, out), stats = asyncio.run(main())
+        assert status == 400
+        assert "memory_limit_gib must be a finite" in _json(out)["error"]
+        assert stats["cache_misses"] == 0  # nothing was planned
 
     def test_mistyped_template_warm_fields_are_400(self):
         bad = [{"min_nodes": "1"}, {"max_nodes": 1.5},

@@ -147,6 +147,12 @@ class TestMemoryLimit:
         with pytest.raises(ValueError, match="memory estimator"):
             service.request(toy_model, 32, memory_limit_bytes=GIB)
 
+    def test_template_warm_up_refuses_a_non_finite_limit(self, service,
+                                                          toy_model):
+        for bad in (float("inf"), float("nan"), 0.0):
+            with pytest.raises(ValueError, match="finite and positive"):
+                service.warm_templates(toy_model, 32, memory_limit_bytes=bad)
+
     def test_plan_refuses_before_counting_or_searching(self, service,
                                                        toy_model,
                                                        monkeypatch):
