@@ -18,16 +18,18 @@ permutation:
   one slot of ``tp`` consecutive GPUs, whichever block lands there),
 * the slot-pair bandwidth tables ``matrix[s1*tp + y, s2*tp + y]`` that
   the pipeline-chain and data-parallel terms read through,
-* the ring-pair positions, and integer tables fixed by the grid and
-  node size alone, memoized per shape (``score_unit`` compiles about a
-  hundred kernels per request and scores each once).
+* integer tables fixed by the grid and node size alone — the follower
+  position table, the pair positions and the segment starts — memoized
+  per shape (``score_unit`` compiles about a hundred kernels per
+  request and scores each once).
 
 :class:`LatencyKernel` hoists all of that into ``__init__`` and reduces
 one objective evaluation to a handful of NumPy gathers and reductions
 over the raw permutation array — no Python-level group loops, no
 ``Mapping`` construction.  Pair gathers read the slot-pair tables at
-row ``perm[src] * n_slots + perm[dst]``; the tables keep the tensor
-rank as their last axis, so every reduction runs over leading axes.
+column ``perm[src] * n_slots + perm[dst]``; the tables are tensor-rank
+major, so every minimum over gathered pairs is a last-axis
+``ufunc.reduceat`` over stage segments.
 
 **Minimum first.** The TP straggler term and the ring phases are
 maxima over groups of ``f(bw) = a * (c / (bw * GB))`` or ``num / ((k *
@@ -48,28 +50,54 @@ once at compile time.
 **The ring term.** One routine, :meth:`LatencyKernel._ring_terms`,
 serves :meth:`~LatencyKernel.evaluate_perm`,
 :meth:`~LatencyKernel.evaluate_batch` and :class:`IncrementalEvaluator`.
-Pairs touching a *follower* — a data rank whose node already appeared
-earlier in its stage — read a +inf sentinel row, so the inter-node
-minimum spans the reference's leaders only.  On the 16-node Table-1
-presets (one core of a shared 2-vCPU VM) this took a two-slot
-``evaluate_perm`` from about 60-70 to 35-50 µs, a one-slot one from
-about 14-22 to 12-15 µs and pp1-tp8-dp16 from about 9 µs to a constant
-(``benchmarks/bench_annealing_kernel.py`` prints the per-grid table).
+A *follower* is a data rank whose node already appeared earlier in its
+stage; the reference's leaders are the others.  A follower reads its
+leader's slot — an *effective leader slot* — so the pairs it adds,
+``(l, b)`` and ``(l, l)``, already lie in the leaders'
+``min_over_group`` submatrix, diagonal included (finite or +inf): the
+minimum over all ``dp * dp`` pairs of the stage is the leaders'
+exactly, and the leader count ``kn`` is ``dp`` less the followers.  On
+two-slot nodes the other slot of ``s``'s node is ``s ^ 1``: a rank
+follows when its partner's block precedes its own in the same stage,
+found through the inverse permutation and a shape-only position table,
+and then leads through the partner's slot.  Its node's intra phase
+reads a per-slot node-denominator table, whose +inf column every
+non-follower reads.  The pair and intra cells come out of one gather
+over a stacked table and one ``np.minimum.reduceat``.
+
+**Whole-node grids.** With one slot per node every member leads and
+there is no intra phase, so every term the permutation moves is a
+minimum: the straggler bandwidths when ``pp > 2``, the single-hop
+chains when ``pp == 2`` (negated: ``max(h) == -min(-h)`` exactly) and
+each stage's ring denominators.  They sit in one stacked table and come
+out of one fancy gather and one ``np.minimum.reduceat``; chains with
+``pp > 2`` keep their sequential ``add.accumulate``.
 
 **Single-hop chains.** With ``pp == 2`` every pipeline chain of
 Eq. (5) is one hop: a lane's sum is its hop, and ``t_pp`` is the
 largest hop over the data and tensor ranks.  A max of maxima is the
 max, so the kernel reduces the hop table over tensor ranks at compile
-time, and :meth:`~LatencyKernel.evaluate_perm` and
-:meth:`~LatencyKernel.evaluate_batch` both gather ``dp`` entries and
-take their maximum — no ``(dp, tp)`` gather, no ``add.accumulate``.
-Whole-node slots also lay each stage's ring pairs out as one row (see
-:meth:`~LatencyKernel._row_pairs`), so the ring minimum is a row
-reduction.  On high-end pp2-tp8-dp8, the grid the elastic polish
-anneals, the chain term fell from about 8.5 to 4 µs and
-``evaluate_perm`` from about 14 to 9 µs (one core of a shared 2-vCPU
-VM; ``benchmarks/bench_annealing_kernel.py`` prints the per-grid
-table).
+time and gathers ``dp`` entries of it — no ``(dp, tp)`` gather, no
+``add.accumulate``.
+
+**Costs.** Per ``evaluate_perm`` call on the 16-node Table-1 presets,
+best of seven interleaved rounds of the measurement that
+``benchmarks/bench_annealing_kernel.py::test_preset_grid_table``
+prints (one core of a shared 2-vCPU x86 VM), before and after the
+effective leader slots and the whole-node stacked gather:
+
+==============  =========  =========
+grid            mid-range  high-end
+==============  =========  =========
+pp4-tp8-dp4     26 → 23    13 → 11
+pp2-tp8-dp8     9.2 → 7.1  8.9 → 7.0
+pp8-tp8-dp2     13 → 11    13 → 12
+pp8-tp4-dp4     39 → 35    39 → 36
+pp4-tp4-dp8     41 → 36    43 → 35
+pp2-tp4-dp16    43 → 32    41 → 31
+==============  =========  =========
+
+(µs; pp1-tp8-dp16 is a constant, 0.1 µs.)
 
 **Equivalence guarantee.** The kernel is not merely close to the
 reference model: every floating-point expression mirrors the reference
@@ -111,6 +139,7 @@ only pays off from roughly 128-256 blocks, while Table 1 leaders have
 from __future__ import annotations
 
 import functools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -138,22 +167,104 @@ from repro.profiling.profile_run import ComputeProfile
 from repro.units import GB
 
 
+#: ``GB`` as a float: ``x * GB`` and ``x * float(GB)`` round alike (the
+#: integer is exact in a double), and a float scalar skips a cast.
+_GB = float(GB)
+
+
 @functools.lru_cache(maxsize=256)
-def _geometry(pp: int, dp: int, slots_per_node: int, ns: int) -> tuple:
+def _starts(count: int, width: int) -> np.ndarray:
+    """Starts of ``count`` segments of ``width`` entries each: the index
+    argument of a ``ufunc.reduceat`` over equal stage segments."""
+    return np.arange(0, count * width, width)
+
+
+@functools.lru_cache(maxsize=256)
+def _ring_starts(rows: int, dp: int, slots_per_node: int) -> tuple:
+    """Segment starts of a ring gather over ``rows`` stage rows (see
+    :meth:`LatencyKernel._ring_terms`), and of the rows themselves.
+
+    The gather holds one ``dp * dp`` pair segment per row, then intra
+    segments of ``dp`` cells: one per row on two-slot nodes, one per
+    data rank on larger ones.
+    """
+    cells = _starts(rows * (1 if slots_per_node == 2 else dp), dp)
+    return (np.concatenate([_starts(rows, dp * dp),
+                            rows * dp * dp + cells]), _starts(rows, dp))
+
+
+class _Geometry(NamedTuple):
+    """Integer tables fixed by the shape alone (see :func:`_geometry`)."""
+
+    tp_blocks: np.ndarray
+    tp_touch: np.ndarray
+    stages: np.ndarray
+    ring_blocks: np.ndarray
+    follows: "np.ndarray | None"
+    follow_base: np.ndarray
+    ranks: np.ndarray
+    same_node: "np.ndarray | None"
+    min_src: "np.ndarray | None"
+    min_dst: "np.ndarray | None"
+    min_off: "np.ndarray | None"
+    min_starts: "np.ndarray | None"
+
+
+@functools.lru_cache(maxsize=256)
+def _geometry(pp: int, dp: int, slots_per_node: int, ns: int,
+              straggler: bool) -> _Geometry:
     """Integer tables fixed by the shape alone, built once per shape.
 
-    The straggler's block positions and their mask, which slot pairs
-    share a node, the ``b < a`` mask of a stage's data ranks and the
-    stage indices.  The tables are shared: never written.
+    * the straggler's block positions and their mask, the stage
+      indices and the ring blocks (the first ``ns`` stages);
+    * the follower position table of two-slot nodes,
+      ``follows[i * n + j] == 1`` when block ``j`` precedes block ``i``
+      in ``i``'s stage, and its row offsets ``i * n`` per ring block;
+    * the data ranks, and for larger nodes which slot pairs share a
+      node;
+    * for whole-node grids, the stacked min-gather (see
+      :meth:`LatencyKernel._whole_node_tables`): the source and peer
+      block of every entry, its table offset, and the segment starts,
+      in the order straggler (when ``straggler``), single-hop chains
+      (``pp == 2``), ring stages.
+
+    The tables are shared: never written.
     """
     n = pp * dp
     rows = np.arange(n).reshape(pp, dp)
     tp_blocks = np.concatenate([rows[0], rows[-1]]) if pp > 1 else rows[0]
-    node = np.arange(n) // slots_per_node
-    return (tp_blocks, np.isin(np.arange(n), tp_blocks),
-            (node[:, None] == node[None, :]).ravel(),
-            (rows[0][:, None] < rows[0][None, :])[:, :, None],
-            np.arange(ns))
+    ring_blocks = rows[:ns].ravel()
+    follows = same_node = None
+    if slots_per_node == 2:
+        j = np.arange(n)
+        lo = (ring_blocks - ring_blocks % dp)[:, None]
+        follows = ((j >= lo) & (j < ring_blocks[:, None])) \
+            .astype(np.int64).ravel()
+    elif slots_per_node > 2:
+        node = np.arange(n) // slots_per_node
+        same_node = (node[:, None] == node[None, :]).ravel()
+    src = dst = off = starts = None
+    if slots_per_node == 1:
+        parts = []                  # per table: its (source, peer) segments
+        if straggler:
+            # The straggler table sits on the diagonal, ``s * (n + 1)``.
+            parts.append([(tp_blocks, tp_blocks)])
+        if pp == 2:
+            parts.append([(rows[0], rows[1])])
+        if dp > 1:
+            parts.append([(np.repeat(r, dp), np.tile(r, dp))
+                          for r in rows[:ns]])
+        segs = [(a, b, t * n * n) for t, part in enumerate(parts)
+                for a, b in part]
+        if segs:
+            src = np.concatenate([a for a, _, _ in segs])
+            dst = np.concatenate([b for _, b, _ in segs])
+            off = np.concatenate([np.full(len(a), t) for a, _, t in segs])
+            starts = np.cumsum([0] + [len(a) for a, _, _ in segs[:-1]])
+    return _Geometry(
+        tp_blocks, np.isin(np.arange(n), tp_blocks), np.arange(ns),
+        ring_blocks, follows, ring_blocks * n, np.arange(dp), same_node,
+        src, dst, off, starts)
 
 
 class LatencyKernel:
@@ -198,8 +309,10 @@ class LatencyKernel:
         n = self._n_slots = grid.n_blocks
         spn = self._slots_per_node = cluster.gpus_per_node // tp
         ns = self._n_dp_stages = pp if options.dp_exposure_aware else 1
-        (self._tp_blocks, self._tp_touch, self._same_node, self._earlier,
-         self._stages) = _geometry(pp, dp, spn, ns)
+        geo = _geometry(pp, dp, spn, ns, pp > 2 and tp > 1)
+        self._tp_blocks, self._tp_touch, self._stages, self._ring_blocks = \
+            geo.tp_blocks, geo.tp_touch, geo.stages, geo.ring_blocks
+        self._iota = np.arange(n)
 
         # ---- permutation-independent scalars -------------------------
         c = profile.max_stage_compute_time(pp, tp, config.micro_batch)
@@ -243,38 +356,41 @@ class LatencyKernel:
         elif pp <= 2:
             self._c_tp = self._c_tp_at(float(self._tp_min_bw.min()))
 
-        # ``ring[s1 * n + s2, y]``: bandwidth between tensor rank ``y``'s
+        # ``ring[y, s1 * n + s2]``: bandwidth between tensor rank ``y``'s
         # GPUs of slots ``s1`` and ``s2`` — the table the pipeline
-        # chains and the data-parallel rings gather through — plus one
-        # sentinel row of +inf (see :meth:`_ring_terms`).
+        # chains and the data-parallel rings gather through, tensor
+        # rank first so that every ring reduction runs along the last
+        # axis.
         if pp > 1 or dp > 1:
-            ring = np.empty((n * n + 1, tp))
-            ring[:-1].reshape(n, n, tp)[:] = blocked.diagonal(axis1=1,
-                                                                axis2=3)
-            ring[-1] = np.inf
-            pair = ring[:-1]
+            ring = np.ascontiguousarray(
+                blocked.diagonal(axis1=1, axis2=3).transpose(2, 0, 1)) \
+                .reshape(tp, n * n)
 
         # ---- pipeline-parallel term (Eq. 5) --------------------------
         if pp > 1:
-            hop_num = 2.0 * pp_message_bytes(model, config.micro_batch)
-            self._pp_hop = hop_num / (pair * GB)
-            if pp == 2:
-                # Single-hop chains: ``t_pp`` is the largest hop, and a
-                # max of maxima is the max — reduce the tensor ranks.
-                self._pp_hop = self._pp_hop.max(axis=1)
+            hop = (2.0 * pp_message_bytes(model, config.micro_batch)) \
+                / (ring * GB)
+            # Single-hop chains: ``t_pp`` is the largest hop, and a max
+            # of maxima is the max — reduce the tensor ranks.  Longer
+            # chains gather whole lanes, ``(hop, tensor rank)``.
+            self._pp_hop = hop.max(axis=0) if pp == 2 \
+                else np.ascontiguousarray(hop.T)
 
         # ---- data-parallel term (Eq. 6) ------------------------------
         if dp > 1:
             self._ring_tables(ring, [dp_message_bytes(model, pp, tp, stage=s)
-                                     for s in range(ns)])
+                                     for s in range(ns)], geo)
+        if spn == 1:
+            self._whole_node_tables(geo)
         # pp == 1 with whole-node slots: one stage holding every slot,
         # whose ring and straggler see every link whatever the order —
         # the value is a constant, scored once here.
         self._constant = None
         if pp == 1 and spn == 1:
-            self._constant = self.evaluate_perm(np.arange(n))
+            self._constant = self.evaluate_perm(self._iota)
 
-    def _ring_tables(self, ring: np.ndarray, msg: "list") -> None:
+    def _ring_tables(self, ring: np.ndarray, msg: "list",
+                     geo: _Geometry) -> None:
         """The gather tables of the ring term (see :meth:`_ring_terms`).
 
         Numerators are looked up by population: ``_inter_num[k * ns +
@@ -286,16 +402,9 @@ class LatencyKernel:
         is tabulated instead of the bandwidth: it is monotone in
         ``bw``, so its minimum is the minimum bandwidth's.
         """
-        dp, ns, n = self.grid.dp, self._n_dp_stages, self._n_slots
+        dp, tp, ns, n = self.grid.dp, self.grid.tp, self._n_dp_stages, \
+            self._n_slots
         spn = self._slots_per_node
-        # Ring pair positions ``a -> b`` of the first ``ns`` stages in
-        # the layout of :meth:`_row_pairs`: the pair rows of the
-        # positions themselves (each below ``n``), split back into
-        # source and peer.  Built per kernel: a memo would keep the
-        # large-``dp`` ones alive.
-        self._ring_src, self._ring_dst = np.divmod(
-            self._row_pairs(np.arange(ns * dp).reshape(ns, dp)), n)
-        pair = ring[:-1]
         msg = np.asarray(msg)
         k = np.arange(max(dp, spn) + 1)[:, None]
         self._inter_num = ((2.0 * (k - 1)) * msg).ravel()
@@ -305,26 +414,63 @@ class LatencyKernel:
             # the worst tensor rank has the slowest pair — reduce the
             # table over tensor ranks up front.
             self._dp_num = self._inter_num[dp * ns:(dp + 1) * ns]
-            self._ring_den = (dp * pair.min(axis=1)) * GB
+            self._ring_den = (dp * ring.min(axis=0)) * GB
             return
-        # Pairs touching a follower are redirected to the sentinel row.
-        self._sentinel = n * n
-        self._ring_bw = ring
+        # Two-slot and larger nodes stack an intra block after the
+        # ``n * n`` pair block, so that one gather and one segment-min
+        # serve both phases (see :meth:`_ring_terms`).
         if spn == 2:
-            # A two-slot node has a member population of 2 exactly when
-            # its second member is a follower.  The node's bandwidth —
-            # the minimum of its 2 x 2 block, diagonal included, as
-            # ``min_over_group`` reads it — sits on the followers'
-            # diagonal cells ``s * (n + 1)``.
-            node_bw = pair.reshape(n // 2, 2, n // 2, 2, -1).diagonal(
-                axis1=0, axis2=2).min(axis=(0, 1))          # (tp, nodes)
-            self._intra_den = np.full_like(ring, np.inf)
-            self._intra_den[np.arange(n) * (n + 1)] = \
-                ((2 * node_bw) * GB).T.repeat(2, axis=0)
+            # A two-slot node has two members exactly when one of them
+            # follows.  Per slot: its node's denominator — the minimum
+            # of the node's 2 x 2 block, diagonal included, as
+            # ``min_over_group`` reads it — plus a +inf column that
+            # non-followers read.
+            node_bw = ring.reshape(tp, n // 2, 2, n // 2, 2).diagonal(
+                axis1=1, axis2=3).min(axis=(1, 2))          # (tp, nodes)
+            intra = np.full((tp, n + 1), np.inf)
+            intra[:, :n] = ((2 * node_bw) * GB).repeat(2, axis=1)
             self._pair_num = self._intra_num[2 * ns:3 * ns]
+            self._follows, self._follow_base = geo.follows, geo.follow_base
         else:
-            self._intra_bw = np.where(self._same_node[:, None], pair,
-                                      np.inf)
+            # The pair table again, +inf where the slots' nodes differ.
+            self._same_node = geo.same_node
+            intra = np.where(geo.same_node, ring, np.inf)
+        self._ranks = geo.ranks
+        self._ring = np.concatenate([ring, intra], axis=1)
+        self._ring_starts = _ring_starts(ns, dp, spn)
+
+    def _whole_node_tables(self, geo: _Geometry) -> None:
+        """One stacked table of every min-term of a whole-node grid.
+
+        Each term of Eqs. (3)-(6) that a whole-node grid reads is a
+        minimum over gathered entries (see :meth:`evaluate_perm`): the
+        straggler bandwidths when ``pp > 2``, the negated single-hop
+        chains when ``pp == 2`` (``max(h) == -min(-h)`` exactly) and
+        the ring denominators per stage.  Stacked as ``n * n`` blocks
+        (the straggler's on the diagonal), every entry is read at
+        ``perm[src] * n + perm[dst] + off`` from the positions of
+        :func:`_geometry`.
+        """
+        self._mins = None
+        if geo.min_src is None:
+            return
+        n, pp = self._n_slots, self.grid.pp
+        parts = []
+        if self.grid.tp > 1 and pp > 2:
+            straggler = np.full(n * n, np.inf)
+            straggler[::n + 1] = self._tp_min_bw
+            parts.append(straggler)
+        if pp == 2:
+            parts.append(-self._pp_hop)
+        if self.grid.dp > 1:
+            parts.append(self._ring_den)
+        self._mins = np.concatenate(parts)
+        if self.grid.dp > 1:
+            # The ring block of the same table (see :meth:`_ring_terms`).
+            self._ring_den = self._mins[-n * n:]
+            self._dp_num_list = self._dp_num.tolist()
+        self._min_src, self._min_dst, self._min_off, self._min_starts = \
+            geo.min_src, geo.min_dst, geo.min_off, geo.min_starts
 
     # ------------------------------------------------------------- evaluation
 
@@ -347,37 +493,52 @@ class LatencyKernel:
             return self._constant
         pp, dp = self.grid.pp, self.grid.dp
         perm = np.asarray(perm)
-
+        scaled = perm * self._n_slots
         # C + T_TP_com: the straggler TP group sets the pace — the
-        # slowest slot, since the term falls as bandwidth rises.  Short
-        # vectors like this one reduce faster as Python floats.
+        # slowest slot, since the term falls as bandwidth rises.
         c_tp = self._c_tp
-        if c_tp is None:
-            c_tp = self._c_tp_at(min(
-                self._tp_min_bw.take(perm.take(self._tp_blocks)).tolist()))
-
+        t_pp = t_dp = 0.0
+        if self._slots_per_node == 1:
+            # Whole-node slots: every min-term in one gather and one
+            # segment-min; short lists reduce faster as Python floats.
+            mins = [] if self._mins is None else np.minimum.reduceat(
+                self._mins.take(scaled.take(self._min_src)
+                                + perm.take(self._min_dst) + self._min_off),
+                self._min_starts).tolist()
+            if c_tp is None:
+                c_tp = self._c_tp_at(mins.pop(0))
+            if pp == 2:
+                t_pp = -mins.pop(0)
+            stage_t = [num / den for num, den in zip(
+                self._dp_num_list, mins)] if dp > 1 else None
+        else:
+            if c_tp is None:
+                c_tp = self._c_tp_at(min(self._tp_min_bw.take(
+                    perm.take(self._tp_blocks)).tolist()))
+            # A single-hop chain (``pp == 2``) is its hop: one gather
+            # of ``dp`` entries of the reduced table, no sum.
+            if pp == 2:
+                t_pp = max(self._pp_hop.take(scaled[:-dp]
+                                             + perm[dp:]).tolist())
+            stage_t = None
+            if dp > 1:
+                stage_t = self._ring_terms(
+                    perm[:len(self._ring_blocks)],
+                    perm.argsort() if self._slots_per_node == 2 else None,
+                    self._ring_blocks, self._stages).tolist()
         # Eq. (5): slowest end-to-end pipeline communication path.  The
         # running ``add.accumulate`` visits hops in chain order, so the
         # floating-point sum matches the reference's sequential
         # accumulation exactly (unlike ``np.sum``'s pairwise blocking).
-        # A single-hop chain (``pp == 2``) is its hop: one gather of
-        # ``dp`` entries of the reduced table, no sum.
-        scaled = perm * self._n_slots
-        t_pp = t_dp = 0.0
-        if pp > 1:
+        if pp > 2:
             hop = self._pp_hop.take(scaled[:-dp] + perm[dp:], axis=0)
-            if pp > 2:
-                hop = np.add.accumulate(hop.reshape(pp - 1, -1))[-1]
-            t_pp = max(hop.tolist())
-
+            t_pp = max(np.add.accumulate(hop.reshape(pp - 1, -1))[-1]
+                       .tolist())
         # Eq. (6): hierarchical-ring all-reduce per stage, worst tensor
         # rank; later stages net of their drain slack when
         # ``dp_exposure_aware``.
-        if dp > 1:
-            stage_t = self._ring_terms(
-                scaled.take(self._ring_src) + perm.take(self._ring_dst),
-                self._stages)
-            t_dp = self._exposed_dp(stage_t.tolist(), c_tp)
+        if stage_t is not None:
+            t_dp = self._exposed_dp(stage_t, c_tp)
         return self._finish(pp, c_tp, t_pp, t_dp)
 
     def evaluate_batch(self, perms: np.ndarray) -> np.ndarray:
@@ -400,32 +561,51 @@ class LatencyKernel:
                 f"expected a (K, {self.grid.n_blocks}) batch of "
                 f"permutations, got shape {perms.shape}"
             )
-        n = perms.shape[0]
+        k, n = perms.shape
         if self._constant is not None:
-            return np.full(n, self._constant)
+            return np.full(k, self._constant)
 
-        if self._c_tp is not None:
-            c_tp = np.full(n, self._c_tp)
+        c_tp = None if self._c_tp is None else np.full(k, self._c_tp)
+        t_pp = t_dp = 0.0
+        if self._slots_per_node == 1:
+            if self._mins is not None:
+                idx = (perms * n).take(self._min_src, axis=1) \
+                    + perms.take(self._min_dst, axis=1) + self._min_off
+                width = idx.shape[1]
+                mins = np.minimum.reduceat(
+                    self._mins.take(idx.ravel()),
+                    (np.arange(0, k * width, width)[:, None]
+                     + self._min_starts).ravel()).reshape(k, -1)
+                col = 0
+                if c_tp is None:
+                    c_tp = self._c_tp_at(mins[:, 0])
+                    col = 1
+                if pp == 2:
+                    t_pp = -mins[:, col]
+                    col += 1
+                if dp > 1:
+                    t_dp = self._exposed_dp_rows(
+                        self._dp_num / mins[:, col:], c_tp)
         else:
-            c_tp = self._c_tp_at(self._tp_min_bw.take(
-                perms.take(self._tp_blocks, axis=1)).min(axis=1))
-
-        t_pp = 0.0
-        if pp > 1:
-            chains = (perms[:, :-dp] * self._n_slots + perms[:, dp:]) \
-                .reshape(n, pp - 1, dp)
-            hop = self._pp_hop.take(chains, axis=0)
-            if pp > 2:
-                hop = np.add.accumulate(hop, axis=1)
-            t_pp = hop[:, -1].reshape(n, -1).max(axis=1)
-
-        t_dp = 0.0
-        if dp > 1:
-            ns = self._n_dp_stages
-            rows = perms[:, :ns * dp].reshape(n * ns, dp)
-            t_dp = self._exposed_dp_rows(self._ring_terms(
-                self._row_pairs(rows), np.tile(self._stages, n))
-                .reshape(n, ns), c_tp)
+            if c_tp is None:
+                c_tp = self._c_tp_at(self._tp_min_bw.take(
+                    perms.take(self._tp_blocks, axis=1)).min(axis=1))
+            if pp == 2:
+                t_pp = self._pp_hop.take(perms[:, :dp] * n
+                                         + perms[:, dp:]).max(axis=1)
+            if dp > 1:
+                inv = perms.argsort(axis=1) if self._slots_per_node == 2 \
+                    else None
+                t_dp = self._exposed_dp_rows(self._ring_terms(
+                    perms[:, :len(self._ring_blocks)], inv,
+                    self._ring_blocks, np.tile(self._stages, k))
+                    .reshape(k, -1), c_tp)
+        if pp > 2:
+            chains = (perms[:, :-dp] * n + perms[:, dp:]) \
+                .reshape(k, pp - 1, dp)
+            hop = np.add.accumulate(self._pp_hop.take(chains, axis=0),
+                                    axis=1)
+            t_pp = hop[:, -1].reshape(k, -1).max(axis=1)
         # The scalar epilogue of ``evaluate_perm``, elementwise: the
         # same expressions on the same floats.
         return self._finish(pp, c_tp, t_pp, t_dp)
@@ -445,74 +625,105 @@ class LatencyKernel:
         return self._c + self._tp_factor * (
             self._tp_layers4 * (self._tp_coef / (bw * GB)))
 
-    def _row_pairs(self, rows: np.ndarray) -> np.ndarray:
-        """Pair-table rows of every ring pair of the ``(m, dp)`` rows.
+    def _stage_terms(self, perm: np.ndarray,
+                     stages: np.ndarray) -> np.ndarray:
+        """Ring terms of the stages ``stages`` of one permutation."""
+        if stages is self._stages:
+            blocks = self._ring_blocks
+            slots = perm[:len(blocks)]
+        else:
+            dp = self.grid.dp
+            blocks = (stages[:, None] * dp + self._iota[:dp]).ravel()
+            slots = perm.take(blocks)
+        inv = perm.argsort() if self._slots_per_node == 2 else None
+        return self._ring_terms(slots, inv, blocks, stages)
 
-        Whole-node slots lay each row's pairs out contiguously, ``(x, a
-        * dp + b)``, so that their minimum is a row reduction; the
-        other layouts keep ``(b, a, x)`` (peer, data rank, row) and
-        reduce over leading axes.
-        """
-        if self._slots_per_node == 1:
-            return ((rows * self._n_slots)[:, :, None]
-                    + rows[:, None]).reshape(len(rows), -1)
-        cols = rows.T
-        return (cols * self._n_slots)[None] + cols[:, None]
-
-    def _ring_terms(self, pairs: np.ndarray,
-                    stages: np.ndarray) -> np.ndarray:
+    def _ring_terms(self, slots: np.ndarray, inv: "np.ndarray | None",
+                    blocks: np.ndarray, stages: np.ndarray) -> np.ndarray:
         """Ring terms of ``m`` stage rows, shape ``(m,)``.
 
-        ``pairs[b, a, x]`` (whole-node slots: ``pairs[x, a * dp + b]``,
-        see :meth:`_row_pairs`) is the pair-table row from data rank
-        ``a`` to data rank ``b`` of stage row ``x``, and ``stages[x]``
-        that row's pipeline stage (its message size).  Every reduction is a
-        minimum or maximum, exact in any order, and every term
+        ``slots`` holds the slots of whole stage rows in data-rank
+        order: ``(L,)`` from one permutation whose inverse is ``inv``,
+        or ``(K, L)`` from K permutations with ``(K, n)`` inverses
+        (then ``m`` counts the rows of all K); only two-slot nodes read
+        the inverses (``None`` otherwise).  ``blocks`` are the
+        slots' block positions in their permutation, and ``stages[x]``
+        is row ``x``'s pipeline stage (its message size).
+
+        A data rank *follows* when its node already appears earlier in
+        its row.  It reads its node leader's slot instead of its own —
+        an *effective leader slot* — so every pair it adds, ``(l, b)``
+        or ``(l, l)``, already lies in the leaders' ``min_over_group``
+        submatrix, diagonal included, and the minimum over all ``dp *
+        dp`` pairs of the row is the leaders' exactly.  The pairs and
+        the intra cells are read in one gather over the stacked table
+        and reduced in one segment-min; every reduction is a minimum or
+        maximum along the last axis, exact in any order, and every term
         ``num / ((k * bw) * GB)`` never rises with ``bw``, so each is
         applied to its minimum bandwidth.
         """
-        dp, ns = self.grid.dp, self._n_dp_stages
-        if self._slots_per_node == 1:
+        dp, ns, n = self.grid.dp, self._n_dp_stages, self._n_slots
+        spn = self._slots_per_node
+        rows = slots.reshape(-1, dp)
+        m = len(rows)
+        if spn == 1:
             # One member per node: no intra phase, every member leads.
-            return self._dp_num.take(stages) \
-                / self._ring_den.take(pairs).min(axis=1)
-        same = self._same_node.take(pairs)                  # (b, a, m)
-        # Leaders are each node's first member in data-rank order; a
-        # follower (an earlier same-node peer exists) reads the
-        # sentinel, so the minimum ranges over leader pairs only.
-        follower = (same & self._earlier).any(axis=0)       # (a, m)
-        if self._slots_per_node == 2:
-            # Each follower's diagonal cell holds its node's term.
-            cells = np.where(follower.T, pairs.diagonal(), self._sentinel)
-            intra = self._pair_num.take(stages)[:, None] \
-                / self._intra_den.take(cells, axis=0).min(axis=1)
+            pairs = (rows * n)[:, :, None] + rows[:, None]
+            return self._dp_num.take(stages) / np.minimum.reduceat(
+                self._ring_den.take(pairs.ravel()), _starts(m, dp * dp))
+        starts, row_starts = self._ring_starts if m == self._n_dp_stages \
+            else _ring_starts(m, dp, spn)
+        if spn == 2:
+            # The partner ``s ^ 1`` is the only other slot of the node:
+            # a data rank follows when the partner's block precedes its
+            # own in the stage, and then leads through the partner.  A
+            # follower's intra cell is its node's denominator, anyone
+            # else's the +inf column.
+            # (K permutations: row offsets into the flattened inverses.)
+            pos = inv.take(slots ^ 1 if inv.ndim == 1 else
+                           (slots ^ 1) + np.arange(0, inv.size, n)[:, None])
+            follow = self._follows.take(
+                (self._follow_base if blocks is self._ring_blocks
+                 else blocks * n) + pos)
+            lead = (slots ^ follow).reshape(m, dp)
+            cells = np.where(follow, slots, n).ravel() + n * n
         else:
-            # Per data rank: its node's population ``k`` and slowest
-            # link to a same-node peer; the member attaining the node
-            # minimum reproduces the reference's per-node term.
-            k = same.sum(axis=0)                            # (a, m)
-            rowmin = self._intra_bw.take(pairs, axis=0).min(axis=0)
-            intra = (self._intra_num.take(k * ns + stages)[..., None]
-                     / ((k[..., None] * rowmin) * GB)).max(axis=0)
-        lead = np.where(follower[None] | follower[:, None],
-                        self._sentinel, pairs)
-        # Two one-axis minima: faster than one over both at dp >= 16.
-        bw = self._ring_bw.take(lead, axis=0).min(axis=0).min(axis=0)
-        kn = dp - follower.sum(axis=0)                      # (m,)
-        inter = self._inter_num.take(kn * ns + stages)[:, None] \
-            / ((kn[:, None] * bw) * GB)
-        return (intra + inter).max(axis=1)
+            # Which pairs of the row share a node; a data rank's leader
+            # is the first rank of its node (``argmax`` finds the first
+            # ``True``, its own at the latest).  Per data rank, its intra
+            # cells are its links to every rank of the row, +inf off its
+            # node, so their minimum is its slowest same-node link
+            # (diagonal included).
+            pairs = (rows * n)[:, :, None] + rows[:, None]
+            same = self._same_node.take(pairs)
+            first = same.argmax(axis=2)
+            follow = first < self._ranks
+            lead = rows.take(first + row_starts[:, None])
+            cells = pairs.ravel() + n * n
+        mins = np.minimum.reduceat(self._ring.take(np.concatenate(
+            [((lead * n)[:, :, None] + lead[:, None]).ravel(), cells]),
+            axis=1), starts, axis=1)
+        if spn == 2:
+            intra = self._pair_num.take(stages) / mins[:, m:]
+        else:
+            # The member attaining its node's minimum link reproduces
+            # the node's term, so the row's maximum is the reference's.
+            k = np.add.reduce(same, axis=2, dtype=np.intp).ravel()
+            intra = np.maximum.reduceat(
+                self._intra_num.take(k * ns + stages.repeat(dp))
+                / ((k * mins[:, m:]) * _GB), row_starts, axis=1)
+        kn = dp - np.add.reduceat(follow.ravel(), row_starts, dtype=np.intp)
+        inter = self._inter_num.take(kn * ns + stages) \
+            / ((kn * mins[:, :m]) * _GB)
+        return np.maximum.reduce(intra + inter, axis=0)
 
     def _exposed_dp(self, stage_t: "list[float]", c_tp: float) -> float:
         """T_DP: the first stage's ring term, or a later stage's net of
-        its drain slack when that is larger."""
-        exposed = stage_t[0]
-        if len(stage_t) > 1:
-            backward_slack = 2.0 * c_tp / 3.0
-            adj = [t - x * backward_slack
-                   for x, t in enumerate(stage_t) if x]
-            exposed = max(exposed, max(adj))
-        return exposed / self._eff
+        its drain slack when that is larger.  The first stage's slack
+        is ``0 * slack == 0.0``, and ``t - 0.0 == t`` exactly."""
+        backward_slack = 2.0 * c_tp / 3.0
+        return max([t - x * backward_slack
+                    for x, t in enumerate(stage_t)]) / self._eff
 
     def _exposed_dp_rows(self, stage_t: np.ndarray, c_tp) -> np.ndarray:
         """:meth:`_exposed_dp` over rows of ``(..., ns)`` stage terms."""
@@ -600,8 +811,8 @@ class IncrementalEvaluator:
         slots = perm.reshape(pp, dp)
         self._chain_tot = self._chain_lanes(slots, slice(None)) \
             if pp > 1 else None
-        self._stage_t = k._ring_terms(k._row_pairs(slots[k._stages]),
-                                      k._stages) if dp > 1 else None
+        self._stage_t = k._stage_terms(perm, k._stages) if dp > 1 \
+            else None
         self.value = self._combine(self._t_tp, self._chain_tot,
                                    self._stage_t)
         return self.value
@@ -642,8 +853,7 @@ class IncrementalEvaluator:
                 touched // dp, minlength=pp)[:k._n_dp_stages])
             if stages.size:
                 stage_t = stage_t.copy()
-                stage_t[stages] = k._ring_terms(
-                    k._row_pairs(slots[stages]), stages)
+                stage_t[stages] = k._stage_terms(perm, stages)
 
         value = self._combine(t_tp, chain_tot, stage_t)
         self._cand = (t_tp, chain_tot, stage_t, value)

@@ -222,6 +222,8 @@ class _Family:
         self.labelnames = tuple(labelnames)
         self._lock = threading.Lock()
         self._children: "dict[tuple[str, ...], object]" = {}
+        # Validated calls by their ``(name, value)`` pairs: see labels().
+        self._by_call: "dict[tuple[tuple[str, str], ...], object]" = {}
         if not self.labelnames:
             self._children[()] = self._make_child()
 
@@ -229,7 +231,22 @@ class _Family:
         raise NotImplementedError
 
     def labels(self, **labelvalues):
-        """The child series for exactly this label assignment."""
+        """The child series for exactly this label assignment.
+
+        A repeat call finds its child by the call's own ``(name,
+        value)`` pairs, without validation or the lock.  Only a
+        validated call whose values are all ``str`` files its pairs
+        there, so wrong, missing or extra names never hit and always
+        reach the check below, and ``1``, ``1.0`` and ``True`` (equal
+        keys, distinct series) always take the checked path.
+        """
+        call = tuple(labelvalues.items())
+        try:
+            child = self._by_call.get(call)
+        except TypeError:               # an unhashable value: str() it
+            child = None
+        if child is not None:
+            return child
         if set(labelvalues) != set(self.labelnames):
             raise MetricsError(
                 f"{self.name} takes labels {self.labelnames}, "
@@ -240,6 +257,8 @@ class _Family:
             if child is None:
                 child = self._make_child()
                 self._children[key] = child
+            if all(type(value) is str for _, value in call):
+                self._by_call[call] = child
             return child
 
     def _default(self):

@@ -249,7 +249,7 @@ def differential_cases(draw):
                            min_size=1, max_size=3, unique=True))
     return (gpus_per_node, n_nodes, config, values, draw(st.booleans()),
             draw(st.sampled_from(OPTION_DRAWS)),
-            draw(st.integers(min_value=0, max_value=2**32 - 1)))
+            draw(st.integers(min_value=0, max_value=2**32 - 1)), [])
 
 
 def _single_hop_case(gpus_per_node, n_nodes, tp, recompute, schedule,
@@ -261,7 +261,21 @@ def _single_hop_case(gpus_per_node, n_nodes, tp, recompute, schedule,
                             global_batch=2 * dp * 2 * 2, recompute=recompute,
                             schedule=schedule)
     return (gpus_per_node, n_nodes, config, [1.5, 25.0, 300.0], True,
-            options, seed)
+            options, seed, [])
+
+
+def _two_slot_case(stages, finite_diag=False, options=OPTION_DRAWS[2],
+                   seed=0):
+    """Two slots per node — four 4-GPU nodes at ``tp == 2``, so node
+    ``v`` holds slots ``2v`` and ``2v + 1`` — scored on the permutation
+    whose stage rows are ``stages`` (slots in data-rank order), before
+    the drawn ones.  Every stage is a ring stage under the default
+    exposure-aware options."""
+    pp, dp = len(stages), len(stages[0])
+    config = ParallelConfig(pp=pp, tp=2, dp=dp, micro_batch=2,
+                            global_batch=2 * dp * 2 * pp)
+    return (4, 4, config, [1.5, 12.5, 25.0, 100.0, 300.0], finite_diag,
+            options, seed, [sum(stages, [])])
 
 
 class TestDifferential:
@@ -279,6 +293,20 @@ class TestDifferential:
                               OPTION_DRAWS[4], 21))
     @example(_single_hop_case(4, 4, 1, False, "1f1b", OPTION_DRAWS[2], 17))
     @example(_single_hop_case(2, 2, 2, True, "1f1b", OPTION_DRAWS[0], 4))
+    # Two-slot follower layouts.  A follower is a data rank whose
+    # partner slot sits earlier in its own stage: adjacent partners; a
+    # partner one block earlier but across the stage boundary (not a
+    # follower — on this matrix a kernel that took it for one scores a
+    # different stage-1 term that the drain slack does not hide);
+    # every node doubled, with followers after a gap; no node doubled;
+    # one ring stage (pp == 1); a finite diagonal.
+    @example(_two_slot_case([[0, 1, 2, 4], [3, 5, 6, 7]], seed=1))
+    @example(_two_slot_case([[0, 1, 4, 2], [3, 6, 7, 5]], seed=4))
+    @example(_two_slot_case([[0, 2, 1, 3], [6, 4, 7, 5]], seed=3))
+    @example(_two_slot_case([[6, 4, 2, 0], [1, 7, 3, 5]], seed=4))
+    @example(_two_slot_case([[0, 2, 1, 4, 6, 3, 5, 7]], seed=5))
+    @example(_two_slot_case([[3, 2, 5, 4], [0, 7, 1, 6]], finite_diag=True,
+                            seed=6))
     def test_all_paths_match_reference(self, case):
         from repro.cluster.topology import (
             ClusterSpec,
@@ -289,7 +317,7 @@ class TestDifferential:
         from repro.units import GIB
 
         gpus_per_node, n_nodes, config, values, finite_diag, options, \
-            seed = case
+            seed, layouts = case
         node = NodeSpec(gpus_per_node=gpus_per_node,
                         gpu=GpuSpec("G", memory_bytes=4 * GIB,
                                     peak_flops=10e12),
@@ -306,7 +334,8 @@ class TestDifferential:
         kernel = LatencyKernel(model, config, cluster, bw, profile, options)
         grid = kernel.grid
 
-        perms = np.stack([rng.permutation(grid.n_blocks) for _ in range(3)])
+        perms = np.stack([np.asarray(p) for p in layouts]
+                         + [rng.permutation(grid.n_blocks) for _ in range(3)])
         # One small move off the bound permutation, so the evaluator
         # recomputes only some of its components.
         moved = perms[0].copy()

@@ -160,7 +160,8 @@ def test_drift_replan(tiny_cluster, tiny_network, toy_model):
 # (pp4-tp4-dp8, the costliest cold-search grid), four (a tp2 grid) and
 # one slot per node with pp == 1, whose value is the same for every
 # permutation but whose accepted count and portfolio still follow the
-# trajectory; pp2-tp4-dp16 reads its pipeline chains as single hops.
+# trajectory; pp2-tp4-dp16 reads its pipeline chains as single hops,
+# and pp8-tp4-dp4 spreads two-slot nodes over eight short ring stages.
 # ``runners`` are the portfolio entries after the best.
 
 TABLE1_ANNEALS = [
@@ -226,6 +227,22 @@ TABLE1_ANNEALS = [
                  [[11, 22, 23, 4, 10, 15, 12, 5, 26, 13, 8, 17, 16, 9, 27, 14,
                    21, 18, 29, 19, 25, 30, 0, 24, 28, 2, 7, 3, 31, 20, 1, 6],
                   "0x1.5deb3cd0312b1p+0"]]},
+    {"grid": (8, 4, 4),
+     "seed": 16,
+     "block_to_slot": [4, 5, 30, 27, 9, 28, 19, 13, 18, 29, 6, 16, 24, 1, 8,
+                       23, 10, 0, 21, 12, 14, 7, 17, 22, 11, 26, 31, 2, 15,
+                       20, 25, 3],
+     "value": "0x1.81762dca23ad3p+0",
+     "accepted": 1884,
+     "history": 15,
+     "runners": [[[4, 5, 30, 27, 9, 28, 19, 13, 18, 29, 6, 16, 24, 1, 8, 23,
+                   10, 0, 21, 12, 14, 7, 17, 11, 26, 22, 31, 2, 15, 20, 25,
+                   3],
+                  "0x1.81762dca23ad3p+0"],
+                 [[12, 29, 13, 28, 26, 22, 23, 21, 15, 14, 9, 20, 0, 11, 6,
+                   31, 10, 24, 30, 16, 18, 7, 5, 27, 3, 1, 25, 17, 2, 19, 8,
+                   4],
+                  "0x1.823374def03f6p+0"]]},
 ]
 
 #: The elastic polish's shape: the quarter-budget (750-iteration) anneal

@@ -61,6 +61,32 @@ class TestCounter:
         with pytest.raises(MetricsError, match="select a series"):
             counter.inc()
 
+    def test_label_names_checked_on_every_call(self):
+        """A repeat call finds its series fast, but never skips the
+        label-name check."""
+        counter = MetricsRegistry().counter("r_total", "r",
+                                            ("cluster", "code"))
+        child = counter.labels(cluster="a", code="200")
+        assert counter.labels(cluster="a", code="200") is child
+        assert counter.labels(code="200", cluster="a") is child
+        for bad in ({"cluster": "a"}, {"nope": "a", "code": "200"},
+                    {"cluster": "a", "code": "200", "extra": "x"}, {}):
+            for _ in range(3):
+                with pytest.raises(MetricsError, match="takes labels"):
+                    counter.labels(**bad)
+
+    def test_label_values_key_by_their_text(self):
+        """Values are series by ``str()``: ``1`` and ``"1"`` share one,
+        ``True`` (equal to ``1`` as a key) keeps its own."""
+        metrics = MetricsRegistry()
+        counter = metrics.counter("c_total", "c", ("code",))
+        for value in ("1", 1, True, 1, "1", True, ["x"], ["x"]):
+            counter.labels(code=value).inc()
+        samples = parse_prometheus(metrics.render())
+        assert metric_value(samples, "c_total", code="1") == 4
+        assert metric_value(samples, "c_total", code="True") == 2
+        assert metric_value(samples, "c_total", code="['x']") == 2
+
     def test_pull_bound_counter_reads_source_at_scrape(self):
         metrics = MetricsRegistry()
         source = {"n": 0}
