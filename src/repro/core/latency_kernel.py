@@ -38,8 +38,10 @@ monotone for ``bw >= 0``, so ``f`` never rises with ``bw`` and
 ``max_i f(bw_i) == f(min_i bw_i)`` exactly.  The kernel reduces the
 gathered bandwidths first and applies ``f`` once; where ``k`` is fixed
 it tabulates the denominator ``(k * bw) * GB`` itself, whose minimum
-is the minimum bandwidth's.  It refuses a matrix with a NaN, zero or
-negative entry through the reference's own check
+is the minimum bandwidth's, and on whole-node grids, where nothing
+else varies, it tabulates ``f(bw)`` and takes the maximum.  It refuses
+a matrix with a NaN, zero or negative entry through the reference's
+own check
 (:func:`~repro.core.latency_model.refuse_unusable_bandwidth`), so both
 paths answer a failed measurement or a dead link with the same
 ``ValueError``.  With ``pp <= 2`` the straggler sees every slot, so its
@@ -47,31 +49,36 @@ term is a compile-time constant; with ``pp == 1`` and whole-node slots
 the ring sees every link too, and the kernel returns the value scored
 once at compile time.
 
-**The ring term.** One routine, :meth:`LatencyKernel._ring_terms`,
-serves :meth:`~LatencyKernel.evaluate_perm`,
-:meth:`~LatencyKernel.evaluate_batch` and :class:`IncrementalEvaluator`.
-A *follower* is a data rank whose node already appeared earlier in its
-stage; the reference's leaders are the others.  A follower reads its
-leader's slot — an *effective leader slot* — so the pairs it adds,
-``(l, b)`` and ``(l, l)``, already lie in the leaders'
-``min_over_group`` submatrix, diagonal included (finite or +inf): the
-minimum over all ``dp * dp`` pairs of the stage is the leaders'
-exactly, and the leader count ``kn`` is ``dp`` less the followers.  On
-two-slot nodes the other slot of ``s``'s node is ``s ^ 1``: a rank
-follows when its partner's block precedes its own in the same stage,
-found through the inverse permutation and a shape-only position table,
-and then leads through the partner's slot.  Its node's intra phase
-reads a per-slot node-denominator table, whose +inf column every
-non-follower reads.  The pair and intra cells come out of one gather
-over a stacked table and one ``np.minimum.reduceat``.
+**The ring term.** One routine per slot geometry serves
+:meth:`~LatencyKernel.evaluate_perm`,
+:meth:`~LatencyKernel.evaluate_batch` and :class:`IncrementalEvaluator`:
+:meth:`LatencyKernel._ring_terms` on nodes of two or more slots, and
+on whole-node grids the ring segments of the stacked term table read
+by :meth:`LatencyKernel._stack_max` (below).  A *follower* is a data
+rank whose node already appeared earlier in its stage; the reference's
+leaders are the others.  A follower reads its leader's slot — an
+*effective leader slot* — so the pairs it adds, ``(l, b)`` and ``(l,
+l)``, already lie in the leaders' ``min_over_group`` submatrix,
+diagonal included (finite or +inf): the minimum over all ``dp * dp``
+pairs of the stage is the leaders' exactly, and the leader count
+``kn`` is ``dp`` less the followers.  On two-slot nodes the other
+slot of ``s``'s node is ``s ^ 1``: a rank follows when its partner's
+block precedes its own in the same stage, found through the inverse
+permutation and a shape-only position table, and then leads through
+the partner's slot.  Its node's intra phase reads a per-slot
+node-denominator table, whose +inf column every non-follower reads.
+The pair and intra cells come out of one gather over a stacked table
+and one ``np.minimum.reduceat``.
 
 **Whole-node grids.** With one slot per node every member leads and
 there is no intra phase, so every term the permutation moves is a
-minimum: the straggler bandwidths when ``pp > 2``, the single-hop
-chains when ``pp == 2`` (negated: ``max(h) == -min(-h)`` exactly) and
-each stage's ring denominators.  They sit in one stacked table and come
-out of one fancy gather and one ``np.minimum.reduceat``; chains with
-``pp > 2`` keep their sequential ``add.accumulate``.
+maximum over gathered entries of a tabulated value: the straggler's
+``C + T_TP_com`` per slot when ``pp > 2``, the single-hop chains when
+``pp == 2`` and each stage's ring term per slot pair.  They sit in one
+stacked table, laid out once per shape, and come out of one fancy
+gather and one ``np.maximum.reduceat``; the evaluator's touched stages
+read their own segments of it.  Chains with ``pp > 2`` keep their
+sequential ``add.accumulate``.
 
 **Single-hop chains.** With ``pp == 2`` every pipeline chain of
 Eq. (5) is one hop: a lane's sum is its hop, and ``t_pp`` is the
@@ -204,10 +211,13 @@ class _Geometry(NamedTuple):
     follow_base: np.ndarray
     ranks: np.ndarray
     same_node: "np.ndarray | None"
-    min_src: "np.ndarray | None"
-    min_dst: "np.ndarray | None"
-    min_off: "np.ndarray | None"
-    min_starts: "np.ndarray | None"
+    stack_parts: tuple
+    stack_src: "np.ndarray | None"
+    stack_dst: "np.ndarray | None"
+    stack_off: "np.ndarray | None"
+    stack_starts: "np.ndarray | None"
+    ring_src: "np.ndarray | None"
+    ring_dst: "np.ndarray | None"
 
 
 @functools.lru_cache(maxsize=256)
@@ -222,11 +232,15 @@ def _geometry(pp: int, dp: int, slots_per_node: int, ns: int,
       in ``i``'s stage, and its row offsets ``i * n`` per ring block;
     * the data ranks, and for larger nodes which slot pairs share a
       node;
-    * for whole-node grids, the stacked min-gather (see
-      :meth:`LatencyKernel._whole_node_tables`): the source and peer
-      block of every entry, its table offset, and the segment starts,
-      in the order straggler (when ``straggler``), single-hop chains
-      (``pp == 2``), ring stages.
+    * for whole-node grids, the layout of the stacked term table (see
+      :meth:`LatencyKernel._whole_node_tables`), decided here alone:
+      ``stack_parts`` names its ``n * n`` tables in order — ``"tp"``
+      (the straggler, when ``straggler``), ``"hop"`` (single-hop
+      chains, ``pp == 2``), then ``"ring"`` once per ring stage — and
+      each table is read by one segment, whose entries' source and
+      peer blocks, table offsets and segment starts follow that order;
+      ``ring_src`` and ``ring_dst`` are the ring segments' blocks, one
+      row per stage.
 
     The tables are shared: never written.
     """
@@ -243,28 +257,29 @@ def _geometry(pp: int, dp: int, slots_per_node: int, ns: int,
     elif slots_per_node > 2:
         node = np.arange(n) // slots_per_node
         same_node = (node[:, None] == node[None, :]).ravel()
-    src = dst = off = starts = None
+    parts = []                  # per table: (name, source, peer blocks)
+    src = dst = off = starts = ring_src = ring_dst = None
     if slots_per_node == 1:
-        parts = []                  # per table: its (source, peer) segments
         if straggler:
             # The straggler table sits on the diagonal, ``s * (n + 1)``.
-            parts.append([(tp_blocks, tp_blocks)])
+            parts.append(("tp", tp_blocks, tp_blocks))
         if pp == 2:
-            parts.append([(rows[0], rows[1])])
+            parts.append(("hop", rows[0], rows[1]))
         if dp > 1:
-            parts.append([(np.repeat(r, dp), np.tile(r, dp))
-                          for r in rows[:ns]])
-        segs = [(a, b, t * n * n) for t, part in enumerate(parts)
-                for a, b in part]
-        if segs:
-            src = np.concatenate([a for a, _, _ in segs])
-            dst = np.concatenate([b for _, b, _ in segs])
-            off = np.concatenate([np.full(len(a), t) for a, _, t in segs])
-            starts = np.cumsum([0] + [len(a) for a, _, _ in segs[:-1]])
+            ring_src = rows[:ns].repeat(dp, axis=1)
+            ring_dst = np.tile(rows[:ns], dp)
+            parts += [("ring", a, b) for a, b in zip(ring_src, ring_dst)]
+        if parts:
+            src = np.concatenate([a for _, a, _ in parts])
+            dst = np.concatenate([b for _, _, b in parts])
+            off = np.concatenate([np.full(len(a), t * n * n)
+                                  for t, (_, a, _) in enumerate(parts)])
+            starts = np.cumsum([0] + [len(a) for _, a, _ in parts[:-1]])
     return _Geometry(
         tp_blocks, np.isin(np.arange(n), tp_blocks), np.arange(ns),
         ring_blocks, follows, ring_blocks * n, np.arange(dp), same_node,
-        src, dst, off, starts)
+        tuple(name for name, _, _ in parts), src, dst, off, starts,
+        ring_src, ring_dst)
 
 
 class LatencyKernel:
@@ -309,9 +324,6 @@ class LatencyKernel:
         n = self._n_slots = grid.n_blocks
         spn = self._slots_per_node = cluster.gpus_per_node // tp
         ns = self._n_dp_stages = pp if options.dp_exposure_aware else 1
-        geo = _geometry(pp, dp, spn, ns, pp > 2 and tp > 1)
-        self._tp_blocks, self._tp_touch, self._stages, self._ring_blocks = \
-            geo.tp_blocks, geo.tp_touch, geo.stages, geo.ring_blocks
         self._iota = np.arange(n)
 
         # ---- permutation-independent scalars -------------------------
@@ -355,6 +367,9 @@ class LatencyKernel:
             self._c_tp = self._c
         elif pp <= 2:
             self._c_tp = self._c_tp_at(float(self._tp_min_bw.min()))
+        geo = _geometry(pp, dp, spn, ns, self._c_tp is None)
+        self._tp_blocks, self._tp_touch, self._stages, self._ring_blocks = \
+            geo.tp_blocks, geo.tp_touch, geo.stages, geo.ring_blocks
 
         # ``ring[y, s1 * n + s2]``: bandwidth between tensor rank ``y``'s
         # GPUs of slots ``s1`` and ``s2`` — the table the pipeline
@@ -391,16 +406,18 @@ class LatencyKernel:
 
     def _ring_tables(self, ring: np.ndarray, msg: "list",
                      geo: _Geometry) -> None:
-        """The gather tables of the ring term (see :meth:`_ring_terms`).
+        """The gather tables of the ring term (see :meth:`_ring_terms`
+        and :meth:`_whole_node_tables`).
 
         Numerators are looked up by population: ``_inter_num[k * ns +
         x]`` is stage ``x``'s inter-node numerator for ``k`` leaders
         and ``_intra_num`` likewise for a node of ``k`` members, each
         the reference's own ``(c * (k - 1)) * msg`` product.  Where the
-        population is fixed (``dp`` leaders of whole-node slots, two
-        members of a two-slot node) the denominator ``(k * bw) * GB``
-        is tabulated instead of the bandwidth: it is monotone in
-        ``bw``, so its minimum is the minimum bandwidth's.
+        population is fixed, a table holds more than the bandwidth: the
+        denominator ``(k * bw) * GB`` for the two members of a two-slot
+        node (monotone in ``bw``, so its minimum is the minimum
+        bandwidth's), and the whole term for the ``dp`` leaders of
+        whole-node slots (its maximum is the term of that minimum).
         """
         dp, tp, ns, n = self.grid.dp, self.grid.tp, self._n_dp_stages, \
             self._n_slots
@@ -412,9 +429,11 @@ class LatencyKernel:
         if spn == 1:
             # Whole-node slots: no intra phase, every member leads, and
             # the worst tensor rank has the slowest pair — reduce the
-            # table over tensor ranks up front.
-            self._dp_num = self._inter_num[dp * ns:(dp + 1) * ns]
-            self._ring_den = (dp * ring.min(axis=0)) * GB
+            # table over tensor ranks up front, and tabulate each
+            # stage's term itself per slot pair, ``(ns, n * n)`` (it
+            # joins the stacked table of :meth:`_whole_node_tables`).
+            self._ring_term = self._inter_num[dp * ns:(dp + 1) * ns, None] \
+                / ((dp * ring.min(axis=0)) * GB)
             return
         # Two-slot and larger nodes stack an intra block after the
         # ``n * n`` pair block, so that one gather and one segment-min
@@ -440,37 +459,46 @@ class LatencyKernel:
         self._ring_starts = _ring_starts(ns, dp, spn)
 
     def _whole_node_tables(self, geo: _Geometry) -> None:
-        """One stacked table of every min-term of a whole-node grid.
+        """One stacked table of every term of a whole-node grid.
 
         Each term of Eqs. (3)-(6) that a whole-node grid reads is a
-        minimum over gathered entries (see :meth:`evaluate_perm`): the
-        straggler bandwidths when ``pp > 2``, the negated single-hop
-        chains when ``pp == 2`` (``max(h) == -min(-h)`` exactly) and
-        the ring denominators per stage.  Stacked as ``n * n`` blocks
-        (the straggler's on the diagonal), every entry is read at
-        ``perm[src] * n + perm[dst] + off`` from the positions of
-        :func:`_geometry`.
+        maximum over gathered entries of a function that never falls
+        as the bandwidth falls: the straggler's ``C + T_TP_com`` per
+        slot when ``pp > 2``, the single-hop chains when ``pp == 2``,
+        and per ring stage ``num / ((dp * bw) * GB)`` per slot pair.
+        Tabulated as ``n * n`` tables (the straggler's on the diagonal,
+        ``-inf`` elsewhere) in the order of ``geo.stack_parts``, each is
+        read by one segment of :meth:`_stack_max`; ``_tp_at``,
+        ``_hop_at`` and ``_ring_at`` are those segments' indices
+        (``None`` when absent; the ``ns`` ring segments come last).
         """
-        self._mins = None
-        if geo.min_src is None:
+        self._stack = None
+        at = {}
+        for i, part in enumerate(geo.stack_parts):
+            at.setdefault(part, i)
+        self._tp_at, self._hop_at, self._ring_at = \
+            at.get("tp"), at.get("hop"), at.get("ring")
+        if not at:
             return
-        n, pp = self._n_slots, self.grid.pp
-        parts = []
-        if self.grid.tp > 1 and pp > 2:
-            straggler = np.full(n * n, np.inf)
-            straggler[::n + 1] = self._tp_min_bw
-            parts.append(straggler)
-        if pp == 2:
-            parts.append(-self._pp_hop)
-        if self.grid.dp > 1:
-            parts.append(self._ring_den)
-        self._mins = np.concatenate(parts)
-        if self.grid.dp > 1:
-            # The ring block of the same table (see :meth:`_ring_terms`).
-            self._ring_den = self._mins[-n * n:]
-            self._dp_num_list = self._dp_num.tolist()
-        self._min_src, self._min_dst, self._min_off, self._min_starts = \
-            geo.min_src, geo.min_dst, geo.min_off, geo.min_starts
+        n = self._n_slots
+        tables = []
+        ring = iter(self._ring_term) if self._ring_at is not None else None
+        for part in geo.stack_parts:
+            if part == "tp":
+                table = np.full(n * n, -np.inf)
+                table[::n + 1] = self._c_tp_at(self._tp_min_bw)
+            elif part == "hop":
+                table = self._pp_hop
+            else:
+                table = next(ring)
+            tables.append(table)
+        self._stack = np.concatenate(tables)
+        if ring is not None:
+            del self._ring_term         # now the stack's ring tables
+            self._ring_src, self._ring_dst = geo.ring_src, geo.ring_dst
+        self._stack_src, self._stack_dst, self._stack_off, \
+            self._stack_starts = geo.stack_src, geo.stack_dst, \
+            geo.stack_off, geo.stack_starts
 
     # ------------------------------------------------------------- evaluation
 
@@ -493,24 +521,24 @@ class LatencyKernel:
             return self._constant
         pp, dp = self.grid.pp, self.grid.dp
         perm = np.asarray(perm)
-        scaled = perm * self._n_slots
         # C + T_TP_com: the straggler TP group sets the pace — the
         # slowest slot, since the term falls as bandwidth rises.
         c_tp = self._c_tp
         t_pp = t_dp = 0.0
+        stage_t = None
         if self._slots_per_node == 1:
-            # Whole-node slots: every min-term in one gather and one
-            # segment-min; short lists reduce faster as Python floats.
-            mins = [] if self._mins is None else np.minimum.reduceat(
-                self._mins.take(scaled.take(self._min_src)
-                                + perm.take(self._min_dst) + self._min_off),
-                self._min_starts).tolist()
-            if c_tp is None:
-                c_tp = self._c_tp_at(mins.pop(0))
-            if pp == 2:
-                t_pp = -mins.pop(0)
-            stage_t = [num / den for num, den in zip(
-                self._dp_num_list, mins)] if dp > 1 else None
+            # Whole-node slots: every term in one gather and one
+            # segment-max.
+            if self._stack is not None:
+                terms = self._stack_max(
+                    perm, self._stack_src, self._stack_dst,
+                    self._stack_off, self._stack_starts)
+                if self._tp_at is not None:
+                    c_tp = terms.item(self._tp_at)
+                if self._hop_at is not None:
+                    t_pp = terms.item(self._hop_at)
+                if self._ring_at is not None:
+                    stage_t = terms[self._ring_at:].tolist()
         else:
             if c_tp is None:
                 c_tp = self._c_tp_at(min(self._tp_min_bw.take(
@@ -518,9 +546,8 @@ class LatencyKernel:
             # A single-hop chain (``pp == 2``) is its hop: one gather
             # of ``dp`` entries of the reduced table, no sum.
             if pp == 2:
-                t_pp = max(self._pp_hop.take(scaled[:-dp]
+                t_pp = max(self._pp_hop.take(perm[:dp] * self._n_slots
                                              + perm[dp:]).tolist())
-            stage_t = None
             if dp > 1:
                 stage_t = self._ring_terms(
                     perm[:len(self._ring_blocks)],
@@ -531,7 +558,8 @@ class LatencyKernel:
         # floating-point sum matches the reference's sequential
         # accumulation exactly (unlike ``np.sum``'s pairwise blocking).
         if pp > 2:
-            hop = self._pp_hop.take(scaled[:-dp] + perm[dp:], axis=0)
+            hop = self._pp_hop.take(perm[:-dp] * self._n_slots
+                                    + perm[dp:], axis=0)
             t_pp = max(np.add.accumulate(hop.reshape(pp - 1, -1))[-1]
                        .tolist())
         # Eq. (6): hierarchical-ring all-reduce per stage, worst tensor
@@ -568,24 +596,17 @@ class LatencyKernel:
         c_tp = None if self._c_tp is None else np.full(k, self._c_tp)
         t_pp = t_dp = 0.0
         if self._slots_per_node == 1:
-            if self._mins is not None:
-                idx = (perms * n).take(self._min_src, axis=1) \
-                    + perms.take(self._min_dst, axis=1) + self._min_off
-                width = idx.shape[1]
-                mins = np.minimum.reduceat(
-                    self._mins.take(idx.ravel()),
-                    (np.arange(0, k * width, width)[:, None]
-                     + self._min_starts).ravel()).reshape(k, -1)
-                col = 0
-                if c_tp is None:
-                    c_tp = self._c_tp_at(mins[:, 0])
-                    col = 1
-                if pp == 2:
-                    t_pp = -mins[:, col]
-                    col += 1
-                if dp > 1:
-                    t_dp = self._exposed_dp_rows(
-                        self._dp_num / mins[:, col:], c_tp)
+            if self._stack is not None:
+                terms = self._stack_max(
+                    perms, self._stack_src, self._stack_dst,
+                    self._stack_off, self._stack_starts)
+                if self._tp_at is not None:
+                    c_tp = terms[:, self._tp_at]
+                if self._hop_at is not None:
+                    t_pp = terms[:, self._hop_at]
+                if self._ring_at is not None:
+                    t_dp = self._exposed_dp_rows(terms[:, self._ring_at:],
+                                                 c_tp)
         else:
             if c_tp is None:
                 c_tp = self._c_tp_at(self._tp_min_bw.take(
@@ -628,19 +649,49 @@ class LatencyKernel:
     def _stage_terms(self, perm: np.ndarray,
                      stages: np.ndarray) -> np.ndarray:
         """Ring terms of the stages ``stages`` of one permutation."""
+        dp = self.grid.dp
+        if self._slots_per_node == 1:
+            # The stage's ring segments of the stacked table.
+            width = dp * dp
+            return self._stack_max(
+                perm, self._ring_src[stages].ravel(),
+                self._ring_dst[stages].ravel(),
+                ((self._ring_at + stages) * self._n_slots ** 2)
+                .repeat(width), _starts(len(stages), width))
         if stages is self._stages:
             blocks = self._ring_blocks
             slots = perm[:len(blocks)]
         else:
-            dp = self.grid.dp
             blocks = (stages[:, None] * dp + self._iota[:dp]).ravel()
             slots = perm.take(blocks)
         inv = perm.argsort() if self._slots_per_node == 2 else None
         return self._ring_terms(slots, inv, blocks, stages)
 
+    def _stack_max(self, perms: np.ndarray, src: np.ndarray,
+                   dst: np.ndarray, off: np.ndarray,
+                   starts: np.ndarray) -> np.ndarray:
+        """Segment maxima of a whole-node grid's stacked term table.
+
+        Entry ``i`` reads ``perm[src[i]] * n + perm[dst[i]] + off[i]``
+        of the table of :meth:`_whole_node_tables`, and ``starts`` are
+        the segment starts.  ``perms`` is one permutation, or a ``(K,
+        n)`` batch with one row of maxima per permutation.
+        """
+        n = self._n_slots
+        if perms.ndim == 1:
+            return np.maximum.reduceat(self._stack.take(
+                perms.take(src) * n + perms.take(dst) + off), starts)
+        idx = perms.take(src, axis=1) * n + perms.take(dst, axis=1) + off
+        k, width = idx.shape
+        return np.maximum.reduceat(
+            self._stack.take(idx.ravel()),
+            (np.arange(0, k * width, width)[:, None] + starts).ravel()) \
+            .reshape(k, -1)
+
     def _ring_terms(self, slots: np.ndarray, inv: "np.ndarray | None",
                     blocks: np.ndarray, stages: np.ndarray) -> np.ndarray:
-        """Ring terms of ``m`` stage rows, shape ``(m,)``.
+        """Ring terms of ``m`` stage rows on nodes of two or more slots,
+        shape ``(m,)``.
 
         ``slots`` holds the slots of whole stage rows in data-rank
         order: ``(L,)`` from one permutation whose inverse is ``inv``,
@@ -666,11 +717,6 @@ class LatencyKernel:
         spn = self._slots_per_node
         rows = slots.reshape(-1, dp)
         m = len(rows)
-        if spn == 1:
-            # One member per node: no intra phase, every member leads.
-            pairs = (rows * n)[:, :, None] + rows[:, None]
-            return self._dp_num.take(stages) / np.minimum.reduceat(
-                self._ring_den.take(pairs.ravel()), _starts(m, dp * dp))
         starts, row_starts = self._ring_starts if m == self._n_dp_stages \
             else _ring_starts(m, dp, spn)
         if spn == 2:

@@ -222,8 +222,6 @@ class _Family:
         self.labelnames = tuple(labelnames)
         self._lock = threading.Lock()
         self._children: "dict[tuple[str, ...], object]" = {}
-        # Validated calls by their ``(name, value)`` pairs: see labels().
-        self._by_call: "dict[tuple[tuple[str, str], ...], object]" = {}
         if not self.labelnames:
             self._children[()] = self._make_child()
 
@@ -233,33 +231,29 @@ class _Family:
     def labels(self, **labelvalues):
         """The child series for exactly this label assignment.
 
-        A repeat call finds its child by the call's own ``(name,
-        value)`` pairs, without validation or the lock.  Only a
-        validated call whose values are all ``str`` files its pairs
-        there, so wrong, missing or extra names never hit and always
-        reach the check below, and ``1``, ``1.0`` and ``True`` (equal
-        keys, distinct series) always take the checked path.
+        An existing child is found by its label-value tuple without
+        the lock: a call of the right length whose every name is known
+        builds its key, and only a missing child takes the lock to
+        create one.  Wrong, missing or extra names never build a key,
+        so they reach the name check on every call.
         """
-        call = tuple(labelvalues.items())
-        try:
-            child = self._by_call.get(call)
-        except TypeError:               # an unhashable value: str() it
-            child = None
-        if child is not None:
-            return child
-        if set(labelvalues) != set(self.labelnames):
-            raise MetricsError(
-                f"{self.name} takes labels {self.labelnames}, "
-                f"got {tuple(labelvalues)}")
-        key = tuple(str(labelvalues[name]) for name in self.labelnames)
-        with self._lock:
-            child = self._children.get(key)
-            if child is None:
-                child = self._make_child()
-                self._children[key] = child
-            if all(type(value) is str for _, value in call):
-                self._by_call[call] = child
-            return child
+        if len(labelvalues) == len(self.labelnames):
+            try:
+                key = tuple(str(labelvalues[name])
+                            for name in self.labelnames)
+            except KeyError:
+                pass
+            else:
+                child = self._children.get(key)
+                if child is None:
+                    with self._lock:
+                        child = self._children.get(key)
+                        if child is None:
+                            child = self._children[key] = self._make_child()
+                return child
+        raise MetricsError(
+            f"{self.name} takes labels {self.labelnames}, "
+            f"got {tuple(labelvalues)}")
 
     def _default(self):
         if self.labelnames:

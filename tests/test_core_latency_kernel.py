@@ -32,6 +32,7 @@ from repro.core.latency_kernel import (
 )
 from repro.core.latency_model import (
     LatencyModelOptions,
+    _stage_dp_time,
     latency_with_options,
     pipette_latency,
 )
@@ -278,6 +279,15 @@ def _two_slot_case(stages, finite_diag=False, options=OPTION_DRAWS[2],
             options, seed, [sum(stages, [])])
 
 
+def _whole_node_case(seed):
+    """One slot per node — six 2-GPU nodes at ``tp == 2`` — in three
+    ring stages of two data ranks, on a five-valued matrix."""
+    config = ParallelConfig(pp=3, tp=2, dp=2, micro_batch=2,
+                            global_batch=2 * 2 * 2 * 3)
+    return (2, 6, config, [1.5, 12.5, 25.0, 100.0, 300.0], False,
+            OPTION_DRAWS[2], seed, [])
+
+
 class TestDifferential:
     """Every evaluation path equals the reference, bit for bit."""
 
@@ -307,6 +317,9 @@ class TestDifferential:
     @example(_two_slot_case([[0, 2, 1, 4, 6, 3, 5, 7]], seed=5))
     @example(_two_slot_case([[3, 2, 5, 4], [0, 7, 1, 6]], finite_diag=True,
                             seed=6))
+    # Whole-node ring stages whose terms all differ, so that a stage
+    # read in place of another shows.
+    @example(_whole_node_case(1))
     def test_all_paths_match_reference(self, case):
         from repro.cluster.topology import (
             ClusterSpec,
@@ -345,13 +358,27 @@ class TestDifferential:
         batch = kernel.evaluate_batch(perms)
         inc = IncrementalEvaluator(kernel)
         inc.bind(perms[0])
+        ring_stages = range(kernel._n_dp_stages) if grid.dp > 1 else ()
         for perm, row in zip(perms, batch):
-            ref = latency_with_options(model, config,
-                                       Mapping(grid, cluster, perm), bw,
+            mapping = Mapping(grid, cluster, perm)
+            ref = latency_with_options(model, config, mapping, bw,
                                        profile, options)
             assert kernel.evaluate_perm(perm) == ref
             assert row == ref
             assert inc.propose(perm) == ref
+            # Each stage's ring term on its own, so that the drain
+            # slack cannot hide a wrong later-stage term: all stages at
+            # once, each stage alone, and the evaluator's partials
+            # (recomputed for the touched stages, kept for the rest).
+            stage_ref = [_stage_dp_time(model, config, mapping, bw, s)
+                         for s in ring_stages]
+            if stage_ref:
+                assert kernel._stage_terms(
+                    perm, kernel._stages).tolist() == stage_ref
+                for s in ring_stages:
+                    assert kernel._stage_terms(
+                        perm, np.array([s])).tolist() == [stage_ref[s]]
+                assert inc._cand[2].tolist() == stage_ref
 
 
 class TestKernelValidation:
