@@ -88,23 +88,25 @@ time and gathers ``dp`` entries of it — no ``(dp, tp)`` gather, no
 ``add.accumulate``.
 
 **Costs.** Per ``evaluate_perm`` call on the 16-node Table-1 presets,
-best of seven interleaved rounds of the measurement that
+best of fourteen interleaved rounds (two runs of seven) of the
+measurement that
 ``benchmarks/bench_annealing_kernel.py::test_preset_grid_table``
 prints (one core of a shared 2-vCPU x86 VM), before and after the
-effective leader slots and the whole-node stacked gather:
+effective leader slots and the whole-node stacked table:
 
-==============  =========  =========
-grid            mid-range  high-end
-==============  =========  =========
-pp4-tp8-dp4     26 → 23    13 → 11
-pp2-tp8-dp8     9.2 → 7.1  8.9 → 7.0
-pp8-tp8-dp2     13 → 11    13 → 12
-pp8-tp4-dp4     39 → 35    39 → 36
-pp4-tp4-dp8     41 → 36    43 → 35
-pp2-tp4-dp16    43 → 32    41 → 31
-==============  =========  =========
+==============  ===========  ===========
+grid            mid-range    high-end
+==============  ===========  ===========
+pp4-tp8-dp4     14.5 → 11.9  14.2 → 13.0
+pp2-tp8-dp8     9.5 → 7.1    10.7 → 7.4
+pp8-tp8-dp2     15.3 → 12.2  16.3 → 14.1
+pp8-tp4-dp4     42.9 → 39.1  43.6 → 35.9
+pp4-tp4-dp8     44.4 → 36.7  46.5 → 37.4
+pp2-tp4-dp16    45.9 → 33.9  44.9 → 32.0
+==============  ===========  ===========
 
-(µs; pp1-tp8-dp16 is a constant, 0.1 µs.)
+(µs; pp1-tp8-dp16 is a constant, 0.1 µs.  Single rounds on this host
+varied up to twofold, so only the best rounds compare.)
 
 **Equivalence guarantee.** The kernel is not merely close to the
 reference model: every floating-point expression mirrors the reference
