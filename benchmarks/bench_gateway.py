@@ -88,7 +88,7 @@ def _serial_submission(world, model):
 def _concurrent_submission(world, model):
     """Fresh caches, same questions, one gateway over per-cluster lanes
     and the shared process pool.  Returns (seconds, plans, workers)."""
-    with CandidateExecutor(kind="process") as executor:
+    with CandidateExecutor() as executor:
         registry = ClusterRegistry(executor=executor)
         for name, cluster, bandwidth, seed in world:
             registry.add_cluster(name, cluster, bandwidth, profile_seed=seed)

@@ -85,7 +85,7 @@ def test_parallel_candidate_evaluation(benchmark):
             _profile(model, cluster), None,
             options=OPTIONS).search(GLOBAL_BATCH)
         serial_s = time.perf_counter() - t0
-        with CandidateExecutor(kind="process") as executor:
+        with CandidateExecutor() as executor:
             t0 = time.perf_counter()
             parallel = PipetteConfigurator(
                 cluster, model, bandwidth,

@@ -18,11 +18,11 @@ Steps 2-4 are the stages :meth:`PipetteConfigurator.candidates`,
 and the template library (:mod:`repro.core.templates`) both compose
 them.  The per-candidate work of steps 3-4 is factored into *pure, picklable
 work units* (:func:`memory_check_unit`, :func:`score_unit`,
-:func:`refine_unit`) operating on a :class:`SearchContext`.  The serial
-path simply calls them inline; :mod:`repro.service.executor` fans the
-same units out over a ``concurrent.futures`` pool.  Each refinement
-unit carries an explicit per-candidate seed, so parallel and serial
-searches produce identical results.
+:func:`refine_unit`), each taking a :class:`SearchContext` and one
+candidate.  The serial path simply calls them inline;
+:mod:`repro.service.executor` fans the same units out over a process
+pool.  Each refinement unit carries an explicit per-candidate seed, so
+parallel and serial searches produce identical results.
 
 The ablation variants of the paper's Fig. 6 are factory functions:
 :func:`pipette_l` (latency estimator only, naive mapping — "PPT-L")
@@ -35,6 +35,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -292,9 +293,10 @@ class PipetteResult:
 class SearchContext:
     """Everything a per-candidate work unit needs, in picklable form.
 
-    Work units receive the context plus a chunk of candidates, so one
-    search can fan its candidate set over thread or process pools; the
-    context crosses the process boundary once per chunk.
+    Work units receive the context plus one candidate, so one search
+    can fan its candidate set over a process pool.  The pool pickles
+    the context once per chunk of candidates, and one ``map`` call
+    makes at most one chunk per worker.
 
     ``record_flight`` asks :func:`refine_unit` to ride a flight
     recorder along each candidate's anneal and ship the telemetry
@@ -331,102 +333,74 @@ def candidate_kernel(ctx: SearchContext,
                           ctx.profile)
 
 
-def memory_check_unit(payload: "tuple[SearchContext, tuple[ParallelConfig, ...]]"
-                      ) -> list[float]:
-    """Work unit: predicted per-GPU memory for a chunk of configurations."""
-    ctx, configs = payload
-    return [ctx.memory_estimator.predict_bytes(ctx.model, config)
-            for config in configs]
+def memory_check_unit(ctx: SearchContext, config: ParallelConfig) -> float:
+    """Work unit: predicted per-GPU memory of one configuration."""
+    return ctx.memory_estimator.predict_bytes(ctx.model, config)
 
 
-def score_unit(payload: "tuple[SearchContext, tuple]") -> list[RankedConfig]:
-    """Work unit: naive-mapping latency for a chunk of survivors.
+def score_unit(ctx: SearchContext, item: tuple) -> RankedConfig:
+    """Work unit: naive-mapping latency of one survivor.
 
-    Each item is ``(config, predicted_bytes | None, memory_ok)``; the
+    ``item`` is ``(config, predicted_bytes | None, memory_ok)``; the
     sequential mapping is scored on the compiled kernel.
     """
-    ctx, items = payload
-    out = []
-    for config, predicted, memory_ok in items:
-        mapping = naive_mapping(ctx, config)
-        perms = np.asarray(mapping.block_to_slot, dtype=np.int64)[None, :]
-        out.append(RankedConfig(
-            config=config, mapping=mapping,
-            estimated_latency_s=float(
-                candidate_kernel(ctx, config).evaluate_batch(perms)[0]),
-            estimated_memory_bytes=predicted,
-            memory_ok=memory_ok,
-        ))
-    return out
+    config, predicted, memory_ok = item
+    mapping = naive_mapping(ctx, config)
+    perms = np.asarray(mapping.block_to_slot, dtype=np.int64)[None, :]
+    return RankedConfig(
+        config=config, mapping=mapping,
+        estimated_latency_s=float(
+            candidate_kernel(ctx, config).evaluate_batch(perms)[0]),
+        estimated_memory_bytes=predicted,
+        memory_ok=memory_ok,
+    )
 
 
-def refine_unit(payload: "tuple[SearchContext, tuple]"
-                ) -> "list[tuple[RankedConfig, float, dict | None]]":
-    """Work unit: SA worker dedication for a chunk of leaders.
+def refine_unit(ctx: SearchContext, item: tuple
+                ) -> "tuple[RankedConfig, float, dict | None]":
+    """Work unit: SA worker dedication for one leader.
 
-    Each item is ``(entry, seed)``; the explicit seed (assigned from
+    ``item`` is ``(entry, seed)``; the explicit seed (assigned from
     the entry's rank in the deterministically sorted leaderboard) makes
     the result independent of which pool worker runs the unit.
-    Returns ``(refined entry, annealing seconds, flight payload)``
-    triples, where the flight payload is the candidate's
+    Returns ``(refined entry, annealing seconds, flight payload)``,
+    where the flight payload is the candidate's
     :meth:`~repro.obs.recorder.FlightRecorder.to_payload` telemetry
     when ``ctx.record_flight`` is set and ``None`` otherwise — a plain
-    dict, so it crosses a process pool's pickle boundary like the rest
-    of the result.
+    dict, so it crosses the process pool's pickle boundary like the
+    rest of the result.
 
-    Each entry's annealing runs against a compiled
-    :func:`candidate_kernel`; the kernel's bit-identical guarantee
-    keeps serial, thread-pool, and process-pool refinements — and any
-    plans cached from before the kernel existed — byte-identical.  The
-    flight recorder observes without touching the RNG, so
-    ``record_flight`` never changes the refined mappings either.
+    The annealing runs against a compiled :func:`candidate_kernel`;
+    the kernel's bit-identical guarantee keeps serial and process-pool
+    refinements — and any plans cached from before the kernel existed
+    — byte-identical.  The flight recorder observes without touching
+    the RNG, so ``record_flight`` never changes the refined mappings
+    either.
     """
-    ctx, items = payload
-    out = []
-    for entry, seed in items:
-        recorder = FlightRecorder() if ctx.record_flight else None
-        result = anneal_mapping(
-            entry.mapping,
-            candidate_kernel(ctx, entry.config),
-            ctx.sa.with_seed(seed),
-            recorder=recorder,
-        )
-        out.append((entry.refined(result), result.elapsed_s,
-                    None if recorder is None else recorder.to_payload()))
-    return out
-
-
-def even_chunks(items: "list", n_chunks: int) -> "list[tuple]":
-    """Split ``items`` into at most ``n_chunks`` contiguous tuples."""
-    n_chunks = max(1, min(int(n_chunks), len(items)))
-    size, extra = divmod(len(items), n_chunks)
-    chunks, start = [], 0
-    for i in range(n_chunks):
-        end = start + size + (1 if i < extra else 0)
-        chunks.append(tuple(items[start:end]))
-        start = end
-    return chunks
+    entry, seed = item
+    recorder = FlightRecorder() if ctx.record_flight else None
+    result = anneal_mapping(
+        entry.mapping,
+        candidate_kernel(ctx, entry.config),
+        ctx.sa.with_seed(seed),
+        recorder=recorder,
+    )
+    return (entry.refined(result), result.elapsed_s,
+            None if recorder is None else recorder.to_payload())
 
 
 def run_units(fn, ctx: SearchContext, items: "list", executor=None) -> list:
-    """Map a work unit over ``items``, inline or via an executor.
+    """``[fn(ctx, item) for item in items]``, inline or via an executor.
 
-    ``executor`` is anything exposing ``map(fn, payloads)`` plus an
-    ``n_workers`` attribute (see
-    :class:`repro.service.executor.CandidateExecutor`); ``None`` runs
-    the unit inline.  Results are flattened back into item order, so
-    the two paths are interchangeable.
+    ``executor`` is anything exposing ``map(fn, items)`` (see
+    :class:`repro.service.executor.CandidateExecutor`); it receives
+    ``fn`` with ``ctx`` bound.  ``None``, or no items, runs the units
+    inline.  Both paths return results in item order, so they are
+    interchangeable.
     """
-    items = list(items)
-    if not items:
-        return []
-    if executor is None:
-        return list(fn((ctx, tuple(items))))
-    chunks = even_chunks(items, getattr(executor, "n_workers", 1))
-    out: list = []
-    for chunk_result in executor.map(fn, [(ctx, chunk) for chunk in chunks]):
-        out.extend(chunk_result)
-    return out
+    if executor is None or not items:
+        return [fn(ctx, item) for item in items]
+    return executor.map(partial(fn, ctx), items)
 
 
 # -------------------------------------------------------------- configurator

@@ -117,7 +117,7 @@ def _build_service(args) -> PlanningService:
     print(f"cluster: {cluster.description or cluster.name} "
           f"({cluster.n_nodes} nodes x {cluster.gpus_per_node} GPUs)")
     if executor is not None:
-        print(f"executor: {executor.kind} pool, {executor.n_workers} workers")
+        print(f"executor: process pool, {executor.n_workers} workers")
     return PlanningService(cluster, network.bandwidth, executor=executor,
                            cache=_durable_cache(args.store_path),
                            profile_seed=args.seed)

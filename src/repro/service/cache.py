@@ -162,19 +162,32 @@ def payload_int(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def check_memory_limit(memory_limit_bytes) -> None:
-    """Refuse a memory limit that is not a finite, positive number.
+def canonical_memory_limit(memory_limit_bytes) -> "int | float | None":
+    """``memory_limit_bytes`` in the one form a request fingerprints.
 
-    ``None`` (the GPU's physical memory) passes.  An infinite limit
+    ``None`` (the GPU's physical memory) passes.  An integral number
+    (an int, an integral float or a NumPy integer) becomes an ``int``,
+    as :func:`payload_int` reads integers, so ``20 * GIB`` and
+    ``20.0 * GIB`` share one fingerprint; any other finite positive
+    real becomes a ``float``.  A bool or a
+    string raises ``ValueError``: ``True`` is not a 1-byte limit.  So
+    does a limit that is not finite and positive: an infinite limit
     would pass every candidate's memory check while still counting as
     a checked limit, and NaN compares false with everything.
     """
-    if memory_limit_bytes is not None \
-            and not 0 < memory_limit_bytes < math.inf:  # NaN fails too
-        raise ValueError(
-            f"memory_limit_bytes must be finite and positive, got "
-            f"{memory_limit_bytes}"
-        )
+    value = memory_limit_bytes
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"memory_limit_bytes must be a number, got "
+                         f"{value!r}")
+    if not 0 < value < math.inf:  # NaN fails too
+        raise ValueError(f"memory_limit_bytes must be finite and positive, "
+                         f"got {value}")
+    if isinstance(value, numbers.Integral):
+        return int(value)
+    value = float(value)
+    return int(value) if value.is_integer() else value
 
 
 def payload_number(value, name: str) -> float:
@@ -310,7 +323,9 @@ class PlanRequest:
         model: architecture to train.
         global_batch: ``bs_global``.
         memory_limit_bytes: ``M_limit``; ``None`` uses the cluster
-            GPU's physical memory.
+            GPU's physical memory.  Normalized by
+            :func:`canonical_memory_limit`, so an integral limit is an
+            ``int`` whatever numeric type it arrived as.
         micro_batches: optional restriction of the swept microbatch
             sizes; normalized to a sorted, deduplicated tuple so
             ``[4, 2, 2]`` and ``(2, 4)`` produce one cache entry (and
@@ -326,7 +341,7 @@ class PlanRequest:
     cluster: ClusterSpec
     model: TransformerConfig
     global_batch: int
-    memory_limit_bytes: float | None = None
+    memory_limit_bytes: "int | float | None" = None
     micro_batches: "tuple[int, ...] | None" = None
     options: PipetteOptions = field(default_factory=PipetteOptions)
     schedules: "tuple[str, ...] | None" = None
@@ -336,7 +351,10 @@ class PlanRequest:
         if global_batch < 1:
             raise ValueError(f"global_batch must be >= 1, got {global_batch}")
         object.__setattr__(self, "global_batch", global_batch)
-        check_memory_limit(self.memory_limit_bytes)
+        if self.memory_limit_bytes is not None:
+            object.__setattr__(
+                self, "memory_limit_bytes",
+                canonical_memory_limit(self.memory_limit_bytes))
         if self.micro_batches is not None:
             normalized = sorted_unique(payload_int(m, "micro_batches entry")
                                        for m in self.micro_batches)

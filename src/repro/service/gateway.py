@@ -40,7 +40,7 @@ that absorbs that concurrency without serializing the fleet:
   returns.  Lanes share no thread, so busy clusters never wait on
   each other.  Inside each search the shared
   :class:`~repro.service.executor.CandidateExecutor` still fans
-  candidate work over its own pool;
+  candidate work over its process pool;
 * **fenced elastic events** — :meth:`PlanGateway.update_bandwidth` and
   :meth:`PlanGateway.fail_nodes` acquire the lane's fence, so an
   epoch roll lands *between* drains, never under one, and the

@@ -56,7 +56,8 @@ from repro.obs.recorder import FlightRecorder
 from repro.obs.trace import TRACER, Span
 from repro.parallel.mapping import Mapping
 from repro.profiling.profile_run import ComputeProfile, profile_compute
-from repro.service.cache import PlanCache, PlanRequest, check_memory_limit
+from repro.service.cache import PlanCache, PlanRequest, \
+    canonical_memory_limit
 from repro.service.executor import CandidateExecutor
 from repro.service.replan import (
     DEFAULT_DRIFT_THRESHOLD,
@@ -330,9 +331,10 @@ class PlanningService:
 
         Without an estimator every candidate passes the memory check
         (Algorithm 1, line 7), so a limit would be silently ignored.
-        A limit that is not finite and positive is refused as well.
+        A limit :func:`~repro.service.cache.canonical_memory_limit`
+        refuses is refused as well.
         """
-        check_memory_limit(memory_limit_bytes)
+        canonical_memory_limit(memory_limit_bytes)
         if memory_limit_bytes is not None and self.memory_estimator is None:
             raise ValueError(
                 "memory_limit_bytes needs a memory estimator, but this "
@@ -797,7 +799,6 @@ class PlanningService:
         }
         if self.executor is not None:
             executor_stats = self.executor.stats_snapshot()
-            out["executor_kind"] = self.executor.kind
             out["executor_workers"] = self.executor.n_workers
             out["executor_batches"] = executor_stats.batches
             out["executor_tasks"] = executor_stats.tasks

@@ -55,7 +55,7 @@ class ClusterRegistry:
         executor: candidate executor shared by every registered
             service built through :meth:`add_cluster` (one pool serves
             the whole fleet; per-cluster searches fan their candidate
-            chunks over it independently).  ``None`` searches serially.
+            work over it independently).  ``None`` searches serially.
     """
 
     def __init__(self, executor: CandidateExecutor | None = None) -> None:

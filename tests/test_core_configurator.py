@@ -245,8 +245,8 @@ class TestNaiveScoring:
         configs = configurator.candidates(
             256, schedules=registered_schedules())
         assert len(configs) == 191
-        scored = score_unit((configurator.context(),
-                             tuple((c, None, True) for c in configs)))
+        ctx = configurator.context()
+        scored = [score_unit(ctx, (c, None, True)) for c in configs]
         assert [entry.config for entry in scored] == configs
         for entry in scored:
             grid = WorkerGrid(pp=entry.config.pp, tp=entry.config.tp,

@@ -226,6 +226,22 @@ class TestPinnedFingerprints:
             request = replace(_preset_request(), global_batch=twin)
             assert request.fingerprint() == self.PINNED["defaults"]
 
+    def test_memory_limit_twins_hash_to_the_int_literal(self):
+        restricted = self._requests()["restricted"]
+        for twin in (20.0 * GIB, np.int64(20 * GIB), np.float64(20 * GIB)):
+            request = replace(restricted, memory_limit_bytes=twin)
+            assert type(request.memory_limit_bytes) is int
+            assert request.fingerprint() == self.PINNED["restricted"]
+        fraction = replace(restricted, memory_limit_bytes=GIB + 0.5)
+        assert fraction.memory_limit_bytes == GIB + 0.5
+        assert fraction.fingerprint() != self.PINNED["restricted"]
+
+    @pytest.mark.parametrize("bad", [True, False, "21474836480",
+                                     float("inf"), float("nan"), 0, -GIB])
+    def test_memory_limit_refuses_non_numbers_and_bad_ranges(self, bad):
+        with pytest.raises(ValueError, match="memory_limit_bytes"):
+            _preset_request(memory_limit_bytes=bad)
+
     def test_memo_is_per_instance_and_never_splits_a_key(self):
         warm = _preset_request()
         key = warm.fingerprint()

@@ -441,7 +441,7 @@ class TestParallelService:
         serial = PlanningService(tiny_cluster, tiny_network.bandwidth)
         baseline = serial.plan(serial.request(toy_model, 32,
                                               options=SA_FAST))
-        with CandidateExecutor(max_workers=2, kind="thread") as executor:
+        with CandidateExecutor(max_workers=2) as executor:
             parallel = PlanningService(tiny_cluster, tiny_network.bandwidth,
                                        executor=executor)
             response = parallel.plan(parallel.request(toy_model, 32,
@@ -451,3 +451,30 @@ class TestParallelService:
         assert response.best.config == baseline.best.config
         assert response.best.estimated_latency_s == \
             baseline.best.estimated_latency_s
+
+    @pytest.mark.parametrize("drift", [False, True],
+                             ids=["node_failure", "bandwidth_drift"])
+    def test_replan_through_the_pool_matches_serial(
+            self, tiny_cluster, tiny_network, toy_model, drift):
+        bw = tiny_network.bandwidth
+        if drift:
+            event = ClusterEvent.bandwidth_drift()
+            drifted = BandwidthMatrix(matrix=bw.matrix * 0.7, alpha=bw.alpha)
+        else:
+            event, drifted = ClusterEvent.node_failure(1), None
+
+        def outcome(executor):
+            service = PlanningService(tiny_cluster, bw, executor=executor)
+            report = service.replan(
+                service.request(toy_model, 32, options=SA_FAST), event,
+                new_bandwidth=drifted)
+            return [(plan.config.describe(),
+                     plan.estimated_latency_s.hex())
+                    for plan in (report.warm, report.cold)
+                    ] + [report.warm_source]
+
+        serial = outcome(None)
+        with CandidateExecutor(max_workers=2) as executor:
+            pooled = outcome(executor)
+        assert executor.stats.batches >= 1
+        assert pooled == serial

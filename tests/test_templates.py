@@ -33,7 +33,7 @@ from repro.core.templates import (
 )
 from repro.model.memory import stage_layer_count
 from repro.parallel import ParallelConfig
-from repro.service import ClusterEvent, PlanningService
+from repro.service import CandidateExecutor, ClusterEvent, PlanningService
 from repro.service.replan import template_fits
 from repro.service.store import PlanStoreError, TemplateStore
 from repro.service.warmer import TemplateWarmer
@@ -119,6 +119,13 @@ class TestGeneration:
                 assert sorted(template.block_to_slot) \
                     == list(range(config.pp * config.dp))
                 assert template.memory_ok
+
+    def test_process_pool_generates_the_serial_library(self, generator,
+                                                       library):
+        with CandidateExecutor(max_workers=2) as executor:
+            pooled = generator.generate(GLOBAL_BATCH, executor=executor)
+        assert executor.stats.batches >= 1
+        assert pooled.to_json() == library.to_json()
 
     def test_full_size_template_matches_cold_search(
             self, generator, library, tiny_cluster, toy_model,
