@@ -15,9 +15,11 @@ Three claims, matching the kernel's and the draw stream's contracts
   >= 3x faster at 16 blocks.
 
 It also prints the per-grid cost of ``evaluate_perm`` and of an
-``evaluate_batch`` row over every grid a Table-1 cold search anneals.
+``evaluate_batch`` row over every grid a Table-1 cold search anneals,
+and over the pp == 1 grids on nodes of several slots at 4 and 16 nodes.
 """
 
+import itertools
 import sys
 import time
 from pathlib import Path
@@ -70,13 +72,23 @@ SHAPES = [
     # Single-hop chains: the grid the elastic polish anneals.
     ("high-end", ParallelConfig(pp=2, tp=8, dp=8, micro_batch=4,
                                 global_batch=512), True),
+    # pp == 1 on eight- and four-slot nodes: the ring reads each node's
+    # leading slot.
+    ("mid-range", ParallelConfig(pp=1, tp=1, dp=128, micro_batch=4,
+                                 global_batch=512), False),
+    ("mid-range", ParallelConfig(pp=1, tp=2, dp=64, micro_batch=4,
+                                 global_batch=512), False),
 ]
+
+#: pp == 1 grids on nodes of 8, 4 and 2 slots (the mid-range and
+#: high-end presets both have 8-GPU nodes), printed at 4 and 16 nodes.
+PP1_GRIDS = [(1, 1, 8), (1, 2, 4), (1, 4, 2)]
 
 _CLUSTERS = {"high-end": high_end_cluster, "mid-range": mid_range_cluster}
 
 
-def _world(cluster_name):
-    cluster = _CLUSTERS[cluster_name](16)
+def _world(cluster_name, nodes=16):
+    cluster = _CLUSTERS[cluster_name](nodes)
     bandwidth = Fabric(cluster, seed=SEED).bandwidth()
     model = get_model("gpt-8.1b")
     profile = profile_compute(model, cluster, seed=SEED)
@@ -185,18 +197,23 @@ def test_annealer_wall_clock_speedup():
 
 
 def test_preset_grid_table():
-    """Per-grid cost of both evaluation paths on the 16-node presets.
+    """Per-grid cost of both evaluation paths on the presets.
 
     Reported, not asserted: ``evaluate_perm`` per call and
     ``evaluate_batch`` per row (64 rows per call) over every grid a
-    Table-1 cold search anneals.  Each batch row must equal its
-    ``evaluate_perm``, bitwise.
+    16-node Table-1 cold search anneals, then over the pp == 1 grids on
+    nodes of several slots at 4 and 16 nodes.  Each batch row must
+    equal its ``evaluate_perm``, bitwise.
     """
-    print(f"\n  {'preset':10s} {'grid':14s} {'perm us':>8s} "
+    print(f"\n  {'preset':10s} {'nodes':>5s} {'grid':14s} {'perm us':>8s} "
           f"{'batch us/row':>13s}")
-    for cluster_name in ("mid-range", "high-end"):
-        cluster, model, bandwidth, profile = _world(cluster_name)
-        for pp, tp, dp in PRESET_GRIDS:
+    runs = [(16, PRESET_GRIDS)] + [
+        (nodes, [(pp, tp, nodes * g) for pp, tp, g in PP1_GRIDS])
+        for nodes in (4, 16)]
+    for cluster_name, (nodes, grids) in itertools.product(
+            ("mid-range", "high-end"), runs):
+        cluster, model, bandwidth, profile = _world(cluster_name, nodes)
+        for pp, tp, dp in grids:
             config = ParallelConfig(pp=pp, tp=tp, dp=dp, micro_batch=4,
                                     global_batch=512)
             kernel = pipette_kernel(model, config, cluster, bandwidth,
@@ -208,7 +225,7 @@ def test_preset_grid_table():
             assert [kernel.evaluate_perm(p) for p in batch] == rows.tolist()
             perm_rate = _evals_per_sec(kernel.evaluate_perm, list(batch[:8]))
             batch_rate = 64 * _evals_per_sec(kernel.evaluate_batch, [batch])
-            print(f"  {cluster_name:10s} pp{pp}-tp{tp}-dp{dp:<6d} "
+            print(f"  {cluster_name:10s} {nodes:5d} pp{pp}-tp{tp}-dp{dp:<6d} "
                   f"{1e6 / perm_rate:8.1f} {1e6 / batch_rate:13.2f}")
 
 

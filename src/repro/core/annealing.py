@@ -51,6 +51,7 @@ re-planning warm-starts from these survivors
 
 from __future__ import annotations
 
+import heapq
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -284,14 +285,17 @@ def _build_portfolio(initial: Mapping, best_mapping: Mapping,
     Runner-ups are ordered by ``(value, permutation bytes)`` so ties
     resolve deterministically regardless of visit order, and the best
     state is excluded from the pool scan so it never appears twice.
+    The keys are distinct, so the ``portfolio_k - 1`` smallest pairs
+    are the head of the sorted pool, without sorting it.
     """
     portfolio = [(best_mapping, best_value)]
     if pool and portfolio_k > 1:
         best_key = np.asarray(
             best_mapping.block_to_slot, dtype=np.int64).tobytes()
-        runners = sorted(
-            (value, key) for key, value in pool.items() if key != best_key)
-        for value, key in runners[:portfolio_k - 1]:
+        runners = heapq.nsmallest(
+            portfolio_k - 1,
+            ((value, key) for key, value in pool.items() if key != best_key))
+        for value, key in runners:
             perm = np.frombuffer(key, dtype=np.int64).copy()
             portfolio.append(
                 (Mapping(initial.grid, initial.cluster, perm), value))

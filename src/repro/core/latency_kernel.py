@@ -52,16 +52,33 @@ once at compile time.
 **The ring term.** One routine per slot geometry serves
 :meth:`~LatencyKernel.evaluate_perm`,
 :meth:`~LatencyKernel.evaluate_batch` and :class:`IncrementalEvaluator`:
-:meth:`LatencyKernel._ring_terms` on nodes of two or more slots, and
-on whole-node grids the ring segments of the stacked term table read
-by :meth:`LatencyKernel._stack_max` (below).  A *follower* is a data
-rank whose node already appeared earlier in its stage; the reference's
-leaders are the others.  A follower reads its leader's slot — an
-*effective leader slot* — so the pairs it adds, ``(l, b)`` and ``(l,
-l)``, already lie in the leaders' ``min_over_group`` submatrix,
-diagonal included (finite or +inf): the minimum over all ``dp * dp``
-pairs of the stage is the leaders' exactly, and the leader count
-``kn`` is ``dp`` less the followers.  On two-slot nodes the other
+:meth:`LatencyKernel._leader_terms` when ``pp == 1`` on nodes of two or
+more slots, :meth:`LatencyKernel._ring_terms` on such nodes when ``pp
+>= 2``, and on whole-node grids the ring segments of the stacked term
+table read by :meth:`LatencyKernel._stack_max` (below).
+
+With ``pp == 1`` the one ring row holds every slot, so each node has
+all its ``spn`` slots as members and there are ``N`` leaders, one per
+node: the intra phase of each tensor rank — the term of the slowest
+node's ``spn x spn`` block, diagonal included — and the leader count
+are fixed at compile time.  The mapping decides only which slot of each
+node leads.  The reference's leader is ``by_node[n][0]``, the node's
+first member in data-rank order, which with one stage is the node's
+slot of smallest block position: the routine reads it off the inverse
+permutation, gathers the leaders' ``N x N`` submatrix of the
+tensor-rank-major pair table — the submatrix ``min_over_group`` reads,
+diagonal included — and takes its minimum per tensor rank.  The terms
+are then the reference's, ``max_y(intra_y + num / ((N * min_y) *
+GB))``, bit for bit.
+
+With ``pp >= 2`` a stage row holds some of the slots.  A *follower* is
+a data rank whose node already appeared earlier in its stage; the
+reference's leaders are the others.  A follower reads its leader's
+slot — an *effective leader slot* — so the pairs it adds, ``(l, b)``
+and ``(l, l)``, already lie in the leaders' ``min_over_group``
+submatrix, diagonal included (finite or +inf): the minimum over all
+``dp * dp`` pairs of the stage is the leaders' exactly, and the leader
+count ``kn`` is ``dp`` less the followers.  On two-slot nodes the other
 slot of ``s``'s node is ``s ^ 1``: a rank follows when its partner's
 block precedes its own in the same stage, found through the inverse
 permutation and a shape-only position table, and then leads through
@@ -107,6 +124,21 @@ pp2-tp4-dp16    45.9 → 33.9  44.9 → 32.0
 
 (µs; pp1-tp8-dp16 is a constant, 0.1 µs.  Single rounds on this host
 varied up to twofold, so only the best rounds compare.)
+
+The ``pp == 1`` grids on nodes of several slots, at 4 and 16 nodes,
+before and after :meth:`LatencyKernel._leader_terms`, best of three
+interleaved rounds of the same measurement (µs):
+
+=================  ============  ============
+grid               mid-range     high-end
+=================  ============  ============
+4n pp1-tp1-dp32    38.0 → 6.0    39.9 → 6.2
+4n pp1-tp2-dp16    34.0 → 6.4    36.1 → 6.8
+4n pp1-tp4-dp8     22.6 → 6.6    23.2 → 7.2
+16n pp1-tp1-dp128  138.6 → 8.8   122.8 → 8.7
+16n pp1-tp2-dp64   65.1 → 8.8    69.2 → 9.2
+16n pp1-tp4-dp32   28.6 → 10.0   28.4 → 10.5
+=================  ============  ============
 
 **Equivalence guarantee.** The kernel is not merely close to the
 reference model: every floating-point expression mirrors the reference
@@ -233,7 +265,8 @@ def _geometry(pp: int, dp: int, slots_per_node: int, ns: int,
       ``follows[i * n + j] == 1`` when block ``j`` precedes block ``i``
       in ``i``'s stage, and its row offsets ``i * n`` per ring block;
     * the data ranks, and for larger nodes which slot pairs share a
-      node;
+      node (neither table when ``pp == 1``: see
+      :meth:`LatencyKernel._leader_terms`);
     * for whole-node grids, the layout of the stacked term table (see
       :meth:`LatencyKernel._whole_node_tables`), decided here alone:
       ``stack_parts`` names its ``n * n`` tables in order — ``"tp"``
@@ -251,12 +284,12 @@ def _geometry(pp: int, dp: int, slots_per_node: int, ns: int,
     tp_blocks = np.concatenate([rows[0], rows[-1]]) if pp > 1 else rows[0]
     ring_blocks = rows[:ns].ravel()
     follows = same_node = None
-    if slots_per_node == 2:
+    if pp > 1 and slots_per_node == 2:
         j = np.arange(n)
         lo = (ring_blocks - ring_blocks % dp)[:, None]
         follows = ((j >= lo) & (j < ring_blocks[:, None])) \
             .astype(np.int64).ravel()
-    elif slots_per_node > 2:
+    elif pp > 1 and slots_per_node > 2:
         node = np.arange(n) // slots_per_node
         same_node = (node[:, None] == node[None, :]).ravel()
     parts = []                  # per table: (name, source, peer blocks)
@@ -408,8 +441,8 @@ class LatencyKernel:
 
     def _ring_tables(self, ring: np.ndarray, msg: "list",
                      geo: _Geometry) -> None:
-        """The gather tables of the ring term (see :meth:`_ring_terms`
-        and :meth:`_whole_node_tables`).
+        """The gather tables of the ring term (see :meth:`_leader_terms`,
+        :meth:`_ring_terms` and :meth:`_whole_node_tables`).
 
         Numerators are looked up by population: ``_inter_num[k * ns +
         x]`` is stage ``x``'s inter-node numerator for ``k`` leaders
@@ -418,8 +451,9 @@ class LatencyKernel:
         population is fixed, a table holds more than the bandwidth: the
         denominator ``(k * bw) * GB`` for the two members of a two-slot
         node (monotone in ``bw``, so its minimum is the minimum
-        bandwidth's), and the whole term for the ``dp`` leaders of
-        whole-node slots (its maximum is the term of that minimum).
+        bandwidth's), the whole term for the ``dp`` leaders of
+        whole-node slots (its maximum is the term of that minimum), and
+        with ``pp == 1`` on larger nodes the whole intra phase.
         """
         dp, tp, ns, n = self.grid.dp, self.grid.tp, self._n_dp_stages, \
             self._n_slots
@@ -436,6 +470,21 @@ class LatencyKernel:
             # joins the stacked table of :meth:`_whole_node_tables`).
             self._ring_term = self._inter_num[dp * ns:(dp + 1) * ns, None] \
                 / ((dp * ring.min(axis=0)) * GB)
+            return
+        if self.grid.pp == 1:
+            # One ring row holding every slot (see
+            # :meth:`_leader_terms`): every node's intra phase has all
+            # ``spn`` members, so per tensor rank it is the term of the
+            # slowest node's minimum — its ``spn x spn`` block, diagonal
+            # included — and the inter phase has one leader per node.
+            nodes = self._n_nodes = n // spn
+            node_bw = ring.reshape(tp, nodes, spn, nodes, spn).diagonal(
+                axis1=1, axis2=3).min(axis=(1, 2, 3))           # (tp,)
+            self._full_intra = (self._intra_num[spn]
+                                / ((spn * node_bw) * _GB)).tolist()
+            self._lead_num = float(self._inter_num[nodes])
+            self._node_first = np.arange(0, n, spn)
+            self._ring3 = ring.reshape(tp, n, n)
             return
         # Two-slot and larger nodes stack an intra block after the
         # ``n * n`` pair block, so that one gather and one segment-min
@@ -550,7 +599,9 @@ class LatencyKernel:
             if pp == 2:
                 t_pp = max(self._pp_hop.take(perm[:dp] * self._n_slots
                                              + perm[dp:]).tolist())
-            if dp > 1:
+            if pp == 1:
+                stage_t = [self._leader_terms(perm)]
+            elif dp > 1:
                 stage_t = self._ring_terms(
                     perm[:len(self._ring_blocks)],
                     perm.argsort() if self._slots_per_node == 2 else None,
@@ -616,7 +667,10 @@ class LatencyKernel:
             if pp == 2:
                 t_pp = self._pp_hop.take(perms[:, :dp] * n
                                          + perms[:, dp:]).max(axis=1)
-            if dp > 1:
+            if pp == 1:
+                t_dp = self._exposed_dp_rows(
+                    self._leader_terms(perms)[:, None], c_tp)
+            elif dp > 1:
                 inv = perms.argsort(axis=1) if self._slots_per_node == 2 \
                     else None
                 t_dp = self._exposed_dp_rows(self._ring_terms(
@@ -660,6 +714,8 @@ class LatencyKernel:
                 self._ring_dst[stages].ravel(),
                 ((self._ring_at + stages) * self._n_slots ** 2)
                 .repeat(width), _starts(len(stages), width))
+        if self.grid.pp == 1:
+            return np.array([self._leader_terms(perm)])
         if stages is self._stages:
             blocks = self._ring_blocks
             slots = perm[:len(blocks)]
@@ -692,8 +748,8 @@ class LatencyKernel:
 
     def _ring_terms(self, slots: np.ndarray, inv: "np.ndarray | None",
                     blocks: np.ndarray, stages: np.ndarray) -> np.ndarray:
-        """Ring terms of ``m`` stage rows on nodes of two or more slots,
-        shape ``(m,)``.
+        """Ring terms of ``m`` stage rows on nodes of two or more slots
+        when ``pp >= 2``, shape ``(m,)``.
 
         ``slots`` holds the slots of whole stage rows in data-rank
         order: ``(L,)`` from one permutation whose inverse is ``inv``,
@@ -764,6 +820,39 @@ class LatencyKernel:
         inter = self._inter_num.take(kn * ns + stages) \
             / ((kn * mins[:, :m]) * _GB)
         return np.maximum.reduce(intra + inter, axis=0)
+
+    def _leader_terms(self, perms: np.ndarray):
+        """Ring term of a ``pp == 1`` grid on nodes of two or more
+        slots: a float for one permutation, ``(K,)`` for a ``(K, n)``
+        batch.
+
+        The one ring row holds every slot, so every node has all its
+        slots as members: the intra phase is the compile-time
+        ``_full_intra`` and there are ``N`` leaders, one per node.  The
+        reference's leader of a node is its first member in data-rank
+        order — the node's slot with the smallest block position, read
+        off the inverse permutation — and the inter phase reads the
+        leaders' ``N x N`` submatrix, diagonal included.  One
+        permutation finishes on Python floats, a batch on arrays: the
+        same products, quotients and sums.
+        """
+        first, nodes = self._node_first, self._n_nodes
+        if perms.ndim == 1:
+            lead = perms.take(np.minimum.reduceat(perms.argsort(), first))
+            bw = np.minimum.reduce(self._ring3.take(lead, axis=1).take(
+                lead, axis=2), axis=(1, 2)).tolist()
+            return max([intra + self._lead_num / ((nodes * b) * _GB)
+                        for intra, b in zip(self._full_intra, bw)])
+        k, n = perms.shape
+        lead = perms.take(
+            np.minimum.reduceat(perms.argsort(axis=1), first, axis=1)
+            + np.arange(0, k * n, n)[:, None])                  # (K, N)
+        bw = np.minimum.reduce(self._ring3.reshape(len(self._ring3), -1)
+                               .take(((lead * n)[:, :, None] + lead[:, None])
+                                     .reshape(k, -1), axis=1), axis=2)
+        return np.maximum.reduce(
+            np.asarray(self._full_intra)[:, None]
+            + self._lead_num / ((nodes * bw) * _GB), axis=0)
 
     def _exposed_dp(self, stage_t: "list[float]", c_tp: float) -> float:
         """T_DP: the first stage's ring term, or a later stage's net of

@@ -279,6 +279,26 @@ def _two_slot_case(stages, finite_diag=False, options=OPTION_DRAWS[2],
             options, seed, [sum(stages, [])])
 
 
+#: Twenty-four distinct bandwidths, so that a leader submatrix's minimum
+#: tells which leaders, and which direction of each pair, were read.
+SPREAD = [1.5 * 1.25 ** i for i in range(24)]
+
+
+def _pp1_case(gpus_per_node, n_nodes, tp, seed, finite_diag=True):
+    """A ``pp == 1`` case — one ring row holding every slot — on an
+    asymmetric matrix of :data:`SPREAD` values, scored on two stage rows
+    before the drawn ones: round-robin over the nodes with each node's
+    highest slot first (so it leads), and the slots in order."""
+    dp = n_nodes * gpus_per_node // tp
+    spn = gpus_per_node // tp
+    config = ParallelConfig(pp=1, tp=tp, dp=dp, micro_batch=2,
+                            global_batch=2 * dp * 2)
+    interleaved = [v * spn + spn - 1 - i for i in range(spn)
+                   for v in range(n_nodes)]
+    return (gpus_per_node, n_nodes, config, SPREAD, finite_diag,
+            OPTION_DRAWS[2], seed, [interleaved, list(range(dp))])
+
+
 def _whole_node_case(seed):
     """One slot per node — six 2-GPU nodes at ``tp == 2`` — in three
     ring stages of two data ranks, on a five-valued matrix."""
@@ -320,6 +340,17 @@ class TestDifferential:
     # Whole-node ring stages whose terms all differ, so that a stage
     # read in place of another shows.
     @example(_whole_node_case(1))
+    # pp == 1 on nodes of several slots, whose ring reads each node's
+    # leading slot: one node (no inter phase), then two and six nodes
+    # of 2, 4 and 8 slots, and one +inf diagonal.
+    @example(_pp1_case(8, 1, 2, seed=7))
+    @example(_pp1_case(8, 2, 4, seed=8))
+    @example(_pp1_case(8, 2, 2, seed=9))
+    @example(_pp1_case(8, 2, 1, seed=10))
+    @example(_pp1_case(4, 6, 2, seed=11))
+    @example(_pp1_case(8, 6, 2, seed=12))
+    @example(_pp1_case(8, 6, 1, seed=13))
+    @example(_pp1_case(8, 6, 1, seed=14, finite_diag=False))
     def test_all_paths_match_reference(self, case):
         from repro.cluster.topology import (
             ClusterSpec,

@@ -303,3 +303,103 @@ def test_seeded_table1_anneal(table1_world, pin):
 def test_seeded_high_end_polish_anneal():
     _check_anneal(_world(high_end_cluster(16)), HIGH_END_POLISH,
                   iterations=750, portfolio_k=4)
+
+
+# ------------------------------------------------------- pp == 1 anneals
+#
+# Seeded 1,000-iteration anneals of the pp == 1 grids on nodes of two or
+# more slots, whose ring reads only each node's leading slot: the three
+# a 4-node mid-range cold search anneals first (32, 16 and 8 slots,
+# eight, four and two per node) and a 16-node high-end tp2 grid.
+
+PP1_ANNEALS = [
+    {"preset": "mid-range",
+     "nodes": 4,
+     "grid": (1, 1, 32),
+     "seed": 21,
+     "block_to_slot": [11, 20, 12, 15, 29, 17, 8, 5, 7, 27, 28, 1, 26, 21, 30,
+                       16, 10, 4, 9, 13, 18, 24, 6, 23, 3, 25, 22, 31, 19, 2,
+                       0, 14],
+     "value": "0x1.eaab6a546c5fdp+1",
+     "accepted": 825,
+     "history": 6,
+     "runners": [[[11, 8, 5, 20, 7, 15, 21, 26, 10, 3, 27, 14, 9, 13, 2, 18,
+                   28, 4, 17, 22, 31, 30, 25, 12, 19, 0, 1, 16, 6, 23, 24,
+                   29],
+                  "0x1.eaab6a546c5fdp+1"],
+                 [[11, 8, 5, 20, 7, 21, 15, 19, 12, 25, 30, 31, 22, 17, 28, 4,
+                   18, 2, 13, 9, 14, 27, 3, 10, 26, 16, 1, 0, 6, 23, 24, 29],
+                  "0x1.eaab6a546c5fdp+1"]]},
+    {"preset": "mid-range",
+     "nodes": 4,
+     "grid": (1, 2, 16),
+     "seed": 22,
+     "block_to_slot": [12, 11, 5, 1, 8, 4, 2, 15, 9, 3, 6, 0, 14, 7, 10, 13],
+     "value": "0x1.ab63482d1dae4p+1",
+     "accepted": 808,
+     "history": 4,
+     "runners": [[[1, 0, 2, 5, 8, 9, 11, 6, 12, 3, 4, 14, 7, 15, 13, 10],
+                  "0x1.ab63482d1dae4p+1"],
+                 [[1, 0, 2, 5, 8, 11, 9, 6, 12, 3, 4, 14, 7, 15, 13, 10],
+                  "0x1.ab63482d1dae4p+1"]]},
+    {"preset": "mid-range",
+     "nodes": 4,
+     "grid": (1, 4, 8),
+     "seed": 23,
+     "block_to_slot": [0, 4, 3, 2, 1, 6, 7, 5],
+     "value": "0x1.b1920830316e7p+1",
+     "accepted": 676,
+     "history": 4,
+     "runners": [[[0, 1, 4, 3, 5, 6, 7, 2], "0x1.b1920830316e7p+1"],
+                 [[0, 1, 6, 3, 4, 2, 7, 5], "0x1.b1920830316e7p+1"]]},
+    {"preset": "high-end",
+     "nodes": 16,
+     "grid": (1, 2, 64),
+     "seed": 24,
+     "block_to_slot": [50, 39, 54, 20, 53, 29, 15, 31, 10, 27, 35, 57, 11, 33,
+                       3, 0, 18, 12, 8, 34, 28, 19, 56, 47, 48, 49, 61, 1, 13,
+                       45, 43, 24, 46, 7, 4, 41, 52, 6, 36, 2, 55, 17, 42, 40,
+                       59, 9, 44, 30, 58, 22, 23, 5, 51, 60, 38, 63, 21, 26,
+                       16, 37, 25, 14, 32, 62],
+     "value": "0x1.95cae37d57192p+0",
+     "accepted": 895,
+     "history": 7,
+     "runners": [[[2, 20, 3, 32, 22, 1, 56, 16, 52, 29, 10, 26, 15, 38, 8, 51,
+                   19, 55, 61, 37, 4, 54, 45, 43, 59, 21, 50, 39, 0, 47, 7,
+                   49, 40, 18, 44, 14, 53, 30, 13, 48, 42, 27, 9, 25, 28, 41,
+                   11, 58, 6, 24, 12, 46, 23, 5, 62, 31, 57, 35, 60, 17, 63,
+                   33, 36, 34],
+                  "0x1.95cae37d57192p+0"],
+                 [[2, 20, 3, 32, 22, 1, 56, 16, 52, 29, 10, 26, 15, 38, 8, 51,
+                   19, 55, 61, 37, 4, 54, 45, 43, 59, 48, 13, 30, 53, 14, 44,
+                   18, 40, 49, 7, 47, 0, 39, 50, 21, 42, 27, 9, 25, 28, 41,
+                   11, 58, 6, 24, 12, 46, 23, 5, 62, 31, 57, 35, 60, 17, 63,
+                   33, 36, 34],
+                  "0x1.95cae37d57192p+0"]]},
+]
+
+
+@pytest.mark.parametrize("pin", PP1_ANNEALS,
+                         ids=lambda pin: "{}-{}n-pp{}-tp{}-dp{}".format(
+                             pin["preset"], pin["nodes"], *pin["grid"]))
+def test_seeded_pp1_anneal(pin):
+    make = {"mid-range": mid_range_cluster, "high-end": high_end_cluster}
+    _check_anneal(_world(make[pin["preset"]](pin["nodes"])), pin,
+                  iterations=1000, portfolio_k=3)
+
+
+def test_four_node_gpt_small_cold_search_payload():
+    """A serve-hot prefill question: gpt-small at global batch 256 on the
+    4-node mid-range preset, fabric, network and profile seeded 2, 200
+    SA iterations on the top 4.  Its leaders are pp == 1 grids."""
+    cluster = mid_range_cluster(4)
+    network = NetworkProfiler().profile(make_fabric(cluster, seed=2), seed=2)
+    service = PlanningService(cluster, network.bandwidth, profile_seed=2)
+    options = PipetteOptions(sa=SAOptions(max_iterations=200), sa_top_k=4,
+                             seed=1)
+    response = service.plan(service.request(get_model("gpt-small"), 256,
+                                            options=options))
+    body = {k: v for k, v in response.result.to_payload().items()
+            if k not in STOPWATCH_FIELDS}
+    assert _digest(body) == \
+        "53150be892a7efe90c9718143145e9f157f2ab8fc9a5bc293b50861962fb1550"

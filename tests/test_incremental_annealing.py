@@ -25,7 +25,7 @@ import pytest
 
 from annealing_oracle import anneal_mapping_reference, apply_move
 from repro.cluster import Fabric, HeterogeneityModel
-from repro.core.annealing import SAOptions, anneal_mapping
+from repro.core.annealing import SAOptions, _build_portfolio, anneal_mapping
 from repro.core.latency_kernel import (
     IncrementalEvaluator,
     LatencyKernel,
@@ -426,6 +426,28 @@ class TestPortfolio:
                                 SAOptions(max_iterations=200, seed=1))
         assert len(result.portfolio) == 1
         assert result.portfolio[0][1] == result.value
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_runners_are_the_head_of_the_sorted_pool(self, world, seed):
+        """The runners-up equal the sorted selection they replace, on
+        pools whose values tie — a few values over many states."""
+        cluster = world[0]
+        grid = WorkerGrid(pp=2, tp=2, dp=4)
+        initial = sequential_mapping(grid, cluster)
+        rng = np.random.default_rng(seed)
+        pool = {rng.permutation(grid.n_blocks).astype(np.int64).tobytes():
+                float(rng.choice([0.5, 1.0, 2.0])) for _ in range(300)}
+        best_key = next(iter(pool))
+        best = initial.with_block_permutation(
+            np.frombuffer(best_key, dtype=np.int64).copy())
+        for portfolio_k in (1, 2, 3, 7, len(pool) + 2):
+            portfolio = _build_portfolio(initial, best, pool[best_key],
+                                         pool, portfolio_k)
+            expected = sorted((value, key) for key, value in pool.items()
+                              if key != best_key)[:portfolio_k - 1]
+            assert [(value, np.asarray(m.block_to_slot).tobytes())
+                    for m, value in portfolio[1:]] == expected
+            assert portfolio[0] == (best, pool[best_key])
 
 
 # -------------------------------------------------- flight-recorder stats
