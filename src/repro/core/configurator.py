@@ -346,11 +346,10 @@ def score_unit(ctx: SearchContext, item: tuple) -> RankedConfig:
     """
     config, predicted, memory_ok = item
     mapping = naive_mapping(ctx, config)
-    perms = np.asarray(mapping.block_to_slot, dtype=np.int64)[None, :]
     return RankedConfig(
         config=config, mapping=mapping,
-        estimated_latency_s=float(
-            candidate_kernel(ctx, config).evaluate_batch(perms)[0]),
+        estimated_latency_s=candidate_kernel(ctx, config).evaluate_perm(
+            mapping.block_to_slot),
         estimated_memory_bytes=predicted,
         memory_ok=memory_ok,
     )

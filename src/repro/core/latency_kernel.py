@@ -50,8 +50,7 @@ the ring sees every link too, and the kernel returns the value scored
 once at compile time.
 
 **The ring term.** One routine per slot geometry serves
-:meth:`~LatencyKernel.evaluate_perm`,
-:meth:`~LatencyKernel.evaluate_batch` and :class:`IncrementalEvaluator`:
+:meth:`~LatencyKernel.evaluate_perm` and :class:`IncrementalEvaluator`:
 :meth:`LatencyKernel._leader_terms` when ``pp == 1`` on nodes of two or
 more slots, :meth:`LatencyKernel._ring_terms` on such nodes when ``pp
 >= 2``, and on whole-node grids the ring segments of the stacked term
@@ -151,10 +150,6 @@ for the same :class:`~repro.core.annealing.SAOptions` seed — cached
 plans, store round-trips, and gateway coalescing see byte-identical
 results, just computed an order of magnitude faster
 (``benchmarks/bench_annealing_kernel.py``).
-
-**Batches.** :meth:`LatencyKernel.evaluate_batch` scores K
-permutations per NumPy dispatch for the naive scoring pass and the
-warm-start pick, each row bit-identical to :meth:`evaluate_perm`.
 
 **The incremental contract.** Eqs. (3)-(6) decompose into
 *per-component partial terms* that each depend only on a slice of the
@@ -371,7 +366,6 @@ class LatencyKernel:
         self._n_mb = config.n_microbatches
         self._eff = options.collective_efficiency
         self._hidden_critical_path = options.hidden_critical_path
-        self._drain_steps = np.arange(1, ns)
         # Resolve the schedule's analytic critical-time function once;
         # ``_finish`` calls it on every objective evaluation.
         from repro.sim.schedule import schedule_type
@@ -623,69 +617,20 @@ class LatencyKernel:
         return self._finish(pp, c_tp, t_pp, t_dp)
 
     def evaluate_batch(self, perms: np.ndarray) -> np.ndarray:
-        """Latencies of K block permutations in one vectorized pass.
+        """Latencies of the rows of a ``(K, n_blocks)`` array of block
+        permutations: row ``k`` is ``evaluate_perm(perms[k])``.
 
-        ``perms`` is a ``(K, n_blocks)`` array whose rows are
-        permutations of ``[0, n_blocks)``.  Every gather and reduction
-        of :meth:`evaluate_perm` generalizes with a K axis, and the
-        reductions stay per-row independent (the chain
-        ``add.accumulate`` runs along the hop axis, so each lane's sum
-        order is untouched) — row ``k`` of the result is therefore
-        *bit-identical* to ``evaluate_perm(perms[k])``.  The point is
-        dispatch amortization: a warm re-plan scores its K candidate
-        starts with one NumPy call chain instead of K.
+        The warm-start pick scores a handful of rows per call: a stacked
+        form would save microseconds on a miss that costs milliseconds.
         """
-        pp, dp = self.grid.pp, self.grid.dp
         perms = np.asarray(perms)
         if perms.ndim != 2 or perms.shape[1] != self.grid.n_blocks:
             raise ValueError(
                 f"expected a (K, {self.grid.n_blocks}) batch of "
                 f"permutations, got shape {perms.shape}"
             )
-        k, n = perms.shape
-        if self._constant is not None:
-            return np.full(k, self._constant)
-
-        c_tp = None if self._c_tp is None else np.full(k, self._c_tp)
-        t_pp = t_dp = 0.0
-        if self._slots_per_node == 1:
-            if self._stack is not None:
-                terms = self._stack_max(
-                    perms, self._stack_src, self._stack_dst,
-                    self._stack_off, self._stack_starts)
-                if self._tp_at is not None:
-                    c_tp = terms[:, self._tp_at]
-                if self._hop_at is not None:
-                    t_pp = terms[:, self._hop_at]
-                if self._ring_at is not None:
-                    t_dp = self._exposed_dp_rows(terms[:, self._ring_at:],
-                                                 c_tp)
-        else:
-            if c_tp is None:
-                c_tp = self._c_tp_at(self._tp_min_bw.take(
-                    perms.take(self._tp_blocks, axis=1)).min(axis=1))
-            if pp == 2:
-                t_pp = self._pp_hop.take(perms[:, :dp] * n
-                                         + perms[:, dp:]).max(axis=1)
-            if pp == 1:
-                t_dp = self._exposed_dp_rows(
-                    self._leader_terms(perms)[:, None], c_tp)
-            elif dp > 1:
-                inv = perms.argsort(axis=1) if self._slots_per_node == 2 \
-                    else None
-                t_dp = self._exposed_dp_rows(self._ring_terms(
-                    perms[:, :len(self._ring_blocks)], inv,
-                    self._ring_blocks, np.tile(self._stages, k))
-                    .reshape(k, -1), c_tp)
-        if pp > 2:
-            chains = (perms[:, :-dp] * n + perms[:, dp:]) \
-                .reshape(k, pp - 1, dp)
-            hop = np.add.accumulate(self._pp_hop.take(chains, axis=0),
-                                    axis=1)
-            t_pp = hop[:, -1].reshape(k, -1).max(axis=1)
-        # The scalar epilogue of ``evaluate_perm``, elementwise: the
-        # same expressions on the same floats.
-        return self._finish(pp, c_tp, t_pp, t_dp)
+        return np.array([self.evaluate_perm(perm) for perm in perms],
+                        dtype=float)
 
     # ------------------------------------------------------------- terms
 
@@ -697,7 +642,7 @@ class LatencyKernel:
         the straggler candidates is its value at their minimum
         bandwidth: taking the minimum first is exact, and computes the
         transform once instead of per group.  ``bw`` is one float or
-        an array of them (one per batch row).
+        an array of them (one per slot).
         """
         return self._c + self._tp_factor * (
             self._tp_layers4 * (self._tp_coef / (bw * GB)))
@@ -725,26 +670,18 @@ class LatencyKernel:
         inv = perm.argsort() if self._slots_per_node == 2 else None
         return self._ring_terms(slots, inv, blocks, stages)
 
-    def _stack_max(self, perms: np.ndarray, src: np.ndarray,
+    def _stack_max(self, perm: np.ndarray, src: np.ndarray,
                    dst: np.ndarray, off: np.ndarray,
                    starts: np.ndarray) -> np.ndarray:
         """Segment maxima of a whole-node grid's stacked term table.
 
         Entry ``i`` reads ``perm[src[i]] * n + perm[dst[i]] + off[i]``
         of the table of :meth:`_whole_node_tables`, and ``starts`` are
-        the segment starts.  ``perms`` is one permutation, or a ``(K,
-        n)`` batch with one row of maxima per permutation.
+        the segment starts.
         """
         n = self._n_slots
-        if perms.ndim == 1:
-            return np.maximum.reduceat(self._stack.take(
-                perms.take(src) * n + perms.take(dst) + off), starts)
-        idx = perms.take(src, axis=1) * n + perms.take(dst, axis=1) + off
-        k, width = idx.shape
-        return np.maximum.reduceat(
-            self._stack.take(idx.ravel()),
-            (np.arange(0, k * width, width)[:, None] + starts).ravel()) \
-            .reshape(k, -1)
+        return np.maximum.reduceat(self._stack.take(
+            perm.take(src) * n + perm.take(dst) + off), starts)
 
     def _ring_terms(self, slots: np.ndarray, inv: "np.ndarray | None",
                     blocks: np.ndarray, stages: np.ndarray) -> np.ndarray:
@@ -752,12 +689,11 @@ class LatencyKernel:
         when ``pp >= 2``, shape ``(m,)``.
 
         ``slots`` holds the slots of whole stage rows in data-rank
-        order: ``(L,)`` from one permutation whose inverse is ``inv``,
-        or ``(K, L)`` from K permutations with ``(K, n)`` inverses
-        (then ``m`` counts the rows of all K); only two-slot nodes read
-        the inverses (``None`` otherwise).  ``blocks`` are the
-        slots' block positions in their permutation, and ``stages[x]``
-        is row ``x``'s pipeline stage (its message size).
+        order, from one permutation whose inverse is ``inv``; only
+        two-slot nodes read the inverse (``None`` otherwise).
+        ``blocks`` are the slots' block positions in the permutation,
+        and ``stages[x]`` is row ``x``'s pipeline stage (its message
+        size).
 
         A data rank *follows* when its node already appears earlier in
         its row.  It reads its node leader's slot instead of its own —
@@ -783,9 +719,7 @@ class LatencyKernel:
             # own in the stage, and then leads through the partner.  A
             # follower's intra cell is its node's denominator, anyone
             # else's the +inf column.
-            # (K permutations: row offsets into the flattened inverses.)
-            pos = inv.take(slots ^ 1 if inv.ndim == 1 else
-                           (slots ^ 1) + np.arange(0, inv.size, n)[:, None])
+            pos = inv.take(slots ^ 1)
             follow = self._follows.take(
                 (self._follow_base if blocks is self._ring_blocks
                  else blocks * n) + pos)
@@ -821,10 +755,9 @@ class LatencyKernel:
             / ((kn * mins[:, :m]) * _GB)
         return np.maximum.reduce(intra + inter, axis=0)
 
-    def _leader_terms(self, perms: np.ndarray):
+    def _leader_terms(self, perm: np.ndarray) -> float:
         """Ring term of a ``pp == 1`` grid on nodes of two or more
-        slots: a float for one permutation, ``(K,)`` for a ``(K, n)``
-        batch.
+        slots.
 
         The one ring row holds every slot, so every node has all its
         slots as members: the intra phase is the compile-time
@@ -832,27 +765,15 @@ class LatencyKernel:
         reference's leader of a node is its first member in data-rank
         order — the node's slot with the smallest block position, read
         off the inverse permutation — and the inter phase reads the
-        leaders' ``N x N`` submatrix, diagonal included.  One
-        permutation finishes on Python floats, a batch on arrays: the
-        same products, quotients and sums.
+        leaders' ``N x N`` submatrix, diagonal included.
         """
-        first, nodes = self._node_first, self._n_nodes
-        if perms.ndim == 1:
-            lead = perms.take(np.minimum.reduceat(perms.argsort(), first))
-            bw = np.minimum.reduce(self._ring3.take(lead, axis=1).take(
-                lead, axis=2), axis=(1, 2)).tolist()
-            return max([intra + self._lead_num / ((nodes * b) * _GB)
-                        for intra, b in zip(self._full_intra, bw)])
-        k, n = perms.shape
-        lead = perms.take(
-            np.minimum.reduceat(perms.argsort(axis=1), first, axis=1)
-            + np.arange(0, k * n, n)[:, None])                  # (K, N)
-        bw = np.minimum.reduce(self._ring3.reshape(len(self._ring3), -1)
-                               .take(((lead * n)[:, :, None] + lead[:, None])
-                                     .reshape(k, -1), axis=1), axis=2)
-        return np.maximum.reduce(
-            np.asarray(self._full_intra)[:, None]
-            + self._lead_num / ((nodes * bw) * _GB), axis=0)
+        nodes = self._n_nodes
+        lead = perm.take(np.minimum.reduceat(perm.argsort(),
+                                             self._node_first))
+        bw = np.minimum.reduce(self._ring3.take(lead, axis=1).take(
+            lead, axis=2), axis=(1, 2)).tolist()
+        return max([intra + self._lead_num / ((nodes * b) * _GB)
+                    for intra, b in zip(self._full_intra, bw)])
 
     def _exposed_dp(self, stage_t: "list[float]", c_tp: float) -> float:
         """T_DP: the first stage's ring term, or a later stage's net of
@@ -861,16 +782,6 @@ class LatencyKernel:
         backward_slack = 2.0 * c_tp / 3.0
         return max([t - x * backward_slack
                     for x, t in enumerate(stage_t)]) / self._eff
-
-    def _exposed_dp_rows(self, stage_t: np.ndarray, c_tp) -> np.ndarray:
-        """:meth:`_exposed_dp` over rows of ``(..., ns)`` stage terms."""
-        exposed = stage_t[..., 0]
-        if self._n_dp_stages > 1:
-            backward_slack = 2.0 * np.asarray(c_tp) / 3.0
-            adj = stage_t[..., 1:] \
-                - self._drain_steps * backward_slack[..., None]
-            exposed = np.maximum(exposed, adj.max(axis=-1))
-        return exposed / self._eff
 
     def _finish(self, pp: int, c_tp: float, t_pp: float,
                 t_dp: float) -> float:

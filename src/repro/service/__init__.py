@@ -105,7 +105,7 @@ from repro.service.planner import (
 )
 from repro.service.registry import ClusterRegistry
 from repro.service.shard import (
-    DEFAULT_REPLICAS,
+    REPLICAS,
     HashRing,
     routing_key,
     shard_segment_path,
@@ -130,7 +130,7 @@ __all__ = [
     "FleetSupervisor",
     "TokenBucket",
     "WorkerClient",
-    "DEFAULT_REPLICAS",
+    "REPLICAS",
     "HashRing",
     "routing_key",
     "shard_segment_path",

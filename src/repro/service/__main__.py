@@ -94,6 +94,20 @@ from repro.units import GIB
 PRESETS = {"mid-range": mid_range_cluster, "high-end": high_end_cluster}
 
 
+def _executor_width(text: str) -> int:
+    """An executor width operand: 0 (serial), -1 (every usable CPU) or
+    a pool size; parsing refuses anything below -1."""
+    try:
+        width = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if width < -1:
+        raise argparse.ArgumentTypeError(
+            f"must be >= -1 (-1 = all usable CPUs), got {width}")
+    return width
+
+
 def _executor(args) -> CandidateExecutor | None:
     if args.workers == 0:
         return None
@@ -778,7 +792,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default 4; 1 keeps only the best)")
         p.add_argument("--no-dedication", action="store_true",
                        help="skip SA worker dedication (PPT-L mode)")
-        p.add_argument("--workers", type=int, default=0,
+        p.add_argument("--workers", type=_executor_width, default=0,
                        help="candidate-executor width; 0 = serial "
                             "(default), -1 = all usable CPUs "
                             f"(this host: {available_workers()})")
@@ -938,11 +952,11 @@ def build_parser() -> argparse.ArgumentParser:
                           "candidate (forwarded)")
     flt.add_argument("--no-dedication", action="store_true",
                      help="skip SA worker dedication (forwarded)")
-    flt.add_argument("--executor-workers", type=int, default=0,
+    flt.add_argument("--executor-workers", type=_executor_width, default=0,
                      metavar="W",
                      help="candidate-executor width inside each "
                           "worker (serve's --workers; default 0 = "
-                          "serial)")
+                          "serial, -1 = all usable CPUs)")
     flt.add_argument("--log-dir", default=None, metavar="DIR",
                      help="append worker K's output to "
                           "DIR/worker-K.log (default: inherit stderr)")

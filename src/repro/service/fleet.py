@@ -59,12 +59,15 @@ from repro.service.http import (
     _json_body,
 )
 from repro.service.metrics import MetricsRegistry, merge_expositions
-from repro.service.shard import DEFAULT_REPLICAS, HashRing, routing_key
+from repro.service.shard import HashRing, routing_key
 
 __all__ = ["AdmissionController", "FleetRouter", "FleetSupervisor",
            "TokenBucket", "WorkerClient"]
 
 _log = get_logger("service.fleet")
+
+#: Idle keep-alive connections the router pools per worker.
+MAX_POOL = 8
 
 
 # ------------------------------------------------------------- admission
@@ -178,18 +181,17 @@ async def _read_http_response(reader: asyncio.StreamReader
 class WorkerClient:
     """Keep-alive HTTP client to one worker, with a connection pool.
 
-    The router opens at most ``max_pool`` idle connections per worker;
-    a request over a pooled connection that turns out stale (the
-    worker restarted since it was pooled) is retried once on a fresh
-    connection before the failure propagates.
+    The router keeps at most :data:`MAX_POOL` idle connections per
+    worker; a request over a pooled connection that turns out stale
+    (the worker restarted since it was pooled) is retried once on a
+    fresh connection before the failure propagates.
     """
 
-    def __init__(self, host: str, port: int, index: "int | None" = None,
-                 max_pool: int = 8) -> None:
+    def __init__(self, host: str, port: int,
+                 index: "int | None" = None) -> None:
         self.host = host
         self.port = int(port)
         self.index = index
-        self.max_pool = int(max_pool)
         self._pool: "list[tuple[asyncio.StreamReader, asyncio.StreamWriter]]" = []
 
     async def request(self, method: str, path: str, body: bytes = b"",
@@ -229,7 +231,7 @@ class WorkerClient:
                 writer.close()
                 raise
             if headers.get("connection", "").lower() == "close" \
-                    or len(self._pool) >= self.max_pool:
+                    or len(self._pool) >= MAX_POOL:
                 writer.close()
             else:
                 self._pool.append((reader, writer))
@@ -456,7 +458,6 @@ class FleetRouter(HttpServerBase):
         metrics: registry for the router's own series; created fresh
             when ``None``.
         max_body_bytes: request-body cap, as on the workers.
-        replicas: virtual nodes per worker on the hash ring.
 
     The router is deliberately *thin*: it never parses plan results,
     never caches, never coalesces — those stay in the workers, where
@@ -471,8 +472,7 @@ class FleetRouter(HttpServerBase):
                  supervisor: "FleetSupervisor | None" = None,
                  quota: "AdmissionController | None" = None,
                  metrics: "MetricsRegistry | None" = None,
-                 max_body_bytes: int = MAX_BODY_BYTES,
-                 replicas: int = DEFAULT_REPLICAS) -> None:
+                 max_body_bytes: int = MAX_BODY_BYTES) -> None:
         if not workers:
             raise ValueError("a fleet needs at least one worker")
         super().__init__(
@@ -492,7 +492,7 @@ class FleetRouter(HttpServerBase):
         self.workers = list(workers)
         self.supervisor = supervisor
         self.quota = quota
-        self.ring = HashRing(range(len(self.workers)), replicas=replicas)
+        self.ring = HashRing(range(len(self.workers)))
         self._admission_rejects = self.metrics.counter(
             "pipette_admission_rejects_total",
             "Plan requests refused at the fleet front door because the "

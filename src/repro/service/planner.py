@@ -120,8 +120,8 @@ def polish(ctx: SearchContext, leader: RankedConfig,
            span: Span) -> "tuple[RankedConfig, SAResult, int]":
     """Anneal ``leader`` on ``ctx.sa`` from the best of ``starts``.
 
-    The start is picked in one batched kernel call
-    (:func:`~repro.service.replan.best_start`).  When ``span`` records,
+    The start is picked by
+    :func:`~repro.service.replan.best_start`.  When ``span`` records,
     a ``"warm-start"`` flight recorder rides the anneal and its payload
     and exit reason land on ``span``.  Returns the refined leader, the
     anneal's result and the index of the chosen start.

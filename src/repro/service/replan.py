@@ -289,8 +289,8 @@ def _warm_candidates(event: ClusterEvent, previous: RankedConfig,
 def best_start(kernel: LatencyKernel, mappings: "list[Mapping]") -> int:
     """Index of the lowest-latency warm start among ``mappings``.
 
-    Every candidate is scored in one batched kernel call; ties resolve
-    to the earliest.  A lone candidate is returned unscored.
+    Every candidate is scored in one ``evaluate_batch`` call; ties
+    resolve to the earliest.  A lone candidate is returned unscored.
     """
     if len(mappings) == 1:
         return 0

@@ -46,7 +46,7 @@ __all__ = ["HashRing", "routing_key", "shard_segment_path"]
 #: distribution (the load of the busiest member concentrates toward
 #: K/N as replicas grow) at a small lookup-table cost; 128 keeps the
 #: busiest-of-4 shard within ~30% of the mean in practice.
-DEFAULT_REPLICAS = 128
+REPLICAS = 128
 
 
 def _hash64(value: str) -> int:
@@ -61,8 +61,6 @@ class HashRing:
     Args:
         members: initial ring members (any hashable, stringified for
             hashing — worker indices in the fleet).
-        replicas: virtual nodes per member (see
-            :data:`DEFAULT_REPLICAS`).
 
     ``lookup(key)`` walks clockwise from the key's hash to the first
     virtual node and returns its member.  Membership changes only move
@@ -70,10 +68,7 @@ class HashRing:
     put, which is the whole point.
     """
 
-    def __init__(self, members=(), replicas: int = DEFAULT_REPLICAS) -> None:
-        if replicas < 1:
-            raise ValueError(f"replicas must be >= 1, got {replicas}")
-        self.replicas = int(replicas)
+    def __init__(self, members=()) -> None:
         self._points: "list[int]" = []          # sorted vnode positions
         self._owners: "dict[int, object]" = {}  # position -> member
         self._members: "set" = set()
@@ -83,11 +78,11 @@ class HashRing:
     # ---------------------------------------------------------- membership
 
     def add(self, member) -> None:
-        """Add one member (``replicas`` virtual nodes) to the ring."""
+        """Add one member (:data:`REPLICAS` virtual nodes) to the ring."""
         if member in self._members:
             raise ValueError(f"member {member!r} is already on the ring")
         self._members.add(member)
-        for i in range(self.replicas):
+        for i in range(REPLICAS):
             point = _hash64(f"{member}#{i}")
             # A position collision between two members' vnodes is a
             # 2^-64 event per pair; first owner keeps the point.

@@ -193,9 +193,9 @@ class TestPresetSweep:
     """Every preset grid x every schedule: the three paths agree bitwise.
 
     ``evaluate_perm`` takes minimum bandwidths before its transforms
-    and gathers through position tables; ``evaluate_batch`` stacks the
-    same tables; ``latency_with_options`` walks the groups.  All three
-    must land on the same float for every permutation.
+    and gathers through position tables; ``evaluate_batch`` loops over
+    it; ``latency_with_options`` walks the groups.  All three must land
+    on the same float for every permutation.
     """
 
     @pytest.mark.parametrize("schedule", registered_schedules())

@@ -194,3 +194,47 @@ class TestTraceLimit:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: --limit must be >= 1")
+
+
+class TestExecutorWidth:
+    """An executor width below -1 is refused with exit 2 at parse time.
+
+    Regression: every negative ``--workers`` used to mean "all usable
+    CPUs", though only -1 is documented.
+    """
+
+    @pytest.mark.parametrize("command", ["plan", "serve"])
+    def test_workers_below_minus_one(self, command, capsys, monkeypatch):
+        import repro.service.__main__ as cli
+
+        built = []
+        monkeypatch.setattr(cli, "_build_service", built.append)
+        monkeypatch.setattr(cli, "_build_registry", built.append)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--workers", "-7"])
+        assert exc.value.code == 2
+        assert built == []
+        assert "--workers: must be >= -1" in capsys.readouterr().err
+
+    def test_fleet_executor_workers_below_minus_one(self, capsys,
+                                                    monkeypatch):
+        import repro.service.__main__ as cli
+
+        spawned = []
+        monkeypatch.setattr(cli, "FleetSupervisor",
+                            lambda *a, **k: spawned.append(a))
+        with pytest.raises(SystemExit) as exc:
+            main(["fleet", "--executor-workers", "-2"])
+        assert exc.value.code == 2
+        assert spawned == []
+        assert "--executor-workers: must be >= -1" in capsys.readouterr().err
+
+    def test_documented_widths_parse(self):
+        from repro.service.__main__ import build_parser
+
+        for width in (-1, 0, 3):
+            assert build_parser().parse_args(
+                ["plan", "--workers", str(width)]).workers == width
+            assert build_parser().parse_args(
+                ["fleet", "--executor-workers", str(width)]
+            ).executor_workers == width
