@@ -73,8 +73,12 @@ from repro.service.gateway import (
     PlanGateway,
 )
 from repro.service.http import (
+    MEMO_BODY_BYTES,
+    MEMO_ENTRIES,
     HttpError,
     HttpPlanServer,
+    PlanBodies,
+    PlanBody,
     answer_payload,
     plan_response_payload,
     render_answer,
@@ -140,6 +144,10 @@ __all__ = [
     "PlanGateway",
     "HttpError",
     "HttpPlanServer",
+    "MEMO_BODY_BYTES",
+    "MEMO_ENTRIES",
+    "PlanBodies",
+    "PlanBody",
     "answer_payload",
     "plan_response_payload",
     "render_answer",

@@ -74,12 +74,7 @@ from repro.service.fleet import (
     WorkerClient,
 )
 from repro.service.gateway import PlanGateway
-from repro.service.http import (
-    HttpPlanServer,
-    answer_payload,
-    plan_response_payload,
-    render_answer,
-)
+from repro.service.http import HttpPlanServer, PlanBodies, render_answer
 from repro.service.metrics import MetricsRegistry
 from repro.service.planner import PlanningService
 from repro.sim.schedule import registered_schedules
@@ -316,26 +311,29 @@ def cmd_registry(args) -> int:
     return 0
 
 
-async def _handle_line(gateway: PlanGateway, options: PipetteOptions,
+def _line_payload(line: str) -> dict:
+    payload = json.loads(line)
+    if not isinstance(payload, dict):
+        raise ValueError("each request line must be a JSON object")
+    return payload
+
+
+async def _handle_line(gateway: PlanGateway, bodies: PlanBodies,
                        line: str, default_id, write_line) -> None:
     """One JSON-lines request -> one answer line, errors included.
 
     The answering itself (routing, cheapest-feasible fan-out,
-    ``client_id`` fairness) is shared with the HTTP front end via
-    :func:`repro.service.http.answer_payload`.
+    ``client_id`` fairness, the memo of repeated lines) is shared with
+    the HTTP front end via :meth:`repro.service.http.PlanBodies.answer`.
     """
     rid = default_id
     try:
-        payload = json.loads(line)
-        if not isinstance(payload, dict):
-            raise ValueError("each request line must be a JSON object")
-        rid = payload.get("id", default_id)
-        answer = await answer_payload(gateway, options, payload)
-        # plan_response_payload reports this caller's own
-        # submit-to-answer time — a coalesced follower must not
-        # report its leader's full search time.
-        out = plan_response_payload(answer, payload,
-                                    registry=gateway.registry)
+        body = bodies.read(line, _line_payload)
+        rid = body.payload.get("id", default_id)
+        # The answer dict reports this caller's own submit-to-answer
+        # time — a coalesced follower must not report its leader's
+        # full search time.
+        _, out = await bodies.answer(gateway, body)
         out["id"] = rid
     except (ValueError, TypeError, RuntimeError, KeyError,
             json.JSONDecodeError) as exc:
@@ -355,6 +353,7 @@ async def _serve_stream(gateway: PlanGateway, options: PipetteOptions,
     stream winds down.
     """
     counter = itertools.count(1)
+    bodies = PlanBodies(options)
     # Completed handlers remove themselves: a long-lived stream
     # serves unboundedly many requests, so finished tasks must not
     # accumulate for the stream's whole lifetime.
@@ -375,7 +374,7 @@ async def _serve_stream(gateway: PlanGateway, options: PipetteOptions,
             if not line:
                 continue
             task = asyncio.ensure_future(_handle_line(
-                gateway, options, line, next(counter), write_line))
+                gateway, bodies, line, next(counter), write_line))
             tasks.add(task)
             task.add_done_callback(tasks.discard)
     finally:

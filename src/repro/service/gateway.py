@@ -336,8 +336,9 @@ class _GatewayInstruments:
         self.latency = metrics.histogram(
             "pipette_plan_latency_seconds",
             "Per-caller submit-to-answer wall time through the "
-            "gateway, queue wait included.",
-            ("cluster",))
+            "gateway, queue wait included, by cluster and outcome "
+            "(hit/miss/coalesced/error).",
+            ("cluster", "outcome"))
         self.queue_depth = metrics.gauge(
             "pipette_lane_queue_depth",
             "Requests queued on the cluster's lane, not yet being "
@@ -432,23 +433,66 @@ class PlanGateway:
         fingerprint, so two clients asking the same question still
         share one cache entry and coalesce onto one search.
         """
+        answer = self.plan_nowait(request, cluster, client_id)
+        if isinstance(answer, GatewayResponse):
+            return answer
+        return await answer
+
+    def plan_nowait(self, request: PlanRequest,
+                    cluster: str | None = None,
+                    client_id: str | None = None):
+        """:meth:`plan` up to its first wait: a hit now, else an awaitable.
+
+        Routes the request, hashes it and looks it up on the event loop.
+        A same-epoch hit returns its :class:`GatewayResponse` at once,
+        with no task and no coroutine; anything else returns the
+        coroutine that coalesces or queues the request and resolves to
+        its answer, which the caller must await.  A closed gateway or
+        an unknown cluster raises here.  An unpinned fan-out answers
+        its hits through this without a task per cluster.
+        """
         if self._closed:
             raise RuntimeError("gateway is closed")
         t0 = time.perf_counter()
         name = cluster if cluster is not None else self.registry.route(request)
         fingerprint = request.fingerprint()
-        with TRACER.span("gateway.plan", cluster=name,
-                         fingerprint=fingerprint) as gspan:
-            trace_id = gspan.trace_id if gspan.recording else None
+        gspan = TRACER.start_span("gateway.plan", cluster=name,
+                                  fingerprint=fingerprint)
+        trace_id = gspan.trace_id if gspan.recording else None
+        token = TRACER.activate(gspan) if gspan.recording else None
+        try:
             # A hit is answered here on the loop, never parked or
             # rejected: the lookup only tries the service lock, so a
-            # busy cluster sends even its hits down the lane below.
+            # busy cluster sends even its hits down the lane.
             response = self.registry.service(name).lookup(
                 request, gspan if gspan.recording else None)
-            if response is not None:
-                self.stats.bump("submitted")
-                self.stats.bump("answered")
-                return self._answered(name, response, t0, trace_id)
+            if response is None:
+                return self._enqueue(request, name, fingerprint, gspan, t0,
+                                     client_id)
+            self.stats.bump("submitted")
+            self.stats.bump("answered")
+            answer = self._answered(name, response, t0, trace_id)
+        except BaseException:
+            gspan.end()
+            raise
+        finally:
+            if token is not None:
+                TRACER.deactivate(token)
+        gspan.end()
+        return answer
+
+    async def _enqueue(self, request: PlanRequest, name: str,
+                       fingerprint: str, gspan, t0: float,
+                       client_id: str | None) -> GatewayResponse:
+        """:meth:`plan` after a miss: coalesce or queue, then answer.
+
+        Owns ``gspan``, the request's open ``gateway.plan`` span: it is
+        the context's current span while the request waits, and ends
+        with the answer.
+        """
+        trace_id = gspan.trace_id if gspan.recording else None
+        token = TRACER.activate(gspan) if gspan.recording else None
+        try:
             while True:
                 service = self.registry.service(name)
                 # The epoch in the key is what fences coalescing across
@@ -521,6 +565,10 @@ class PlanGateway:
                     self._record(name, "failed", None)
                     raise
                 return self._answered(name, response, t0, trace_id)
+        finally:
+            if token is not None:
+                TRACER.deactivate(token)
+            gspan.end()
 
     def _answered(self, name: str, response: PlanResponse, t0: float,
                   trace_id: "str | None",
@@ -545,8 +593,9 @@ class PlanGateway:
         self._instruments.requests.labels(cluster=cluster,
                                           outcome=outcome).inc()
         if t0 is not None:
-            self._instruments.latency.labels(cluster=cluster).observe(
-                time.perf_counter() - t0)
+            self._instruments.latency.labels(
+                cluster=cluster, outcome=outcome).observe(
+                    time.perf_counter() - t0)
 
     # ------------------------------------------------------------- elastic
 

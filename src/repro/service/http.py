@@ -38,10 +38,15 @@ their route tables and counter names.
 Design constraints, in order:
 
 * **same answers as the gateway** — ``POST /v1/plan`` goes through
-  :func:`answer_payload`, the exact routine the stdin JSON-lines mode
-  uses, so a plan fetched over HTTP is byte-identical (net of
-  stopwatch fields) to a direct :meth:`PlanGateway.plan` call
-  (``benchmarks/bench_http.py`` holds the proof);
+  :meth:`PlanBodies.answer` and :func:`answer_payload`, the exact
+  routine the stdin JSON-lines mode uses, so a plan fetched over HTTP
+  is byte-identical (net of stopwatch fields) to a direct
+  :meth:`PlanGateway.plan` call (``benchmarks/bench_http.py`` holds
+  the proof);
+* **a repeated body is read once** — :class:`PlanBodies` keeps each
+  plan body's decoded payload, fields and per-cluster
+  :class:`~repro.service.cache.PlanRequest` in a bounded LRU keyed by
+  the body's bytes, so a repeat goes straight to the cache lookup;
 * **bounded inputs** — request bodies are capped (``413`` beyond
   ``max_body_bytes``), header counts are capped, and chunked bodies
   are refused (``501``) rather than buffered unbounded;
@@ -66,7 +71,9 @@ import json
 import logging
 import math
 import time
+from collections import OrderedDict
 from functools import partial
+from types import MappingProxyType
 
 import numpy as np
 
@@ -86,20 +93,35 @@ from repro.service.cache import (
     payload_int,
     payload_number,
 )
-from repro.service.gateway import GatewayOverloadedError, PlanGateway
+from repro.service.gateway import (
+    GatewayOverloadedError,
+    GatewayResponse,
+    PlanGateway,
+)
 from repro.service.metrics import MetricsRegistry
 from repro.service.registry import cheapest_rank_key
 from repro.service.warmer import TemplateWarmer
 from repro.units import GIB
 
-__all__ = ["HttpError", "HttpPlanServer", "HttpServerBase",
-           "answer_payload", "plan_response_payload", "render_answer",
-           "MAX_BODY_BYTES"]
+__all__ = ["HttpError", "HttpPlanServer", "HttpServerBase", "PlanBodies",
+           "PlanBody", "answer_payload", "plan_response_payload",
+           "render_answer", "MAX_BODY_BYTES", "MEMO_BODY_BYTES",
+           "MEMO_ENTRIES"]
 
 #: Default request-body cap; a plan request is a few hundred bytes,
 #: and even a full bandwidth matrix for a large fleet fits well under
 #: this.  Raise per-server via ``max_body_bytes`` if yours does not.
 MAX_BODY_BYTES = 1 << 20
+
+#: Plan bodies a :class:`PlanBodies` memo keeps, least recently used
+#: out first.  A serving working set is a campaign's few distinct
+#: questions; an entry is a decoded payload plus one request per
+#: cluster asked, a few KB.
+MEMO_ENTRIES = 256
+
+#: Bodies longer than this are answered but never kept; a plan body is
+#: a few hundred bytes.
+MEMO_BODY_BYTES = 4096
 
 _JSON = "application/json; charset=utf-8"
 
@@ -138,37 +160,143 @@ class HttpError(Exception):
 # --------------------------------------------------------------- protocol
 
 
-async def answer_payload(gateway: PlanGateway, options: PipetteOptions,
-                         payload: dict):
-    """One decoded request object -> one GatewayResponse (may raise).
+class PlanBody:
+    """One plan request body, read once and asked many times.
 
-    The single request-answering routine shared by every transport
-    (JSON lines over stdin, HTTP): a request pinned to a ``"cluster"``
-    goes to that lane; an unpinned request is fanned concurrently over
-    every cluster and answered with the cheapest feasible plan — the
-    one cheapest-feasible path, ranked by
-    :func:`~repro.service.registry.cheapest_rank_key` (fitting plans
-    first, then latency, then cluster name).  ``"client_id"`` selects
-    the caller's fair-queue lane on every path.
+    ``payload`` is the decoded JSON object, read-only: a memo hands the
+    same body to every repeat.  :meth:`parsed` reads its fields,
+    resolves its model and builds its request kwargs on first use.
+    :meth:`request` builds the :class:`~repro.service.cache.PlanRequest`
+    for one cluster and keeps it, tagged with the service that built
+    it, for as long as the registry still names that service and the
+    service still plans for the request's own cluster spec (a node
+    failure replaces the spec).  A request's fingerprint is memoised on
+    the request, so a kept request is hashed once.
     """
-    fields = parse_plan_payload(payload)
-    model = get_model(fields.model)
-    kwargs = fields.request_kwargs(options)
+
+    __slots__ = ("raw", "payload", "options", "_decoded", "_read",
+                 "_requests")
+
+    def __init__(self, raw, payload: dict, options: PipetteOptions) -> None:
+        if not isinstance(payload, dict):
+            raise ValueError("plan payload must be a JSON object")
+        self.raw = raw
+        self.payload = MappingProxyType(payload)
+        self.options = options
+        self._decoded = payload
+        self._read = None
+        self._requests: "dict[str, tuple]" = {}
+
+    def parsed(self):
+        """``(PlanFields, model config, request kwargs)``; may raise."""
+        if self._read is None:
+            fields = parse_plan_payload(self._decoded)
+            self._read = (fields, get_model(fields.model),
+                          fields.request_kwargs(self.options))
+        return self._read
+
+    def request(self, registry, name: str):
+        """The :class:`~repro.service.cache.PlanRequest` for ``name``."""
+        service = registry.service(name)
+        kept = self._requests.get(name)
+        if kept is not None and kept[0] is service \
+                and kept[1].cluster is service.cluster:
+            return kept[1]
+        fields, model, kwargs = self.parsed()
+        request = service.request(model, fields.global_batch, **kwargs)
+        self._requests[name] = (service, request)
+        return request
+
+
+class PlanBodies:
+    """The plan front end's memo: a bounded LRU of :class:`PlanBody`.
+
+    Keyed by the body's bytes (or text, on the JSON-lines transport),
+    so only a byte-identical repeat is a memo hit.  Used on the event
+    loop only, like the rest of a front end.  A body is kept
+    once it was answered: a malformed body, a bad field or a refused
+    memory limit raises before that, so it is parsed again, and
+    refused again, on every ask.  At most
+    :data:`MEMO_ENTRIES` bodies are kept, and none longer than
+    :data:`MEMO_BODY_BYTES`.
+    """
+
+    def __init__(self, options: PipetteOptions) -> None:
+        self.options = options
+        self._bodies: "OrderedDict[bytes | str, PlanBody]" = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._bodies)
+
+    def __contains__(self, raw) -> bool:
+        return raw in self._bodies
+
+    def read(self, raw, decode) -> PlanBody:
+        """The kept body for ``raw``, else a new one from ``decode(raw)``."""
+        body = self._bodies.get(raw)
+        if body is not None:
+            self._bodies.move_to_end(raw)
+            return body
+        return PlanBody(raw, decode(raw), self.options)
+
+    async def answer(self, gateway: PlanGateway, body: PlanBody):
+        """``(GatewayResponse, answer dict)`` for one body; may raise.
+
+        The one plan-answering routine of both transports: the answer
+        comes from :func:`answer_payload` and its dict from
+        :func:`plan_response_payload`, then the body is kept if it may
+        be.
+        """
+        answer = await answer_payload(gateway, self.options, body)
+        raw = body.raw
+        if len(raw) <= MEMO_BODY_BYTES and raw not in self._bodies:
+            self._bodies[raw] = body
+            if len(self._bodies) > MEMO_ENTRIES:
+                self._bodies.popitem(last=False)
+        return answer, plan_response_payload(answer, body.payload,
+                                             registry=gateway.registry)
+
+
+async def answer_payload(gateway: PlanGateway, options: PipetteOptions,
+                         payload):
+    """One request -> one GatewayResponse (may raise).
+
+    ``payload`` is a decoded request object, or a :class:`PlanBody`
+    read for these ``options``.  The single request-answering routine
+    shared by every transport (JSON lines over stdin, HTTP): a request
+    pinned to a ``"cluster"`` goes to that lane; an unpinned request is
+    fanned concurrently over every cluster and answered with the
+    cheapest feasible plan — the one cheapest-feasible path, ranked by
+    :func:`~repro.service.registry.cheapest_rank_key` (fitting plans
+    first, then latency, then cluster name).  The fan-out takes each
+    cluster's hit at once (:meth:`PlanGateway.plan_nowait`) and awaits
+    only the clusters that must search, concurrently.  ``"client_id"``
+    selects the caller's fair-queue lane on every path.
+    """
+    if isinstance(payload, PlanBody):
+        body = payload
+        if body.options is not options:
+            raise ValueError("plan body was read for other search options")
+    else:
+        body = PlanBody(None, payload, options)
+    fields = body.parsed()[0]
     registry = gateway.registry
-
-    def ask(name: str):
-        request = registry.service(name).request(
-            model, fields.global_batch, **kwargs)
-        return gateway.plan(request, cluster=name,
-                            client_id=fields.client_id)
-
     if fields.cluster is not None:
-        return await ask(fields.cluster)
+        return await gateway.plan(body.request(registry, fields.cluster),
+                                  cluster=fields.cluster,
+                                  client_id=fields.client_id)
     names = registry.names
     if not names:
         raise ValueError("no clusters registered")
-    answers = await asyncio.gather(*(ask(n) for n in names),
-                                   return_exceptions=True)
+    requests = [body.request(registry, n) for n in names]
+    answers = [gateway.plan_nowait(request, cluster=n,
+                                   client_id=fields.client_id)
+               for n, request in zip(names, requests)]
+    waiting = [a for a in answers if not isinstance(a, GatewayResponse)]
+    if waiting:
+        waited = iter(await asyncio.gather(*waiting, return_exceptions=True))
+        answers = [a if isinstance(a, GatewayResponse) else next(waited)
+                   for a in answers]
     ranked, errors = [], []
     for n, answer in zip(names, answers):
         if isinstance(answer, BaseException):
@@ -646,6 +774,7 @@ class HttpPlanServer(HttpServerBase):
             metrics=metrics, max_body_bytes=max_body_bytes)
         self.gateway = gateway
         self.options = options
+        self.bodies = PlanBodies(options)
         self._warmers: "dict[str, TemplateWarmer]" = dict(warmers or {})
         self._started_monotonic = time.monotonic()
         self._plans_by_schedule = self.metrics.counter(
@@ -657,16 +786,14 @@ class HttpPlanServer(HttpServerBase):
     # ----------------------------------------------------------- routes
 
     async def _plan(self, body: bytes):
-        payload = self._json_payload(body)
-        answer = await answer_payload(self.gateway, self.options, payload)
-        out = plan_response_payload(answer, payload,
-                                    registry=self.gateway.registry)
+        plan = self.bodies.read(body, self._json_payload)
+        answer, out = await self.bodies.answer(self.gateway, plan)
         if answer.best is not None:
             self._plans_by_schedule.labels(
                 cluster=answer.cluster_name,
                 schedule=answer.best.config.schedule).inc()
-        if "id" in payload:
-            out["id"] = payload["id"]
+        if "id" in plan.payload:
+            out["id"] = plan.payload["id"]
         return 200, _JSON, _json_body(out)
 
     async def _event_bandwidth(self, body: bytes):

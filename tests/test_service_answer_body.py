@@ -20,7 +20,7 @@ import repro.service.__main__ as cli
 import repro.service.http as http
 from repro.core.configurator import PipetteResult
 from repro.obs import TRACER
-from repro.service import PlanGateway
+from repro.service import PlanBodies, PlanGateway
 
 PLAN = {"model": "gpt-toy", "global_batch": 32, "cluster": "alpha"}
 
@@ -33,14 +33,13 @@ def rendered(monkeypatch):
     ``plan_response_payload`` returns (the echoed ``"id"``) are seen.
     """
     seen = []
-    for module in (http, cli):
-        original = module.plan_response_payload
+    original = http.plan_response_payload
 
-        def capture(*args, _original=original, **kwargs):
-            out = _original(*args, **kwargs)
-            seen.append(out)
-            return out
-        monkeypatch.setattr(module, "plan_response_payload", capture)
+    def capture(*args, **kwargs):
+        out = original(*args, **kwargs)
+        seen.append(out)
+        return out
+    monkeypatch.setattr(http, "plan_response_payload", capture)
     return seen
 
 
@@ -173,8 +172,9 @@ class TestStdinLines:
 
         async def main():
             async with PlanGateway(registry) as gateway:
+                bodies = PlanBodies(FAST)
                 for i, line in enumerate(lines):
-                    await cli._handle_line(gateway, FAST, line, i + 1,
+                    await cli._handle_line(gateway, bodies, line, i + 1,
                                            write_line)
 
         asyncio.run(main())

@@ -8,7 +8,7 @@ import pytest
 from repro.cluster import Fabric, HeterogeneityModel, NetworkProfiler
 from repro.cluster.topology import ClusterSpec, GpuSpec, LinkSpec, NodeSpec
 from repro.core import PipetteOptions
-from repro.service import ClusterRegistry, PlanGateway, PlanStore
+from repro.service import ClusterRegistry, PlanBodies, PlanGateway, PlanStore
 from repro.service.__main__ import _handle_line, main
 from repro.units import GIB
 
@@ -93,8 +93,9 @@ class TestServeProtocol:
 
         async def scenario():
             async with PlanGateway(registry) as gateway:
+                bodies = PlanBodies(FAST)
                 await asyncio.gather(*(
-                    _handle_line(gateway, FAST, line, i + 1, write_line)
+                    _handle_line(gateway, bodies, line, i + 1, write_line)
                     for i, line in enumerate(lines)))
 
         asyncio.run(scenario())
@@ -148,6 +149,31 @@ class TestServeProtocol:
         answers = self._serve([line, line, line])
         statuses = sorted(a["status"] for a in answers)
         assert statuses == ["coalesced", "coalesced", "miss"]
+
+    def test_repeated_line_is_read_once_and_answers_a_hit(self):
+        line = json.dumps({"id": 1, "model": "gpt-toy", "global_batch": 32,
+                           "cluster": "cli"})
+        bad = json.dumps({"model": "gpt-toy", "micro_batches": "16"})
+        registry = _tiny_registry()
+        outputs = []
+
+        async def write_line(text):
+            outputs.append(json.loads(text))
+
+        async def scenario():
+            bodies = PlanBodies(FAST)
+            async with PlanGateway(registry) as gateway:
+                for i, text in enumerate((line, bad, line, bad)):
+                    await _handle_line(gateway, bodies, text, i + 1,
+                                       write_line)
+            return bodies
+
+        bodies = asyncio.run(scenario())
+        first, _, repeat, _ = outputs
+        assert (first["status"], repeat["status"]) == ("miss", "hit")
+        assert repeat["config"] == first["config"] and repeat["id"] == 1
+        assert [a["status"] for a in outputs[1::2]] == ["error", "error"]
+        assert len(bodies) == 1 and line in bodies and bad not in bodies
 
     def test_serve_parser_wired(self):
         from repro.service.__main__ import build_parser

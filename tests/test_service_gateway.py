@@ -24,6 +24,7 @@ from repro.obs import TRACER
 from repro.service import (
     ClusterRegistry,
     GatewayOverloadedError,
+    GatewayResponse,
     MetricsRegistry,
     PlanGateway,
     PlanningService,
@@ -334,8 +335,9 @@ class TestHitsOnTheLoop:
                             cluster="alpha", outcome="hit") == 1
         assert metric_value(samples, "pipette_requests_total",
                             cluster="alpha", outcome="miss") == 1
-        assert metric_value(samples, "pipette_plan_latency_seconds_count",
-                            cluster="alpha") == 2
+        for outcome in ("hit", "miss"):
+            assert metric_value(samples, "pipette_plan_latency_seconds_count",
+                                cluster="alpha", outcome=outcome) == 1
         assert metric_value(samples, "pipette_gateway_batches_total") == 1
         stats = service.stats
         assert (stats["cache_hits"], stats["cache_misses"],
@@ -369,6 +371,42 @@ class TestHitsOnTheLoop:
                                   "plan.cache_lookup", "plan.search"]
         assert miss_names.count("plan.cache_lookup") == 1
         assert miss_names.count("queue.wait") == 1
+
+    def test_plan_nowait_answers_a_hit_now_and_returns_a_miss(self,
+                                                             toy_model):
+        registry = _registry()
+        service = registry.service("alpha")
+        request = service.request(toy_model, 32, options=FAST)
+
+        async def main():
+            async with PlanGateway(registry) as gateway:
+                pending = gateway.plan_nowait(request, cluster="alpha")
+                queued = not isinstance(pending, GatewayResponse)
+                miss = await pending
+                hit = gateway.plan_nowait(request, cluster="alpha")
+                return queued, miss, hit, gateway.stats.snapshot()
+
+        TRACER.enable()
+        try:
+            queued, miss, hit, stats = run(main())
+            trees = [TRACER.trace(answer.trace_id) for answer in (miss, hit)]
+        finally:
+            TRACER.disable()
+            TRACER.reset()
+        assert queued
+        assert (miss.status, hit.status) == ("miss", "hit")
+        assert hit.result is miss.result
+        assert (stats["submitted"], stats["answered"], stats["batches"]) == \
+            (2, 2, 1)
+        # The same trees as through plan(): the miss's gateway span
+        # stays open across its wait and ends with its answer.
+        assert _span_names(trees[1]["root"]) == ["gateway.plan",
+                                                 "plan.cache_lookup"]
+        miss_names = _span_names(trees[0]["root"])
+        assert miss_names[:4] == ["gateway.plan", "queue.wait",
+                                  "plan.cache_lookup", "plan.search"]
+        assert trees[0]["root"]["duration_ms"] >= \
+            trees[0]["root"]["children"][0]["duration_ms"]
 
     def test_miss_and_stale_entry_count_once(self, toy_model):
         registry = _registry()

@@ -9,6 +9,8 @@ change answers.
 
 import asyncio
 import json
+import random
+import re
 
 import numpy as np
 import pytest
@@ -21,11 +23,17 @@ from repro.core.memory_dataset import build_memory_dataset
 from repro.core.memory_estimator import MemoryEstimator
 from repro.model import get_model
 from repro.service import (
+    MEMO_BODY_BYTES,
+    MEMO_ENTRIES,
     ClusterRegistry,
     HttpPlanServer,
     MetricsRegistry,
+    PlanBodies,
     PlanGateway,
     PlanningService,
+    answer_payload,
+    plan_response_payload,
+    render_answer,
 )
 from repro.units import GIB
 
@@ -173,6 +181,30 @@ class TestRoutes:
         status, _, body = asyncio.run(main())
         assert status == 200
         assert _json(body)["cluster"] in ("alpha", "beta")
+
+    def test_unpinned_plan_mixes_a_hit_and_a_search(self, toy_model):
+        plan = {"model": "gpt-toy", "global_batch": 32}
+
+        async def main():
+            async with _Server(_registry()) as server:
+                answers = []
+                for pin in ("alpha", None, "beta", "alpha"):
+                    fields = plan if pin is None else dict(plan, cluster=pin)
+                    status, _, body = await _request(
+                        server.port, "POST", "/v1/plan", fields)
+                    assert status == 200
+                    answers.append(_json(body))
+                return answers, server.registry.stats
+
+        (alpha, unpinned, beta, again), stats = asyncio.run(main())
+        # The fan-out answered alpha from its cache and searched beta.
+        assert alpha["status"] == "miss" and beta["status"] == "hit"
+        assert again["status"] == "hit"
+        assert [s["cache_misses"] for s in stats.values()] == [1, 1]
+        chosen = {"alpha": alpha, "beta": beta}[unpinned["cluster"]]
+        assert unpinned["config"] == chosen["config"]
+        assert unpinned["latency_s"] == min(alpha["latency_s"],
+                                            beta["latency_s"])
 
     def test_failure_event_shrinks_cluster(self, toy_model):
         async def main():
@@ -503,7 +535,7 @@ class TestRoutes:
                             method="POST", route="/v1/plan",
                             code="200") == 1
         assert metric_value(samples, "pipette_plan_latency_seconds_count",
-                            cluster="alpha") == 1
+                            cluster="alpha", outcome="miss") == 1
         assert metric_value(samples, "pipette_cache_misses_total",
                             cluster="alpha") == 1
 
@@ -919,3 +951,222 @@ class TestGracefulDrain:
         assert s1 == s2 == 200
         assert _json(b1)["status"] == "ok"
         assert _json(b2)["status"] == "draining"
+
+
+def _net_of_elapsed(body: bytes) -> bytes:
+    """An answer body without its per-delivery ``elapsed_ms`` member."""
+    return re.sub(rb'"elapsed_ms": [^,]*, ', b"", body)
+
+
+class TestPlanBodyMemo:
+    """``POST /v1/plan`` keeps each body it answered, keyed by its bytes."""
+
+    PLAN = {"model": "gpt-toy", "global_batch": 32, "cluster": "alpha"}
+
+    def test_repeat_after_failure_plans_for_the_shrunk_cluster(
+            self, toy_model):
+        pinned = json.dumps(dict(self.PLAN, detail=True)).encode()
+        unpinned = json.dumps({"model": "gpt-toy", "global_batch": 32,
+                               "detail": True}).encode()
+
+        async def main():
+            async with _Server(_registry()) as server:
+                for raw in (pinned, unpinned, pinned, unpinned):
+                    status, _, _ = await _request(
+                        server.port, "POST", "/v1/plan", raw_body=raw)
+                    assert status == 200
+                kept = server.front.bodies.read(pinned, None)
+                before = kept.request(server.registry, "alpha")
+                status, _, _ = await _request(
+                    server.port, "POST", "/v1/events/failure",
+                    {"cluster": "alpha", "nodes": [1]})
+                assert status == 200
+                answers = []
+                for raw in (pinned, unpinned):
+                    _, _, memo = await _request(
+                        server.port, "POST", "/v1/plan", raw_body=raw)
+                    # A front end that never saw the body, on the same
+                    # gateway: the memo's plan is now its cache hit.
+                    fresh = HttpPlanServer(server.gateway, server.options)
+                    _, _, again = await fresh._plan(raw)
+                    answers.append((memo, again))
+                after = kept.request(server.registry, "alpha")
+                service = server.registry.service("alpha")
+                return answers, before, after, service, len(
+                    server.front.bodies)
+
+        answers, before, after, service, kept_count = asyncio.run(main())
+        assert kept_count == 2
+        assert before.cluster.n_nodes == 2
+        assert after is not before and after.cluster is service.cluster
+        assert after.cluster.n_nodes == 1
+        for memo, again in answers:
+            memo, again = _json(memo), _json(again)
+            assert memo.pop("status") in ("miss", "hit")
+            assert again.pop("status") == "hit"
+            del memo["elapsed_ms"], again["elapsed_ms"]
+            assert memo == again
+        pinned_answer = _json(answers[0][0])
+        assert pinned_answer["result"]["cluster"]["n_nodes"] == 1
+
+    def test_refused_body_is_never_kept_and_answers_400_twice(self):
+        refused = [b"{broken", b"[1, 2]",
+                   json.dumps({"model": "gpt-toy", "micro_batches": "16",
+                               "cluster": "alpha"}).encode(),
+                   json.dumps({"model": "gpt-nope",
+                               "cluster": "alpha"}).encode(),
+                   json.dumps({"model": "gpt-toy",
+                               "cluster": "gamma"}).encode(),
+                   json.dumps({"model": "gpt-toy", "memory_limit_gib": 12,
+                               "cluster": "alpha"}).encode(),
+                   json.dumps({"model": "gpt-toy",
+                               "memory_limit_gib": 12}).encode()]
+
+        async def main():
+            async with _Server(_registry()) as server:
+                statuses = []
+                for raw in refused:
+                    for _ in range(2):
+                        status, _, _ = await _request(
+                            server.port, "POST", "/v1/plan", raw_body=raw)
+                        statuses.append(status)
+                return statuses, len(server.front.bodies), \
+                    server.registry.stats
+
+        statuses, kept, stats = asyncio.run(main())
+        assert statuses == [400] * (2 * len(refused))
+        assert kept == 0
+        assert all(s["requests_submitted"] == 0 for s in stats.values())
+
+    def test_entry_count_and_size_bounds_hold(self, toy_model):
+        def body(job, pad: int = 0) -> bytes:
+            return json.dumps(dict(self.PLAN, id=job, pad="x" * pad)
+                              ).encode()
+
+        first, second = body(0), body(1)
+        fits = body("fits")
+        fits = body("fits", MEMO_BODY_BYTES - len(fits))
+        too_long = body("long", MEMO_BODY_BYTES - len(body("long")) + 1)
+        assert len(fits) == MEMO_BODY_BYTES == len(too_long) - 1
+
+        async def main():
+            async with _Server(_registry()) as server:
+                bodies = server.front.bodies
+                for raw in (fits, too_long):
+                    status, _, out = await server.front._plan(raw)
+                    assert status == 200
+                sized = (fits in bodies, too_long in bodies)
+                for job in range(MEMO_ENTRIES):
+                    await server.front._plan(body(job))
+                # A repeat is the most recently used: ``first``
+                # outlives ``second``, the oldest entry.
+                await server.front._plan(first)
+                await server.front._plan(body("new"))
+                return (sized, len(bodies), first in bodies,
+                        second in bodies, body("new") in bodies)
+
+        sized, count, has_first, has_second, has_new = asyncio.run(main())
+        assert sized == (True, False)
+        assert count == MEMO_ENTRIES
+        assert has_first and not has_second and has_new
+
+    def test_id_echo_detail_and_shared_payload_stay_intact(self, toy_model):
+        raws = [json.dumps(dict(self.PLAN, id=["job", 3],
+                                detail=True)).encode(),
+                json.dumps(dict(self.PLAN, id={"n": 1})).encode(),
+                json.dumps(self.PLAN).encode()]
+
+        async def main():
+            async with _Server(_registry()) as server:
+                answers = []
+                for _ in range(3):
+                    for raw in raws:
+                        status, _, out = await _request(
+                            server.port, "POST", "/v1/plan", raw_body=raw)
+                        assert status == 200
+                        answers.append(_json(out))
+                kept = [server.front.bodies.read(raw, None) for raw in raws]
+                return answers, kept
+
+        answers, kept = asyncio.run(main())
+        for k, out in enumerate(answers):
+            detail, with_id, plain = k % 3 == 0, k % 3 == 1, k % 3 == 2
+            assert out["status"] == ("miss" if k == 0 else "hit")
+            assert ("result" in out) == detail
+            assert ("templates" in out) == detail
+            if detail:
+                assert out["id"] == ["job", 3]
+            elif with_id:
+                assert out["id"] == {"n": 1}
+            else:
+                assert plain and "id" not in out
+        for raw, body in zip(raws, kept):
+            assert dict(body.payload) == json.loads(raw)
+            with pytest.raises(TypeError):
+                body.payload["id"] = "changed"
+
+    def test_body_is_answered_only_with_its_own_options(self):
+        raw = json.dumps(self.PLAN).encode()
+
+        async def main():
+            async with PlanGateway(_registry()) as gateway:
+                body = PlanBodies(FAST).read(raw, json.loads)
+                with pytest.raises(ValueError, match="other search options"):
+                    await answer_payload(gateway, PipetteOptions(), body)
+
+        asyncio.run(main())
+
+    def test_memo_answers_match_fresh_payloads_byte_for_byte(self,
+                                                             toy_model):
+        rng = random.Random(7)
+        variants = []
+        for batch in (16, 32):
+            for route in ("alpha", "beta", None):
+                for extra in ({}, {"detail": True}, {"id": "job-1"},
+                              {"id": [1, "two"], "detail": True},
+                              {"client_id": "tenant-a"}):
+                    fields = {"model": "gpt-toy", "global_batch": batch,
+                              **extra}
+                    if route is not None:
+                        fields["cluster"] = route
+                    variants.append(json.dumps(fields).encode())
+        asks = [rng.choice(variants) for _ in range(120)]
+
+        async def fresh(gateway, raw) -> bytes:
+            payload = json.loads(raw)
+            answer = await answer_payload(gateway, FAST, payload)
+            out = plan_response_payload(answer, payload,
+                                        registry=gateway.registry)
+            if "id" in payload:
+                out["id"] = payload["id"]
+            return render_answer(out).encode()
+
+        async def main():
+            async with _Server(_registry()) as server:
+                compared = []
+                for half in (asks[:60], asks[60:]):
+                    if compared:  # the second half runs on a survivor
+                        await server.gateway.fail_nodes("alpha", 1)
+                    # Every key is planned first, so both sides answer
+                    # hits.
+                    for raw in variants:
+                        await fresh(server.gateway, raw)
+                    for raw in half:
+                        memo_first = rng.random() < 0.5
+                        if memo_first:
+                            _, _, memo = await server.front._plan(raw)
+                        reference = await fresh(server.gateway, raw)
+                        if not memo_first:
+                            _, _, memo = await server.front._plan(raw)
+                        compared.append((raw, memo, reference))
+                return compared, len(server.front.bodies)
+
+        compared, kept = asyncio.run(main())
+        assert kept == len(set(asks))
+        assert {_json(memo)["status"] for _, memo, _ in compared} == {"hit"}
+        for raw, memo, reference in compared:
+            assert _net_of_elapsed(memo) == _net_of_elapsed(reference), raw
+        survivors = {_json(memo)["result"]["cluster"]["n_nodes"]
+                     for raw, memo, _ in compared[60:]
+                     if b'"alpha"' in raw and b'"detail"' in raw}
+        assert survivors == {1}

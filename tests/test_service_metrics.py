@@ -369,9 +369,15 @@ class TestStatsAgreement:
                             cluster="alpha") == cache.hits
         assert metric_value(samples, "pipette_cache_misses_total",
                             cluster="alpha") == cache.misses
-        # Latency histogram observed every answered/coalesced return.
-        assert metric_value(samples, "pipette_plan_latency_seconds_count",
-                            cluster="alpha") == \
+        # Latency histogram observed every answered/coalesced return,
+        # split by the same outcome as the request counter.
+        def latency(outcome):
+            return metric_value(samples, "pipette_plan_latency_seconds_count",
+                                cluster="alpha", outcome=outcome)
+
+        outcomes = ("hit", "miss", "coalesced", "error")
+        assert [latency(o) for o in outcomes] == [req(o) for o in outcomes]
+        assert sum(latency(o) for o in outcomes) == \
             stats.submitted + stats.coalesced
 
     def test_events_counted_and_depth_gauge_live(self, toy_model):
